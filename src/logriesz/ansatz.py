@@ -31,8 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .bounds import BoundKind, PredictedBound
 from .convolution import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
+    TRUNCATION_FACTOR,
     RadialProfile,
     convolve_radial,
     newtonian_potential_radial,
@@ -96,9 +95,9 @@ def source_profile(params: AnsatzParams) -> RadialProfile:
     )
 
 
-def u_eval(params: AnsatzParams, r: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def u_eval(params: AnsatzParams, r: float) -> float:
     """Potential of the source: -Laplace(u) = v, u decaying (gamma > 2)."""
-    return newtonian_potential_radial(params.N, source_profile(params), r, cfg)
+    return newtonian_potential_radial(params.N, source_profile(params), r)
 
 
 def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
@@ -122,11 +121,11 @@ def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
     return out[()]
 
 
-def lambda_star(params: AnsatzParams, r_max: float = 1e8, n_grid: int = 400) -> float:
+def lambda_star(params: AnsatzParams) -> float:
     """Smallest lam with -Lap(v) + (lam/2) v >= 0 everywhere.
 
     Equals 2 sup_r Lap(v)/v clipped at 0; grid scan plus bounded scalar
-    refinement around the best grid point.
+    refinement around the best of 400 grid points up to r = 1e8.
     """
     root_a = math.sqrt(params.A)
 
@@ -134,7 +133,7 @@ def lambda_star(params: AnsatzParams, r_max: float = 1e8, n_grid: int = 400) -> 
         neg_lap_v = biharmonic_closed_form(params, 0.0, r)
         return -2.0 * neg_lap_v / source_eval(params, r)
 
-    grid = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, r_max, n_grid)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, 1e8, 400)))
     vals = h(grid)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
@@ -240,13 +239,12 @@ class PotentialTable:
     quadrature points.
     """
 
-    def __init__(self, params: AnsatzParams, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                 r_max: float = 1e10, n_nodes: int = 480):
+    def __init__(self, params: AnsatzParams, r_max: float = 1e10):
         self.params = params
         self.r_max = float(r_max)
         root_a = math.sqrt(params.A)
-        radii = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, n_nodes)))
-        values = np.array([u_eval(params, float(r), cfg) for r in radii])
+        radii = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, 480)))
+        values = np.array([u_eval(params, float(r)) for r in radii])
         if np.any(values <= 0.0):
             raise ParameterError("potential must be positive")
         x = np.log(root_a + radii)
@@ -307,7 +305,6 @@ def verify_supersolution(
     lam: float | None = None,
     A: float = 10.0,
     grid: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
     """Certify L(r) = Lap^2(u) - lam*Lap(u) >= S^(-1) (K * u^p)(r) u(r)^q on a grid.
 
@@ -330,7 +327,7 @@ def verify_supersolution(
     r_out = float(grid.max())
     ext = np.geomspace(r_out * 1.09, 2.0 * r_out, 8)
 
-    table = PotentialTable(params, cfg, r_max=max(4.0 * cfg.truncation_factor * r_out, 1e6))
+    table = PotentialTable(params, r_max=max(4.0 * TRUNCATION_FACTOR * r_out, 1e6))
 
     N, alpha = kernel.N, kernel.alpha
     sigma_up = (case.gamma - 2.0) * p
@@ -349,7 +346,7 @@ def verify_supersolution(
         rows = []
         for r in radii:
             lhs = float(biharmonic_closed_form(params, lam, r))
-            conv = convolve_radial(kernel, powered, float(r), cfg)
+            conv = convolve_radial(kernel, powered, float(r))
             rhs = conv.value * float(table(r)) ** q
             rows.append((float(r), lhs, rhs))
         return rows

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convolution import ConvolutionResult, QuadratureConfig, DEFAULT_CONFIG, RadialProfile, convolve_radial
+from .convolution import ConvolutionResult, RadialProfile, convolve_radial
 from .errors import DegenerateSamples, MissingAsymptoticSpec, OutOfHypothesis
 from .kernel import AsymptoticSpec, KernelParams, validate
 
@@ -57,8 +57,7 @@ class PredictedBound:
         if self.spec is None:
             raise OutOfHypothesis("divergent prediction has no finite shape")
         r = np.asarray(r, dtype=float)
-        base = self.scale + r
-        out = base ** self.spec.power * np.log(base) ** self.spec.logpower
+        out = self.spec.shape(r, self.scale)
         if self.extra_loglog:
             out = out * np.log(np.log(math.e + r))
         return out[()]
@@ -215,7 +214,6 @@ def check_bound(
     f: RadialProfile,
     bound: PredictedBound,
     window: tuple[float, float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     case_id: str = "",
 ) -> BoundCheckReport:
     """Sample K * f on 8 log-spaced radii and compare against the envelope.
@@ -231,7 +229,7 @@ def check_bound(
     radii = np.geomspace(lo, hi, 8)
     values = []
     for r in radii:
-        res = convolve_radial(kernel, f, float(r), cfg)
+        res = convolve_radial(kernel, f, float(r))
         if res.divergent:
             raise OutOfHypothesis("convolution divergent inside the check window")
         values.append(res.value)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .ansatz import ExistenceCase, choose_case_params
 from .errors import HypothesisViolated, ParameterError
@@ -622,7 +622,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     return rows
 
 
-def emit_regime_table(N: int, alpha_samples: Sequence[float] | None = None) -> list[TableRowRecord]:
+def emit_regime_table(N: int) -> list[TableRowRecord]:
     """Instantiate every summary row at representative alphas and classify.
 
     Returns one record per instantiation; callers assert that every row
@@ -630,8 +630,7 @@ def emit_regime_table(N: int, alpha_samples: Sequence[float] | None = None) -> l
     """
     if N < 3:
         raise ParameterError("the summary table is stated for N >= 3")
-    if alpha_samples is None:
-        alpha_samples = sorted({0.0, 0.5, 1.0, 1.5, 2.0, min(2.5, N - 0.5), N - 0.5, float(N)})
+    alpha_samples = sorted({0.0, 0.5, 1.0, 1.5, 2.0, min(2.5, N - 0.5), N - 0.5, float(N)})
     records: list[TableRowRecord] = []
     for row_id, description, expected_verdict, instantiate in _table_rows(N):
         for alpha in alpha_samples:

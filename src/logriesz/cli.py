@@ -34,7 +34,6 @@ from .classifier import (
     emit_regime_table,
 )
 from .convolution import (
-    DEFAULT_CONFIG,
     RadialProfile,
     ball_profile,
     convolution_rows,
@@ -47,7 +46,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import KernelParams, validate
+from .kernel import AsymptoticSpec, KernelParams, validate
 from .probes import (
     TestFunctionSpec,
     divergence_certificate,
@@ -176,7 +175,7 @@ def cmd_convolve(args) -> int:
                 "convolution diverges: the source decays too slowly against "
                 f"the kernel (slow-decay regime) at r={r}")
     if args.out:
-        write_convolution_csv(args.out, kernel, f, radii)
+        write_convolution_csv(args.out, rows)
     result = {"rows": [{"r": r, "value": res.value, "error_estimate": res.error_estimate}
                        for r, res in rows]}
     inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
@@ -198,10 +197,10 @@ def cmd_asymptotics(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("r,value,predicted,fitted\n")
+            fit_spec = AsymptoticSpec(report.fitted.power_est, report.fitted.logpower_est)
             for r, v in zip(report.radii, report.values):
                 pred = bound.shape(r)
-                fit = (bound.scale + r) ** report.fitted.power_est \
-                    * np.log(bound.scale + r) ** report.fitted.logpower_est
+                fit = fit_spec.shape(r, bound.scale)
                 fh.write(f"{r:.17g},{v:.17g},{pred:.17g},{fit:.17g}\n")
     inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
               "profile": args.profile, "kind": args.kind, "window": args.window}

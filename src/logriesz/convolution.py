@@ -8,7 +8,7 @@ K(t) = t^(-alpha) log(1+t)^beta reduces to
 
 and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
 is split at {r/2, r, 2r} plus geometric marks (the angular factor has an
-integrable cusp at s = r), truncated at truncation_factor * max(r, A, 1),
+integrable cusp at s = r), truncated at TRUNCATION_FACTOR * max(r, A, 1),
 and completed with an analytic tail computed from the profile's declared
 decay shape.  Tails matter: on the critical line sigma = N - alpha a
 macroscopic fraction of the value comes from arbitrarily large s, so plain
@@ -45,24 +45,14 @@ from .errors import (
 )
 from .kernel import AsymptoticSpec, KernelParams, validate
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    truncation_factor: float = 1e3
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ParameterError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be at least 1")
-        if self.truncation_factor < 10.0:
-            raise ParameterError("truncation_factor below 10 cannot bracket the cusp at s = r")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# Quadrature policy of every outer integral.
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
+# s_max = TRUNCATION_FACTOR * max(r, A, 1).  It must stay >= 10: below that
+# the marks r/2, r, 2r no longer bracket the cusp at s = r inside [0, s_max],
+# and the tail's far-field error term 10 (r/s_max)^2 stops being small.
+TRUNCATION_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -197,9 +187,10 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
 
     def g(x):
         la = _log_shifted(x, A)     # log(A + s)
-        l1 = _log_shifted(x, 1.0)   # log(1 + s)
         expo = (N - alpha) * x - sigma * la
-        return np.exp(expo) * la ** kappa * l1 ** beta
+        out = np.exp(expo) * la ** kappa
+        # log(1 + s)^0 = 1: the potential's tail (beta = 0) skips the second log
+        return out * _log_shifted(x, 1.0) ** beta if beta else out
 
     val, err = integrate.quad(g, math.log(R), np.inf, epsabs=0.0, epsrel=1e-10, limit=400)
     return val, err
@@ -222,7 +213,6 @@ def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
 def _integrate_marks(
     integrand: Callable[[float], float],
     marks: Sequence[float],
-    cfg: QuadratureConfig,
 ) -> tuple[float, float]:
     """Sum quad over consecutive segments, rescaling the absolute floor.
 
@@ -242,8 +232,8 @@ def _integrate_marks(
             res = integrate.quad(
                 integrand, a, b,
                 epsabs=epsabs,
-                epsrel=cfg.rel_tol,
-                limit=cfg.max_subdivisions,
+                epsrel=REL_TOL,
+                limit=MAX_SUBDIVISIONS,
                 full_output=1,
             )
             seg_val, seg_err = res[0], res[1]
@@ -255,10 +245,10 @@ def _integrate_marks(
             err += seg_err
         return total, err, worst
 
-    first_eps = cfg.abs_tol / nseg
+    first_eps = ABS_TOL / nseg
     total, err, worst = sweep(first_eps)
-    rescaled = abs(total) * cfg.rel_tol / nseg
-    if (err > 10.0 * cfg.rel_tol * abs(total) or worst is not None) and 0.0 < rescaled < first_eps:
+    rescaled = abs(total) * REL_TOL / nseg
+    if (err > 10.0 * REL_TOL * abs(total) or worst is not None) and 0.0 < rescaled < first_eps:
         total, err, worst = sweep(max(rescaled, 5e-306))
     if worst is not None:
         a, b, msg = worst
@@ -266,12 +256,7 @@ def _integrate_marks(
     return total, err
 
 
-def convolve_radial(
-    kernel: KernelParams,
-    f: RadialProfile,
-    r: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ConvolutionResult:
+def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> ConvolutionResult:
     """Evaluate (K * f)(r) with certified truncation.
 
     Divergent cases are detected symbolically from the declared tail shape
@@ -287,7 +272,7 @@ def convolve_radial(
     if not compact:
         if detect_divergence(kernel, f):
             return ConvolutionResult(value=math.inf, error_estimate=math.inf, evaluations=0, divergent=True)
-        s_max = cfg.truncation_factor * max(r, f.scale, 1.0)
+        s_max = TRUNCATION_FACTOR * max(r, f.scale, 1.0)
     else:
         s_max = float(f.support_radius)
 
@@ -311,7 +296,7 @@ def convolve_radial(
             return float(f.evaluate(s)) * (k_near + far ** (-alpha) * math.log1p(far) ** beta)
 
     marks = _grid_marks(r, f, s_max)
-    total, err = _integrate_marks(integrand, marks, cfg)
+    total, err = _integrate_marks(integrand, marks)
     total *= prefactor
     err *= prefactor
 
@@ -330,7 +315,7 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
     A = f.scale
 
     probes = s_max * np.array([1.0, 1.5, 2.0])
-    shape = (A + probes) ** (-sigma) * np.log(A + probes) ** kappa
+    shape = spec.shape(probes, A)
     fv = np.asarray(f.evaluate(probes), dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(shape > 0.0, fv / shape, 0.0)
@@ -347,12 +332,7 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
     return tail, tail_err
 
 
-def newtonian_potential_radial(
-    N: int,
-    f: RadialProfile,
-    r: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     """Decaying solution u of -Laplace(u) = f for radial f, N >= 3.
 
     Layer-cake form: (N-2) u(r) = r^(2-N) int_0^r s^(N-1) f ds + int_r^inf s f ds.
@@ -370,7 +350,7 @@ def newtonian_potential_radial(
         sigma = -f.infinity_spec.power
         if sigma <= 2.0:
             raise DivergentIntegral("tail mass int s f ds diverges: declared decay power <= 2")
-        s_max = cfg.truncation_factor * max(r, f.scale, 1.0)
+        s_max = TRUNCATION_FACTOR * max(r, f.scale, 1.0)
     else:
         s_max = float(f.support_radius)
 
@@ -384,31 +364,18 @@ def newtonian_potential_radial(
     r_in = min(r, s_max)
     if r_in > 0.0:
         marks = [m for m in _grid_marks(r_in / 2.0, f, r_in)]
-        inner_val = _integrate_marks(inner, marks, cfg)[0]
+        inner_val = _integrate_marks(inner, marks)[0]
 
     outer_val = 0.0
     if r < s_max:
         marks = [m for m in _grid_marks(r, f, s_max) if m >= r]
         if marks[0] > r:
             marks.insert(0, r)
-        outer_val = _integrate_marks(outer, marks, cfg)[0]
+        outer_val = _integrate_marks(outer, marks)[0]
     if not compact:
-        kappa = f.infinity_spec.logpower
-        A = f.scale
-        probes = s_max * np.array([1.0, 1.5, 2.0])
-        shape = (A + probes) ** (-sigma) * np.log(A + probes) ** kappa
-        fv = np.asarray(f.evaluate(probes), dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(shape > 0.0, fv / shape, 0.0)
-        c = float(np.median(ratios))
-        if c > 0.0:
-
-            def g(x):
-                la = _log_shifted(x, A)
-                return np.exp(2.0 * x - sigma * la) * la ** kappa
-
-            tail = integrate.quad(g, math.log(s_max), np.inf, epsabs=0.0, epsrel=1e-10, limit=400)[0]
-            outer_val += c * tail
+        # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
+        # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
+        outer_val += _tail_addon(KernelParams(N, N - 2.0, 0.0), f, r, s_max)[0] / unit_sphere_area(N)
 
     pot = inner_val * r ** (2 - N) if r > 0.0 else 0.0
     return (pot + outer_val) / (N - 2)
@@ -437,14 +404,15 @@ def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
     if A <= 1.0:
         raise ParameterError("power profiles need A > 1 so the log factor stays positive")
 
+    spec = AsymptoticSpec(-sigma, kappa)
+
     def evaluate(s):
-        s = np.asarray(s, dtype=float)
-        return ((A + s) ** (-sigma) * np.log(A + s) ** kappa)[()]
+        return spec.shape(np.asarray(s, dtype=float), A)[()]
 
     return RadialProfile(
         evaluate=evaluate,
         zero_spec=AsymptoticSpec(0.0, 0.0),
-        infinity_spec=AsymptoticSpec(-sigma, kappa),
+        infinity_spec=spec,
         scale=A,
         positive_mass_near_zero=True,
     )
@@ -454,20 +422,12 @@ def convolution_rows(
     kernel: KernelParams,
     f: RadialProfile,
     radii: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> list[tuple[float, ConvolutionResult]]:
-    return [(float(r), convolve_radial(kernel, f, float(r), cfg)) for r in radii]
+    return [(float(r), convolve_radial(kernel, f, float(r))) for r in radii]
 
 
-def write_convolution_csv(
-    out,
-    kernel: KernelParams,
-    f: RadialProfile,
-    radii: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> None:
-    """Emit rows r,value,error_estimate (17 significant digits) to a file or path."""
-    rows = convolution_rows(kernel, f, radii, cfg)
+def write_convolution_csv(out, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
+    """Write convolution_rows output as r,value,error_estimate (17 significant digits)."""
     close = False
     if isinstance(out, (str, bytes, os.PathLike)):
         handle = open(out, "w", newline="")

@@ -16,9 +16,9 @@ import numpy as np
 from .errors import InvalidAlpha, InvalidBeta, InvalidDimension, NonpositiveRadius
 
 
-def approx_eq(a: float, b: float, tol: float = 1e-12) -> bool:
-    """Equality for critical-exponent comparisons on user-supplied reals."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def approx_eq(a: float, b: float) -> bool:
+    """Relative equality to 1e-12, for critical-exponent comparisons on user-supplied reals."""
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,10 @@ class AsymptoticSpec:
 
     power: float
     logpower: float
+
+    def shape(self, r, A: float):
+        base = A + r
+        return base ** self.power * np.log(base) ** self.logpower
 
 
 class Regime(enum.Enum):

@@ -19,13 +19,7 @@ from scipy import integrate
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
 from .classifier import thm2_clause
-from .convolution import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    RadialProfile,
-    convolve_radial,
-    unit_sphere_area,
-)
+from .convolution import RadialProfile, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError, QuadratureFailure
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
 
@@ -345,8 +339,7 @@ class ChainResult:
 
 
 def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
-                      grid: Sequence[float], u0: RadialProfile | None = None,
-                      config: QuadratureConfig = DEFAULT_CONFIG) -> ChainResult:
+                      grid: Sequence[float], u0: RadialProfile | None = None) -> ChainResult:
     """Convolution profile of u0^p against the kernel, with exponent check.
 
     Default u0 is the truncated fundamental-solution shape max(1, r)^(2-N).
@@ -392,7 +385,7 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
             # no claimable lower envelope (e.g. the zero profile): data only
             predicted = None
 
-    first = convolve_radial(kernel, f, float(grid[0]), config)
+    first = convolve_radial(kernel, f, float(grid[0]))
     if first.divergent:
         values = np.full(grid.shape, np.inf)
         return ChainResult(radii=grid, values=values, predicted=predicted,
@@ -400,7 +393,7 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
     values = np.empty(grid.shape)
     values[0] = first.value
     for i, r in enumerate(grid[1:], start=1):
-        values[i] = convolve_radial(kernel, f, float(r), config).value
+        values[i] = convolve_radial(kernel, f, float(r)).value
 
     fitted = None
     tail = grid >= 50.0

@@ -12,7 +12,6 @@ from logriesz import (
     KernelParams,
     MissingAsymptoticSpec,
     ParameterError,
-    QuadratureConfig,
     RadialProfile,
     angular_factor,
     ball_profile,
@@ -86,15 +85,6 @@ def test_angular_factor_matches_colatitude_quadrature():
 
             direct, _ = integrate.quad(theta_integrand, 0.0, math.pi, epsabs=1e-13)
             assert math.isclose(angular_factor(3, r, s, k), direct, rel_tol=1e-8)
-
-
-def test_quadrature_config_validation():
-    QuadratureConfig()
-    with pytest.raises(ParameterError) as err:
-        QuadratureConfig(truncation_factor=5.0)
-    assert "cannot bracket the cusp" in str(err.value)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(rel_tol=-1.0)
 
 
 def test_ball_convolution_newtonian_exact():
@@ -226,7 +216,7 @@ def test_write_convolution_csv_roundtrip(tmp_path):
     out = tmp_path / "rows.csv"
     radii = [1.0, 2.0, 10.0]
     rows = convolution_rows(NEWTONIAN, ball_profile(1.0), radii)
-    write_convolution_csv(out, NEWTONIAN, ball_profile(1.0), radii)
+    write_convolution_csv(out, rows)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "r,value,error_estimate"
     assert len(lines) == 4
