@@ -7,18 +7,30 @@ K(t) = t^(-alpha) log(1+t)^beta reduces to
     angular(r, s) = int_0^pi K(sqrt(r^2 + s^2 - 2 r s cos(theta))) sin(theta)^(N-2) dtheta,
 
 and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
-is split at {r/2, r, 2r} plus geometric marks (the angular factor has an
-integrable cusp at s = r), truncated at TRUNCATION_FACTOR * max(r, A, 1),
-and completed with an analytic tail computed from the profile's declared
-decay shape.  Tails matter: on the critical line sigma = N - alpha a
+is split at {r/2, r, 2r} plus geometric marks, truncated at
+TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
+computed from the profile's declared decay shape (one scipy quad in log
+coordinates).  Tails matter: on the critical line sigma = N - alpha a
 macroscopic fraction of the value comes from arbitrarily large s, so plain
 truncation would bias every critical-case result.
 
-Near theta = 0 with s = r the angular integrand behaves like
-theta^(N-2+beta-alpha); the theta-integral itself is finite only when
-beta > alpha - N + 1, and angular_factor returns inf below that line.  The
-outer split keeps quadrature nodes off s = r, so the full convolution is
-still produced whenever the declared shapes say it converges.
+The outer integral is one batched, globally adaptive Gauss-Kronrod (G7-K15)
+sweep over all segments: each round calls the integrand once, on the nodes
+of every new panel, and angular_factor evaluates its colatitude rule for the
+whole array of s in one ragged batch.  Panel errors are QUADPACK's, including
+its roundoff floor 50 eps int |f|, so an error estimate never claims more
+than double precision delivers; the sweep stops at REL_TOL relative error.
+
+The cusp at s = r: near theta = 0 the angular integrand behaves like
+theta^(N-2+beta-alpha), so the theta-integral is finite only when
+beta > alpha - N + 1 (angular_factor returns inf at s = r below that line),
+and the outer integrand behaves like |s - r|^mu, mu = min(0, N-1+beta-alpha)
+> -1.  The two segments that touch r are graded, s = r -+ h u^m with
+m = 1/(1+mu) (m = 2 when mu = 0), which makes the integrand tend to a
+constant in u.  Their offsets h u^m reach the angular rule exactly: as mu
+nears -1 much of the value lies at |s - r| far below the spacing of floats
+around r.  The innermost slab |s - r| < 1e-40 h, where the integrand in u
+is that constant to working precision, is added as one rectangle.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -43,11 +55,10 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, validate
+from .kernel import AsymptoticSpec, KernelParams, eval_kernel, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
-ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 2000
 # s_max = TRUNCATION_FACTOR * max(r, A, 1).  It must stay >= 10: below that
 # the marks r/2, r, 2r no longer bracket the cusp at s = r inside [0, s_max],
@@ -101,59 +112,111 @@ def _jacobi_rule(exponent: float):
     return roots_jacobi(24, 0.0, exponent)
 
 
-def _angular_integrand(theta, N: int, r: float, s: float, alpha: float, beta: float):
-    d = np.hypot(r - s, 2.0 * math.sqrt(r * s) * np.sin(theta / 2.0))
-    return np.sin(theta) ** (N - 2) * d ** (-alpha) * np.log1p(d) ** beta
+# Colatitude panels: row k < _LEVELS holds [pi 2^-(k+1), pi 2^-k], row
+# _LEVELS + k holds [0, pi 2^-k].  theta_t >= 1e-100 keeps L below _LEVELS;
+# the outer nodes closest to the cusp stay above theta_t = 1e-57.
+_LEVELS = 340
 
 
-def angular_factor(N: int, r: float, s: float, kernel: KernelParams) -> float:
+@lru_cache(maxsize=1)
+def _theta_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin(theta/2), sin(theta) and the weights at the 16 GL nodes of every panel row."""
+    b = np.tile(np.pi * 2.0 ** -np.arange(_LEVELS, dtype=float), 2)
+    a = np.concatenate((0.5 * b[:_LEVELS], np.zeros(_LEVELS)))
+    half = (0.5 * (b - a))[:, None]
+    theta = 0.5 * (a + b)[:, None] + half * _GL_X
+    return np.sin(theta / 2.0), np.sin(theta), half * _GL_W
+
+
+def _angular_integrand(sin_half, sin_full, N: int, rs_root, delta, alpha: float, beta: float):
+    # |x - y| at colatitude theta, from s - r = delta and sqrt(r s) = rs_root
+    d = np.hypot(delta, 2.0 * rs_root * sin_half)
+    out = sin_full ** (N - 2) * d ** (-alpha)
+    return out * np.log1p(d) ** beta if beta else out
+
+
+class _Offsets(NamedTuple):
+    """Outer nodes s with their exact offsets delta = s - r, which convolve_radial
+    hands to angular_factor: next to the cusp s - r would round them away."""
+
+    s: np.ndarray
+    delta: np.ndarray
+
+
+def angular_factor(N: int, r: float, s, kernel: KernelParams):
     """Colatitude integral of K over the sphere of radius s seen from radius r.
 
-    Returns inf at s == r when beta <= alpha - N + 1 (genuine divergence of
-    the theta-integral; the two-dimensional (s, theta) integral is still
-    finite there).
+    s may be a scalar (the result is a float) or an array (the result is an
+    array of the same shape).  Returns inf at s == r when beta <= alpha - N + 1
+    (genuine divergence of the theta-integral; the two-dimensional (s, theta)
+    integral is still finite there).
     """
+    if isinstance(s, _Offsets):
+        return _angular(N, r, s.s, s.delta, kernel.alpha, kernel.beta)
     if N < 2:
         raise InvalidDimension("angular reduction needs N >= 2")
-    if s <= 0.0:
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr <= 0.0):
         raise NonpositiveRadius("angular_factor needs s > 0")
     if r < 0.0:
         raise NonpositiveRadius("angular_factor needs r >= 0")
-    alpha, beta = kernel.alpha, kernel.beta
+    flat = s_arr.ravel()
+    out = _angular(N, r, flat, flat - r, kernel.alpha, kernel.beta)
+    if r > 0.0:
+        out[flat == r] = _angular_diagonal(N, r, kernel.alpha, kernel.beta)
+    out = out.reshape(s_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _angular_diagonal(N: int, r: float, alpha: float, beta: float) -> float:
+    a = N - 2 + beta - alpha
+    if a <= -1.0:
+        return math.inf
+    # geometric panels down to theta_c, then a Gauss-Jacobi panel with
+    # weight theta^a for the power singularity at theta = 0
+    sin_half, sin_full, weights = (t[:12] for t in _theta_panels())
+    total = float(np.sum(_angular_integrand(sin_half, sin_full, N, r, 0.0, alpha, beta) * weights))
+    theta_c = np.pi * 2.0 ** -12
+    x, w = _jacobi_rule(a)
+    t = theta_c * (1.0 + x) / 2.0
+    g = _angular_integrand(np.sin(t / 2.0), np.sin(t), N, r, 0.0, alpha, beta) / t ** a
+    return total + (theta_c / 2.0) ** (a + 1.0) * float(np.dot(w, g))
+
+
+def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """angular(r, s) at 1-d arrays s > 0 and their exact offsets delta = s - r.
+
+    Entries with delta == 0 (s == r) are 0; angular_factor fills in its own
+    diagonal rule there.  Each s gets composite
+    16-point Gauss-Legendre panels on [0, pi 2^-L], [pi 2^-L, pi 2^(1-L)],
+    ..., [pi/2, pi], with L = max(4, ceil(log2(pi / theta_t)) + 3) and
+    theta_t = |delta| / sqrt(r s) the colatitude where the kernel's peak sits,
+    so the panels follow the peak however close s is to r.  The panels of all
+    s are evaluated in one ragged batch, without padding to the largest L.
+    Offsets so small that K overflows give inf, which convolve_radial
+    reports as a QuadratureFailure.
+    """
     if r == 0.0:
-        return colatitude_total(N) * s ** (-alpha) * math.log1p(s) ** beta
-
-    if r == s:
-        a = N - 2 + beta - alpha
-        if a <= -1.0:
-            return math.inf
-        # geometric panels down to theta_c, then a Gauss-Jacobi panel with
-        # weight theta^a for the power singularity at theta = 0
-        levels = 12
-        edges = np.pi * 2.0 ** (-np.arange(levels, -1, -1, dtype=float))
-        total = _composite_gl(edges, N, r, s, alpha, beta)
-        theta_c = float(edges[0])
-        x, w = _jacobi_rule(a)
-        t = theta_c * (1.0 + x) / 2.0
-        g = _angular_integrand(t, N, r, s, alpha, beta) / t ** a
-        total += (theta_c / 2.0) ** (a + 1.0) * float(np.dot(w, g))
-        return total
-
-    theta_t = abs(r - s) / math.sqrt(r * s)
-    theta_t = min(max(theta_t, 1e-14), 2.0)
-    levels = int(np.clip(math.ceil(math.log2(math.pi / theta_t)) + 3, 4, 56))
-    edges = np.concatenate(([0.0], np.pi * 2.0 ** (-np.arange(levels, -1, -1, dtype=float))))
-    return _composite_gl(edges, N, r, s, alpha, beta)
-
-
-def _composite_gl(edges: np.ndarray, N: int, r: float, s: float, alpha: float, beta: float) -> float:
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    nodes = mid + half * _GL_X[None, :]
-    vals = _angular_integrand(nodes.ravel(), N, r, s, alpha, beta)
-    return float(np.dot(vals, (half * _GL_W[None, :]).ravel()))
+        return colatitude_total(N) * s ** (-alpha) * np.log1p(s) ** beta
+    out = np.zeros_like(s)
+    live = delta != 0.0
+    if not live.any():
+        return out
+    s, delta = s[live], delta[live]
+    rs_root = np.sqrt(r * s)
+    theta_t = np.clip(np.abs(delta) / rs_root, 1e-100, 2.0)
+    levels = np.maximum(np.ceil(np.log2(np.pi / theta_t)) + 3, 4).astype(np.int64)
+    counts = levels + 1
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(s)), counts)
+    j = np.arange(len(owner)) - starts[owner]
+    rows = np.where(j == 0, _LEVELS + levels[owner], levels[owner] - j)
+    sin_half, sin_full, weights = (t[rows] for t in _theta_panels())
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _angular_integrand(sin_half, sin_full, N, rs_root[owner, None], delta[owner, None], alpha, beta)
+    panel = np.sum(vals * weights, axis=1)
+    out[live] = np.add.reduceat(panel, starts)
+    return out
 
 
 def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
@@ -174,26 +237,21 @@ def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
     return gap > 0.0 or (gap == 0.0 and 1.0 + kernel.beta + kappa >= 0.0)
 
 
-def _log_shifted(x, A: float):
-    # log(A + e^x) without overflow
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 40.0, x + np.log1p(A * np.exp(-x.clip(max=745.0))), np.log(A + np.exp(np.minimum(x, 40.0))))
-    return out
-
-
 def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float, R: float) -> tuple[float, float]:
     """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds in log coordinates."""
     N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
 
-    def g(x):
-        la = _log_shifted(x, A)     # log(A + s)
-        expo = (N - alpha) * x - sigma * la
-        out = np.exp(expo) * la ** kappa
-        # log(1 + s)^0 = 1: the potential's tail (beta = 0) skips the second log
-        return out * _log_shifted(x, 1.0) ** beta if beta else out
+    def log_shifted(x: float, c: float) -> float:
+        # log(c + e^x) without overflow
+        return x + math.log1p(c * math.exp(-x)) if x > 40.0 else math.log(c + math.exp(x))
 
-    val, err = integrate.quad(g, math.log(R), np.inf, epsabs=0.0, epsrel=1e-10, limit=400)
-    return val, err
+    def g(x: float) -> float:
+        la = log_shifted(x, A)
+        out = math.exp((N - alpha) * x - sigma * la) * la ** kappa
+        # log(1 + s)^0 = 1: the potential's tail (beta = 0) skips the second log
+        return out * log_shifted(x, 1.0) ** beta if beta else out
+
+    return integrate.quad(g, math.log(R), math.inf, epsabs=0.0, epsrel=1e-10, limit=400)[:2]
 
 
 def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
@@ -210,50 +268,95 @@ def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
     return sorted(marks)
 
 
+# Gauss-Kronrod G7-K15 (QUADPACK qk15) on [-1, 1]: the 15 Kronrod nodes and
+# weights, and the 7-point Gauss weights, which sit at the odd-indexed nodes
+_XGK = np.array([0.99145537112081264, 0.94910791234275852, 0.86486442335976907, 0.74153118559939444,
+                 0.58608723546769113, 0.40584515137739717, 0.20778495500789847])
+_WGK = np.array([0.022935322010529225, 0.063092092629978553, 0.10479001032225019, 0.14065325971552592,
+                 0.16900472663926790, 0.19035057806478541, 0.20443294007529889])
+_WG = np.array([0.12948496616886969, 0.27970539148927667, 0.38183005050511894])
+_KX = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
+_KW = np.concatenate((_WGK, [0.20948214108472783], _WGK[::-1]))
+_GW = np.zeros(15)
+_GW[1:14:2] = np.concatenate((_WG, [0.41795918367346939], _WG[::-1]))
+_EPS = np.finfo(float).eps
+
+
+# Inside |s - cusp| < _CUSP_SLAB |h| the graded integrand is its limit to
+# O(_CUSP_SLAB^-mu); outside, no offset is small enough to overflow K.
+_CUSP_SLAB = 1e-40
+
+
 def _integrate_marks(
-    integrand: Callable[[float], float],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     marks: Sequence[float],
-) -> tuple[float, float]:
-    """Sum quad over consecutive segments, rescaling the absolute floor.
+    cusp: float = 0.0,
+    grading: float = 1.0,
+) -> tuple[float, float, int]:
+    """Globally adaptive G7-K15 over the segments between consecutive marks.
 
-    A fixed epsabs is meaningless before the integral's magnitude is known:
-    at huge radii the whole value can sit below it and quad would "converge"
-    instantly to noise.  The first sweep measures the magnitude; if its
-    accumulated error misses the relative target, every segment is redone
-    with epsabs tied to the measured total.
+    integrand(s, delta) takes 1-d arrays of nodes s and their offsets
+    delta = s - cusp.  With grading m != 1, the segments that end at the
+    cusp run in u, s = cusp -+ h u^m and delta = -+ h u^m, which turns a
+    factor |s - cusp|^mu, mu = 1/m - 1, into a limit g(0) in u.  The sweep
+    covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m), and adds u_f g(u_f).
+
+    Each round evaluates the 15 nodes of every new panel in one call.  Panel
+    errors follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5),
+    floored at 50 eps int |f|.  The sweep stops once the summed error is at
+    most REL_TOL |total|; until then every panel whose error exceeds its
+    share of that target is bisected.  Returns (total, error, evaluations).
     """
-    nseg = max(len(marks) - 1, 1)
+    a, b = np.array(marks[:-1], dtype=float), np.array(marks[1:], dtype=float)
+    # h != 0 marks a graded segment, run in u
+    h = np.where(b == cusp, a - b, np.where(a == cusp, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
+    u_f = _CUSP_SLAB ** (1.0 / grading)
+    lo, hi = np.where(h != 0.0, u_f, a), np.where(h != 0.0, 1.0, b)
 
-    def sweep(epsabs: float) -> tuple[float, float, tuple | None]:
-        total = 0.0
-        err = 0.0
-        worst = None
-        for a, b in zip(marks[:-1], marks[1:]):
-            res = integrate.quad(
-                integrand, a, b,
-                epsabs=epsabs,
-                epsrel=REL_TOL,
-                limit=MAX_SUBDIVISIONS,
-                full_output=1,
-            )
-            seg_val, seg_err = res[0], res[1]
-            if not math.isfinite(seg_val):
-                raise QuadratureFailure(f"non-finite segment value on [{a}, {b}]")
-            if len(res) > 3 and seg_err > 0.01 * abs(seg_val) + 100.0 * epsabs:
-                worst = (a, b, res[3])
-            total += seg_val
-            err += seg_err
-        return total, err, worst
+    def g(x, h):
+        # the integrand in each row's own variable, at node coordinates x
+        s, delta, jac = x, x - cusp, 1.0
+        if grading != 1.0:
+            graded = (h != 0.0)[:, None]
+            delta = np.where(graded, h[:, None] * x ** grading, delta)
+            s = np.where(graded, cusp + delta, x)
+            jac = np.where(graded, np.abs(h)[:, None] * grading * x ** (grading - 1.0), 1.0)
+        fx = integrand(s.ravel(), delta.ravel()).reshape(s.shape) * jac
+        if not np.all(np.isfinite(fx)):
+            raise QuadratureFailure(f"non-finite integrand at s = {s[~np.isfinite(fx)][0]!r} on [{marks[0]}, {marks[-1]}]")
+        return fx
 
-    first_eps = ABS_TOL / nseg
-    total, err, worst = sweep(first_eps)
-    rescaled = abs(total) * REL_TOL / nseg
-    if (err > 10.0 * REL_TOL * abs(total) or worst is not None) and 0.0 < rescaled < first_eps:
-        total, err, worst = sweep(max(rescaled, 5e-306))
-    if worst is not None:
-        a, b, msg = worst
-        raise QuadratureFailure(f"segment [{a}, {b}] did not converge: {msg}")
-    return total, err
+    def panels(lo, hi, h):
+        half = 0.5 * (hi - lo)
+        fx = g((0.5 * (lo + hi))[:, None] + half[:, None] * _KX, h)
+        resk = fx @ _KW
+        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _KW * half
+        err = np.abs(resk - fx @ _GW) * half
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+        return resk * half, np.maximum(scaled, 50.0 * _EPS * (np.abs(fx) @ _KW) * half)
+
+    slab_h = h[h != 0.0]
+    slab = u_f * float(np.sum(g(np.full((len(slab_h), 1), u_f), slab_h)))
+    val, err = panels(lo, hi, h)
+    evaluations = 15 * len(lo) + len(slab_h)
+    while True:
+        total = slab + float(np.sum(val))
+        target = REL_TOL * abs(total)
+        err_sum = float(np.sum(err))
+        if err_sum <= target:
+            return total, err_sum, evaluations
+        split = err > target / len(err)
+        if len(err) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+            raise QuadratureFailure(
+                f"no convergence within {MAX_SUBDIVISIONS} panels on [{marks[0]}, {marks[-1]}]: "
+                f"error {err_sum:.3g} against target {target:.3g}")
+        keep, mid = ~split, 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])), np.tile(h[split], 2))
+        lo, hi, h = (np.concatenate((old[keep], new)) for old, new in zip((lo, hi, h), halves))
+        new_val, new_err = panels(*halves)
+        evaluations += 15 * len(mid) * 2
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
 
 
 def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> ConvolutionResult:
@@ -266,7 +369,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     validate(kernel)
     if r < 0.0:
         raise NonpositiveRadius("evaluation radius must be nonnegative")
-    N = kernel.N
+    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
 
     compact = f.support_radius is not None
     if not compact:
@@ -276,27 +379,22 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     else:
         s_max = float(f.support_radius)
 
-    count = [0]
     if N >= 2:
         prefactor = unit_sphere_area(N - 1)
 
-        def integrand(s: float) -> float:
-            count[0] += 1
-            return float(f.evaluate(s)) * s ** (N - 1) * angular_factor(N, r, s, kernel)
+        def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
+            return f.evaluate(s) * s ** (N - 1) * angular_factor(N, r, _Offsets(s, delta), kernel)
 
     else:
         prefactor = 1.0
-        alpha, beta = kernel.alpha, kernel.beta
 
-        def integrand(s: float) -> float:
-            count[0] += 1
-            near = abs(r - s)
-            k_near = near ** (-alpha) * math.log1p(near) ** beta if near > 0.0 else math.inf
-            far = r + s
-            return float(f.evaluate(s)) * (k_near + far ** (-alpha) * math.log1p(far) ** beta)
+        def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
+            return f.evaluate(s) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, r + s))
 
-    marks = _grid_marks(r, f, s_max)
-    total, err = _integrate_marks(integrand, marks)
+    # the outer integrand behaves like |s - r|^mu at the cusp
+    mu = min(0.0, N - 1 + beta - alpha)
+    grading = 1.0 / (1.0 + mu) if mu < 0.0 else 2.0
+    total, err, evaluations = _integrate_marks(integrand, _grid_marks(r, f, s_max), cusp=r, grading=grading)
     total *= prefactor
     err *= prefactor
 
@@ -305,7 +403,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
         total += tail
         err += tail_err
 
-    return ConvolutionResult(value=total, error_estimate=err, evaluations=count[0])
+    return ConvolutionResult(value=total, error_estimate=err, evaluations=evaluations)
 
 
 def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) -> tuple[float, float]:
@@ -335,7 +433,8 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
 def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     """Decaying solution u of -Laplace(u) = f for radial f, N >= 3.
 
-    Layer-cake form: (N-2) u(r) = r^(2-N) int_0^r s^(N-1) f ds + int_r^inf s f ds.
+    Layer-cake form: (N-2) u(r) = r^(2-N) int_0^r s^(N-1) f ds + int_r^inf s f ds,
+    integrated in one sweep as int_0^inf s^(N-1) max(r, s)^(2-N) f ds.
     Relates to convolve_radial with the pure power kernel (alpha = N-2,
     beta = 0) through the factor (N-2) * |S^(N-1)|.
     """
@@ -354,31 +453,14 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     else:
         s_max = float(f.support_radius)
 
-    def inner(s: float) -> float:
-        return float(f.evaluate(s)) * s ** (N - 1)
-
-    def outer(s: float) -> float:
-        return float(f.evaluate(s)) * s
-
-    inner_val = 0.0
     r_in = min(r, s_max)
-    if r_in > 0.0:
-        marks = [m for m in _grid_marks(r_in / 2.0, f, r_in)]
-        inner_val = _integrate_marks(inner, marks)[0]
-
-    outer_val = 0.0
-    if r < s_max:
-        marks = [m for m in _grid_marks(r, f, s_max) if m >= r]
-        if marks[0] > r:
-            marks.insert(0, r)
-        outer_val = _integrate_marks(outer, marks)[0]
+    marks = sorted(set(_grid_marks(r_in / 2.0, f, r_in) + _grid_marks(r, f, s_max)))
+    layer_cake = _integrate_marks(lambda s, _: f.evaluate(s) * s ** (N - 1) * np.maximum(r, s) ** (2 - N), marks)[0]
     if not compact:
         # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
         # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
-        outer_val += _tail_addon(KernelParams(N, N - 2.0, 0.0), f, r, s_max)[0] / unit_sphere_area(N)
-
-    pot = inner_val * r ** (2 - N) if r > 0.0 else 0.0
-    return (pot + outer_val) / (N - 2)
+        layer_cake += _tail_addon(KernelParams(N, N - 2.0, 0.0), f, r, s_max)[0] / unit_sphere_area(N)
+    return layer_cake / (N - 2)
 
 
 def ball_profile(r0: float) -> RadialProfile:

@@ -235,7 +235,9 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     log-exponent window, and is validated against that window when given.
     `unbounded` reports the asymptotic verdict of the series formula;
     `strictly_increasing` reports the sampled window, which can disagree
-    for slowly turning power-log combinations.
+    for slowly turning power-log combinations.  Both it and `growth_ratio`
+    are read off the logarithms of the series, so they hold where a value
+    exceeds the float range; such values (and such a ratio) are inf.
     """
     validate(KernelParams(N=N, alpha=alpha, beta=beta))
     if p <= 0.0 or q <= 0.0:
@@ -253,54 +255,59 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
 
     s = p + q
     t_used = None
+    log_r = np.log(R)
     if clause == "Thm2(ii)":
         a = N - alpha - (N - 2.0) * p
-        values = R ** a * np.log1p(R) ** beta
+        log_values = a * log_r + beta * np.log(np.log1p(R))
         unbounded = a > 0.0
     elif clause == "Thm2(iii)":
         if approx_eq(beta, -1.0):
-            values = np.log(np.log1p(R))
+            if R[0] <= np.e - 1.0:
+                raise ParameterError("the series log(log(1+R)) of Thm2(iii) needs R > e - 1")
+            log_values = np.log(np.log(np.log1p(R)))
         else:
-            values = np.log1p(R) ** (1.0 + beta)
+            log_values = (1.0 + beta) * np.log(np.log1p(R))
         unbounded = beta >= -1.0
     elif clause == "Thm2(iv)":
         a = 2.0 * N - alpha - (N - 2.0) * s
-        values = R ** a * np.log1p(4.0 * R) ** beta
+        log_values = a * log_r + beta * np.log(np.log1p(4.0 * R))
         unbounded = a > 0.0
     elif clause == "Thm2(v)":
         if beta > 0.0:
-            values = np.log1p(4.0 * R) ** beta
+            log_values = beta * np.log(np.log1p(4.0 * R))
             e = beta
         else:
             t_used = _theta_or_mid(theta, -beta / (s - 1.0), 1.0 + beta, clause)
             e = beta + (s - 1.0) * t_used
-            values = np.log(R) ** e
+            log_values = e * np.log(log_r)
         unbounded = e > 0.0
     elif clause == "Thm2(vi)":
         a = N - alpha - (N - 2.0) * q
-        values = R ** a * np.log1p(R) ** beta
+        log_values = a * log_r + beta * np.log(np.log1p(R))
         unbounded = a > 0.0
     elif clause == "Thm2(vii)":
         if beta > 0.0:
-            values = np.log1p(R) ** beta
+            log_values = beta * np.log(np.log1p(R))
             e = beta
         else:
             t_used = _theta_or_mid(theta, -beta / (q - 1.0), 1.0 + beta, clause)
             e = beta + (q - 1.0) * t_used
-            values = np.log(R) ** e
+            log_values = e * np.log(log_r)
         unbounded = e > 0.0
     else:  # Thm2(viii) or Thm2(ix)
         if beta > -1.0:
-            values = np.log1p(R) ** (1.0 + beta)
+            log_values = (1.0 + beta) * np.log(np.log1p(R))
             e = 1.0 + beta
         else:
             t_used = _theta_or_mid(theta, (-1.0 - beta) / (q - 1.0), 2.0 + beta, clause)
             e = 1.0 + beta + (q - 1.0) * t_used
-            values = np.log(R) ** e
+            log_values = e * np.log(log_r)
         unbounded = e > 0.0
 
-    increasing = bool(np.all(np.diff(values) > 0.0))
-    ratio = float(values[-1] / values[0]) if values[0] != 0.0 else float("inf")
+    increasing = bool(np.all(np.diff(log_values) > 0.0))
+    with np.errstate(over="ignore"):
+        values = np.exp(log_values)
+        ratio = float(np.exp(log_values[-1] - log_values[0]))
     return CertificateSeries(clause=clause, radii=R, values=values, theta=t_used,
                              strictly_increasing=increasing, growth_ratio=ratio,
                              unbounded=bool(unbounded))

@@ -1,6 +1,7 @@
 """Radial convolution quadrature against closed forms and independent oracles."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from logriesz import (
     KernelParams,
     MissingAsymptoticSpec,
     ParameterError,
+    QuadratureFailure,
     RadialProfile,
     angular_factor,
     ball_profile,
@@ -85,6 +87,69 @@ def test_angular_factor_matches_colatitude_quadrature():
 
             direct, _ = integrate.quad(theta_integrand, 0.0, math.pi, epsabs=1e-13)
             assert math.isclose(angular_factor(3, r, s, k), direct, rel_tol=1e-8)
+
+
+def test_angular_factor_accepts_arrays():
+    k = KernelParams(3, 1.8, 0.4)
+    for r in (0.0, 0.7):
+        s = np.array([0.01, 0.5, 0.7, 0.7 + 1e-12, 3.0, 1e4])
+        got = angular_factor(3, r, s, k)
+        assert isinstance(got, np.ndarray) and got.shape == s.shape
+        for si, gi in zip(s, got):
+            assert math.isclose(gi, angular_factor(3, r, float(si), k), rel_tol=1e-15)
+    assert type(angular_factor(3, 0.7, 0.7, k)) is float
+    assert type(angular_factor(4, 0.0, 2.0, k)) is float
+    assert angular_factor(4, 1.0, np.ones((2, 3)), k).shape == (2, 3)
+
+
+def _ball_riesz_closed_form(alpha, r):
+    """(K * 1_B)(r) in R^3 for K = t^(-alpha), from the N = 3 angular factor
+    ((r+s)^c - |r-s|^c) / (c r s), c = 2 - alpha, in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, r = Decimal(alpha), Decimal(r)
+        c = 2 - a
+
+        def F(x):
+            return x ** (c + 2) / (c + 2)
+
+        def G(x):
+            return x ** (c + 1) / (c + 1)
+
+        near = F(r + 1) - F(r) - r * (G(r + 1) - G(r))
+        if r <= 1:
+            far = r * G(r) - F(r) + F(1 - r) + r * G(1 - r)
+        else:
+            far = r * (G(r) - G(r - 1)) - (F(r) - F(r - 1))
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return float(2 * pi * (near - far) / (c * r))
+
+
+def test_error_estimate_covers_closed_form():
+    """|value - exact| <= error_estimate on the unit ball, up to alpha = 2.999.
+
+    Near alpha = N the cusp at s = r carries most of the value, spread over
+    hundreds of decades of |s - r|; the estimate has to cover that, not just
+    look small.
+    """
+    f = ball_profile(1.0)
+    for alpha in (0.3, 1.0, 1.7, 2.2, 2.5, 2.8, 2.95, 2.99, 2.999):
+        k = KernelParams(3, alpha, 0.0)
+        for r in (0.01, 0.3, 0.5, 0.999, 1.0, 1.5, 7.0, 1e3):
+            res = convolve_radial(k, f, r)
+            exact = _ball_riesz_closed_form(alpha, r)
+            assert abs(res.value - exact) <= res.error_estimate, (alpha, r, res, exact)
+            assert res.error_estimate <= 1e-8 * exact
+
+
+def test_non_finite_integrand_raises_quadrature_failure():
+    bad = RadialProfile(
+        evaluate=lambda s: np.where(np.asarray(s) < 0.5, 1.0, np.inf),
+        zero_spec=AsymptoticSpec(0.0, 0.0),
+        support_radius=1.0,
+    )
+    with pytest.raises(QuadratureFailure):
+        convolve_radial(NEWTONIAN, bad, 0.3)
 
 
 def test_ball_convolution_newtonian_exact():
@@ -232,7 +297,7 @@ def test_power_profile_requires_wide_scale():
 
 
 def test_log_endpoint_kernel_far_field():
-    """alpha = N needs the rescaled absolute floor; values shrink to 1e-15.
+    """alpha = N: values shrink to 1e-15, far below any absolute tolerance.
 
     The normalized value v * r^2 / log(r)^1.5 must keep falling and the
     reported error must stay far below the value itself.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ class TestDivergenceCertificate:
         assert s.clause == "Thm2(ii)"
         assert not s.strictly_increasing
         assert s.unbounded
+
+    def test_large_beta_certificate_grows_without_overflow(self):
+        # log1p(4R)^249 leaves the float range; the growth is read off the logs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = divergence_certificate(3, 4.0, 0.004, 0.0, 249.0)
+        assert s.clause == "Thm2(iv)"
+        assert s.strictly_increasing and s.unbounded
+        expected = 6.0 * 1.996 + 249.0 * math.log10(math.log1p(4e8) / math.log1p(4e2))
+        assert math.isclose(math.log10(s.growth_ratio), expected, rel_tol=1e-12)
+        assert math.isclose(expected, 141.23, rel_tol=1e-4)
+        assert math.isinf(s.values[-1]) and math.isfinite(s.values[0])
 
     def test_existence_region_has_no_certificate(self):
         with pytest.raises(HypothesisViolated):
