@@ -83,8 +83,8 @@ def parse_radii(text: str) -> np.ndarray:
         raise ParameterError("--radii expects start:stop:count")
     start, stop = parse_number(parts[0]), parse_number(parts[1])
     count = int(parts[2])
-    if start <= 0.0 or stop <= start or count < 2:
-        raise ParameterError("--radii needs 0 < start < stop and count >= 2")
+    if not 0.0 < start < stop < np.inf or count < 2:
+        raise ParameterError("--radii needs finite 0 < start < stop and count >= 2")
     return np.geomspace(start, stop, count)
 
 

@@ -16,21 +16,25 @@ truncation would bias every critical-case result.
 
 The outer integral is one batched, globally adaptive Gauss-Kronrod (G7-K15)
 sweep over all segments: each round calls the integrand once, on the nodes
-of every new panel, and angular_factor evaluates its colatitude rule for the
-whole array of s in one ragged batch.  Panel errors are QUADPACK's, including
-its roundoff floor 50 eps int |f|, so an error estimate never claims more
-than double precision delivers; the sweep stops at REL_TOL relative error.
+of every new panel.  Panel errors are QUADPACK's, including its roundoff
+floor 50 eps int |f|, so an error estimate never claims more than double
+precision delivers; the sweep stops at REL_TOL relative error.
 
-The cusp at s = r: near theta = 0 the angular integrand behaves like
-theta^(N-2+beta-alpha), so the theta-integral is finite only when
-beta > alpha - N + 1 (angular_factor returns inf at s = r below that line),
-and the outer integrand behaves like |s - r|^mu, mu = min(0, N-1+beta-alpha)
-> -1.  The two segments that touch r are graded, s = r -+ h u^m with
-m = 1/(1+mu) (m = 2 when mu = 0), which makes the integrand tend to a
-constant in u.  Their offsets h u^m reach the angular rule exactly: as mu
-nears -1 much of the value lies at |s - r| far below the spacing of floats
-around r.  The innermost slab |s - r| < 1e-40 h, where the integrand in u
-is that constant to working precision, is added as one rectangle.
+angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
+angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
+16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s), with
+the endpoint factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made
+smooth by t = endpoint -+ h u^2; the panels of all s form one ragged batch.
+
+The cusp at s = r: there the t-integrand behaves like t^(N-2+beta-alpha), so
+angular(r, r) is finite only when beta > alpha - N + 1 (angular_factor
+returns inf below that line), and the outer integrand behaves like |s - r|^mu,
+mu = min(0, N-1+beta-alpha) > -1.  The two segments that touch r are graded,
+s = r -+ h u^m with m = 1/(1+mu) (m = 2 when mu = 0), which makes the
+integrand tend to a constant in u.  Their offsets h u^m reach the angular rule
+exactly: as mu nears -1 much of the value lies at |s - r| far below the
+spacing of floats around r.  The innermost slab |s - r| < 1e-40 h, where the
+integrand in u is that constant to working precision, is added as one rectangle.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma
-from scipy.special import roots_jacobi
 
 from .errors import (
     DivergentIntegral,
@@ -103,36 +106,24 @@ def colatitude_total(N: int) -> float:
     return math.sqrt(math.pi) * _gamma((N - 1) / 2.0) / _gamma(N / 2.0)
 
 
+# 16-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_U, _GL_W = 0.5 * (1.0 + _GL_X), 0.5 * _GL_W
+# Panels span a ratio of t of at most 4 and at most _LOG_SPREAD e-folds of
+# log(1+t)^beta (16 nodes integrate e^(20 u) over [0, 1] to 2e-15).
+_LOG_RATIO = math.log(4.0)
+_LOG_SPREAD = 12.0
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(exponent: float):
-    # weight (1+x)^exponent on [-1, 1]
-    return roots_jacobi(24, 0.0, exponent)
-
-
-# Colatitude panels: row k < _LEVELS holds [pi 2^-(k+1), pi 2^-k], row
-# _LEVELS + k holds [0, pi 2^-k].  theta_t >= 1e-100 keeps L below _LEVELS;
-# the outer nodes closest to the cusp stay above theta_t = 1e-57.
-_LEVELS = 340
-
-
-@lru_cache(maxsize=1)
-def _theta_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sin(theta/2), sin(theta) and the weights at the 16 GL nodes of every panel row."""
-    b = np.tile(np.pi * 2.0 ** -np.arange(_LEVELS, dtype=float), 2)
-    a = np.concatenate((0.5 * b[:_LEVELS], np.zeros(_LEVELS)))
-    half = (0.5 * (b - a))[:, None]
-    theta = 0.5 * (a + b)[:, None] + half * _GL_X
-    return np.sin(theta / 2.0), np.sin(theta), half * _GL_W
-
-
-def _angular_integrand(sin_half, sin_full, N: int, rs_root, delta, alpha: float, beta: float):
-    # |x - y| at colatitude theta, from s - r = delta and sqrt(r s) = rs_root
-    d = np.hypot(delta, 2.0 * rs_root * sin_half)
-    out = sin_full ** (N - 2) * d ** (-alpha)
-    return out * np.log1p(d) ** beta if beta else out
+def _jacobi_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Jacobi rule on [0, 1] for the weight y^a, a > -1, by Golub-Welsch
+    (scipy's roots_jacobi overflows in 2^(a+1) past a = 1000 and is less accurate)."""
+    k = np.arange(1.0, 16.0)
+    diag = np.concatenate(([a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))))
+    off = 2.0 * k * (k + a) / ((2.0 * k + a) * np.sqrt((2.0 * k + a + 1.0) * (2.0 * k + a - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), v[0] ** 2 / (a + 1.0)
 
 
 class _Offsets(NamedTuple):
@@ -156,67 +147,76 @@ def angular_factor(N: int, r: float, s, kernel: KernelParams):
     if N < 2:
         raise InvalidDimension("angular reduction needs N >= 2")
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise NonpositiveRadius("angular_factor needs s > 0")
-    if r < 0.0:
-        raise NonpositiveRadius("angular_factor needs r >= 0")
+    if not (np.all((s_arr > 0.0) & (s_arr < math.inf)) and 0.0 <= r < math.inf):
+        raise NonpositiveRadius("angular_factor needs finite s > 0 and r >= 0")
     flat = s_arr.ravel()
-    out = _angular(N, r, flat, flat - r, kernel.alpha, kernel.beta)
-    if r > 0.0:
-        out[flat == r] = _angular_diagonal(N, r, kernel.alpha, kernel.beta)
-    out = out.reshape(s_arr.shape)
+    out = _angular(N, r, flat, flat - r, kernel.alpha, kernel.beta).reshape(s_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _angular_diagonal(N: int, r: float, alpha: float, beta: float) -> float:
-    a = N - 2 + beta - alpha
-    if a <= -1.0:
-        return math.inf
-    # geometric panels down to theta_c, then a Gauss-Jacobi panel with
-    # weight theta^a for the power singularity at theta = 0
-    sin_half, sin_full, weights = (t[:12] for t in _theta_panels())
-    total = float(np.sum(_angular_integrand(sin_half, sin_full, N, r, 0.0, alpha, beta) * weights))
-    theta_c = np.pi * 2.0 ** -12
-    x, w = _jacobi_rule(a)
-    t = theta_c * (1.0 + x) / 2.0
-    g = _angular_integrand(np.sin(t / 2.0), np.sin(t), N, r, 0.0, alpha, beta) / t ** a
-    return total + (theta_c / 2.0) ** (a + 1.0) * float(np.dot(w, g))
 
 
 def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """angular(r, s) at 1-d arrays s > 0 and their exact offsets delta = s - r.
 
-    Entries with delta == 0 (s == r) are 0; angular_factor fills in its own
-    diagonal rule there.  Each s gets composite
-    16-point Gauss-Legendre panels on [0, pi 2^-L], [pi 2^-L, pi 2^(1-L)],
-    ..., [pi/2, pi], with L = max(4, ceil(log2(pi / theta_t)) + 3) and
-    theta_t = |delta| / sqrt(r s) the colatitude where the kernel's peak sits,
-    so the panels follow the peak however close s is to r.  The panels of all
-    s are evaluated in one ragged batch, without padding to the largest L.
-    Offsets so small that K overflows give inf, which convolve_radial
-    reports as a QuadratureFailure.
+    With d = |delta|, D = r + s, M = max(r, s) and w = 2 min(r, s) = D - d,
+    sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a
+    product of factors of at most 2, so no r s is formed to under- or
+    overflow.  At s == r the geometric panels start at min(r, 1) and
+    _angular_origin_panel adds the rest.  Offsets so small that K overflows
+    give inf, which convolve_radial reports as a QuadratureFailure.
     """
     if r == 0.0:
         return colatitude_total(N) * s ** (-alpha) * np.log1p(s) ** beta
-    out = np.zeros_like(s)
-    live = delta != 0.0
-    if not live.any():
-        return out
-    s, delta = s[live], delta[live]
-    rs_root = np.sqrt(r * s)
-    theta_t = np.clip(np.abs(delta) / rs_root, 1e-100, 2.0)
-    levels = np.maximum(np.ceil(np.log2(np.pi / theta_t)) + 3, 4).astype(np.int64)
-    counts = levels + 1
+    d, m, M, D = np.abs(delta), np.minimum(r, s), np.maximum(r, s), r + s
+    diagonal = d == 0.0
+    t0 = np.where(diagonal, np.minimum(M, 1.0), d)
+    spread = abs(beta) / _LOG_SPREAD
+    n = np.maximum(np.ceil(np.maximum((np.log(M) - np.log(t0)) / _LOG_RATIO,
+                                      spread * (np.log(np.log1p(M)) - np.log(np.log1p(t0))))), ~diagonal)
+    n_last = np.maximum(np.ceil(spread * (np.log(np.log1p(D)) - np.log(np.log1p(M)))), 1.0)
+    # panel k < n spans the offsets x_k..x_(k+1) from d, x_k = t0 (M/t0)^(k/n) - d;
+    # panel k >= n spans m / n_last [j, j + 1] from D, j = n + n_last - 1 - k
+    counts = (n + n_last).astype(np.int64)
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(s)), counts)
-    j = np.arange(len(owner)) - starts[owner]
-    rows = np.where(j == 0, _LEVELS + levels[owner], levels[owner] - j)
-    sin_half, sin_full, weights = (t[rows] for t in _theta_panels())
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _angular_integrand(sin_half, sin_full, N, rs_root[owner, None], delta[owner, None], alpha, beta)
-    panel = np.sum(vals * weights, axis=1)
-    out[live] = np.add.reduceat(panel, starts)
+    k = np.arange(len(owner)) - starts[owner]
+    d, m, M, D, t0, n, n_last = (v[owner] for v in (d, m, M, D, t0, n, n_last))
+    last, j = k >= n, n + n_last - 1 - k
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_ratio = (np.log(M) - np.log(t0)) / n
+        x0 = t0 * np.expm1(k * log_ratio) + (t0 - d)
+        x1 = np.where(k + 1 == n, m, t0 * np.expm1((k + 1) * log_ratio) + (t0 - d))
+        # nodes t = d + o on [d, M], t = D + o (o < 0) on [M, D]; o = lo + h u or lo + h u^2
+        sign = np.where(last, -1.0, 1.0)
+        lo = sign * np.where(last, j * m / n_last, x0)
+        h = sign * np.where(last, m / n_last, x1 - x0)
+        squared = np.where(last, j == 0, (k == 0) & ~diagonal[owner])
+        o = lo + h * np.where(squared, (_GL_U * _GL_U)[:, None], _GL_U[:, None])
+        t = np.where(last, D, d) + o
+        tau = t / M
+        # K in logs when beta != 0: t^-alpha may underflow where log(1+t)^beta overflows
+        vals = (np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t)) if beta else t ** (-alpha)) * tau
+        if N != 3:
+            nu = o * (sign / (2.0 * m))
+            vals *= (nu * (1.0 - nu) * (tau + d / M) * (tau + D / M)) ** ((N - 3) / 2.0)
+    panel = np.where(squared, (2.0 * _GL_U * _GL_W) @ vals, _GL_W @ vals) * (np.abs(h) / m)
+    out = np.add.reduceat(panel, starts)
+    if diagonal.any():
+        out[diagonal] += _angular_origin_panel(N, r, alpha, beta)
     return out
+
+
+def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
+    """The part t < t1 = min(r, 1) of angular(r, r): r^(1-N) int t^a g(t) dt,
+    a = N - 2 + beta - alpha, g = (log(1+t)/t)^beta (1 - (t/2r)^2)^((N-3)/2), on one
+    Gauss-Jacobi panel with weight t^a (never divided out); inf when a <= -1."""
+    a = N - 2 + beta - alpha
+    if a <= -1.0:
+        return math.inf
+    t1 = min(r, 1.0)
+    y, w = _jacobi_rule(a)
+    t = t1 * y
+    g = (np.log1p(t) / t) ** beta * ((1.0 - t / (2.0 * r)) * (1.0 + t / (2.0 * r))) ** ((N - 3) / 2.0)
+    return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g))
 
 
 def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
@@ -367,8 +367,8 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     reach tolerance raises QuadratureFailure.
     """
     validate(kernel)
-    if r < 0.0:
-        raise NonpositiveRadius("evaluation radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {r!r}")
     N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
 
     compact = f.support_radius is not None
@@ -440,8 +440,8 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     """
     if N < 3:
         raise InvalidDimension("decaying potentials need N >= 3")
-    if r < 0.0:
-        raise NonpositiveRadius("evaluation radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {r!r}")
     compact = f.support_radius is not None
     if not compact:
         if f.infinity_spec is None:

@@ -35,7 +35,7 @@ class TestParsers:
     def test_radii_grid(self):
         radii = parse_radii("2:1000:3")
         assert np.allclose(radii, np.geomspace(2.0, 1000.0, 3))
-        for bad in ("5:4:3", "0:10:3", "1:10", "1:10:1"):
+        for bad in ("5:4:3", "0:10:3", "1:10", "1:10:1", "1:inf:3", "nan:10:3", "1:nan:3", "inf:inf:3"):
             with pytest.raises(ParameterError):
                 parse_radii(bad)
 
@@ -179,6 +179,15 @@ class TestConvolveCommand:
         code, _, err = run(capsys, [
             "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
             "--profile", "blob:1", "--radii", "1:100:3",
+        ])
+        assert code == 2
+        assert "invalid parameters" in err
+
+
+    def test_non_finite_radius_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "ball:1", "--radii", "1:inf:3",
         ])
         assert code == 2
         assert "invalid parameters" in err

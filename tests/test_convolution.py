@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -27,6 +28,8 @@ from logriesz import (
     unit_sphere_area,
     write_convolution_csv,
 )
+from logriesz.convolution import _Offsets
+from logriesz.errors import NonpositiveRadius
 
 NEWTONIAN = KernelParams(3, 1.0, 0.0)
 
@@ -102,6 +105,98 @@ def test_angular_factor_accepts_arrays():
     assert angular_factor(4, 1.0, np.ones((2, 3)), k).shape == (2, 3)
 
 
+def test_angular_factor_scales_homogeneously():
+    """alpha = 1, beta = 0: angular(lam r, lam s) = angular(r, s) / lam, with no
+    product r s to under- or overflow near the ends of the float range."""
+    assert math.isclose(angular_factor(3, 1e-200, 2e-200, NEWTONIAN), 1e200, rel_tol=1e-13)
+    assert math.isclose(angular_factor(3, 1e200, 2e200, NEWTONIAN), 1e-200, rel_tol=1e-13)
+    for N in (3, 4, 5):
+        k = KernelParams(N, 1.0, 0.0)
+        for ratio in (0.5, 2.0):
+            ref = angular_factor(N, 1.0, ratio, k)
+            for lam in (1e-300, 1e-200, 1e200, 1e300):
+                got = angular_factor(N, lam, lam * ratio, k)
+                assert math.isclose(got * lam, ref, rel_tol=1e-13), (N, ratio, lam, got)
+
+
+def test_angular_factor_diagonal_large_beta():
+    # at s = r = 1, N = 3, alpha = 1: angular = int_0^2 log(1+t)^beta dt (mpmath values)
+    assert math.isclose(angular_factor(3, 1.0, 1.0, KernelParams(3, 1.0, 60.0)), 14.985554445345941, rel_tol=1e-12)
+    assert math.isclose(angular_factor(3, 1.0, 1.0, KernelParams(3, 1.0, 300.0)), 1.9550504035268768e10, rel_tol=1e-12)
+    # off the diagonal no diagonal rule runs (a RuntimeWarning is an error in this suite):
+    # angular(1, 3) = (1/3) int_2^4 log(1+t)^300 dt
+    assert math.isclose(angular_factor(3, 1.0, 3.0, KernelParams(3, 1.0, 300.0)), 8.910793179145335e59, rel_tol=1e-12)
+
+
+def _angular_closed_form(N, alpha, r, delta):
+    """(r s)^-1 int_d^D t^(1-alpha) [(t^2 - d^2)(D^2 - t^2) / (4 r^2 s^2)]^((N-3)/2) dt
+    for N = 3 and 5, where the weight is a polynomial, in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, delta = Decimal(r), Decimal(delta)
+        s, c = r + delta, 2 - Decimal(alpha)
+        d, D = abs(delta), r + s
+
+        def F(j):
+            return (D ** (c + j) - d ** (c + j)) / (c + j)
+
+        if N == 3:
+            return float(F(0) / (r * s))
+        return float((-F(4) + (d * d + D * D) * F(2) - d * d * D * D * F(0)) / (4 * r ** 3 * s ** 3))
+
+
+OFFSETS = (1e-30, 1e-20, 1e-10, 1e-5, 1e-2, 0.3, 1.0, 3.0, math.exp(3), math.exp(7),
+           -1e-30, -1e-20, -1e-10, -1e-5, -1e-2, -0.3, -0.9, -0.999)
+
+
+def _angular_at_offset(N, r, rel, k):
+    # the exact offset delta = r rel reaches the rule, as from convolve_radial
+    delta = np.array([r * rel])
+    return angular_factor(N, r, _Offsets(r + delta, delta), k)[0]
+
+
+@pytest.mark.parametrize("N,alpha", [(3, 0.5), (3, 1.5), (3, 2.5), (3, 2.9), (5, 1.0), (5, 3.3), (5, 4.6)])
+def test_angular_factor_matches_polynomial_weight_closed_form(N, alpha):
+    k = KernelParams(N, alpha, 0.0)
+    for r in (0.013, 2.0, 900.0):
+        for rel in OFFSETS:
+            exact = _angular_closed_form(N, alpha, r, r * rel)
+            assert math.isclose(_angular_at_offset(N, r, rel, k), exact, rel_tol=1e-12), (r, rel, exact)
+
+
+def _angular_mpmath(N, alpha, beta, r, rel):
+    """The t-integral in mpmath: in x = log(t - d) on [d, M], where the kernel's
+    scale d and the factor (t - d)^((N-3)/2) become smooth, and in v = sqrt(D - t)
+    on [M, D], where (D - t)^((N-3)/2) becomes smooth."""
+    with mp.workdps(24):
+        r, a, b, e = mp.mpf(r), mp.mpf(1 - alpha), mp.mpf(beta), mp.mpf(N - 3) / 2
+        d, s = abs(r * rel), r + r * rel
+        D, m = r + s, min(r, s)
+        scale = 1 / (4 * r * r * s * s)
+
+        def g(t, od, oD):
+            log_q = mp.log(od * (t + d) * oD * (D + t) * scale)
+            return mp.exp(a * mp.log(t) + b * mp.log(mp.log1p(t)) + e * log_q)
+
+        cuts = [mp.log(d) - 4, mp.log(d) + 4] if d < m * mp.exp(-4) else []
+        near = mp.quad(lambda x: g(d + mp.exp(x), mp.exp(x), 2 * m - mp.exp(x)) * mp.exp(x),
+                       [-mp.inf] + cuts + [mp.log(m)])
+        far = mp.quad(lambda v: g(D - v * v, 2 * m - v * v, v * v) * 2 * v, [0, mp.sqrt(m)])
+        return float((near + far) / (r * s))
+
+
+@pytest.mark.parametrize("N,alpha,beta,r", [
+    (2, 1.2, 0.7, 0.7), (3, 1.6, -0.4, 30.0), (4, 3.1, 1.5, 0.7), (5, 4.3, -0.5, 30.0),
+    (6, 5.5, 0.9, 0.7), (2, 0.5, 0.0, 30.0), (4, 2.0, 0.0, 0.7), (6, 4.7, 0.0, 30.0),
+])
+def test_angular_factor_matches_mpmath(N, alpha, beta, r):
+    """Even N and beta != 0, where the weight is not a polynomial."""
+    k = KernelParams(N, alpha, beta)
+    for rel in (1e-30, 1e-6, 0.5, math.exp(7), -1e-30, -1e-3, -0.999):
+        exact = _angular_mpmath(N, alpha, beta, r, rel)
+        assert math.isclose(_angular_at_offset(N, r, rel, k), exact, rel_tol=1e-12), (rel, exact)
+
+
 def _ball_riesz_closed_form(alpha, r):
     """(K * 1_B)(r) in R^3 for K = t^(-alpha), from the N = 3 angular factor
     ((r+s)^c - |r-s|^c) / (c r s), c = 2 - alpha, in 60-digit arithmetic."""
@@ -140,6 +235,30 @@ def test_error_estimate_covers_closed_form():
             exact = _ball_riesz_closed_form(alpha, r)
             assert abs(res.value - exact) <= res.error_estimate, (alpha, r, res, exact)
             assert res.error_estimate <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_error_estimate_covers_newtonian_ball_even_dimension(N):
+    """alpha = N - 2, beta = 0 on the unit ball: |S^(N-1)| (1/2 - (N-2) r^2/(2N))
+    inside, |S^(N-1)| r^(2-N) / N outside."""
+    k = KernelParams(N, N - 2.0, 0.0)
+    area = unit_sphere_area(N)
+    for r in (0.01, 0.3, 0.5, 0.999, 1.0, 1.001, 1.5, 7.0, 1e3):
+        exact = area * (0.5 - (N - 2) * r * r / (2.0 * N)) if r <= 1.0 else area * r ** (2 - N) / N
+        res = convolve_radial(k, ball_profile(1.0), r)
+        assert abs(res.value - exact) <= res.error_estimate, (r, res, exact)
+
+
+def test_non_finite_radius_rejected():
+    for r in (math.nan, math.inf):
+        with pytest.raises(NonpositiveRadius):
+            convolve_radial(NEWTONIAN, ball_profile(1.0), r)
+        with pytest.raises(NonpositiveRadius):
+            newtonian_potential_radial(3, ball_profile(1.0), r)
+        with pytest.raises(NonpositiveRadius):
+            angular_factor(3, r, 1.0, NEWTONIAN)
+        with pytest.raises(NonpositiveRadius):
+            angular_factor(3, 1.0, r, NEWTONIAN)
 
 
 def test_non_finite_integrand_raises_quadrature_failure():
