@@ -30,6 +30,9 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .bounds import BoundKind, PredictedBound
+# ExistenceCase and choose_case_params live in the classifier; perfbench/workloads.py
+# still reaches choose_case_params as ansatz.choose_case_params
+from .classifier import ExistenceCase, choose_case_params
 from .convolution import (
     TRUNCATION_FACTOR,
     RadialProfile,
@@ -37,7 +40,6 @@ from .convolution import (
     newtonian_potential_radial,
 )
 from .errors import (
-    EmptyParameterInterval,
     HypothesisViolated,
     InvalidDimension,
     OutOfHypothesis,
@@ -65,14 +67,6 @@ class AnsatzParams:
             raise ParameterError(f"A must exceed e so log(w) > 1/2 everywhere, got {self.A}")
 
 
-@dataclass(frozen=True)
-class ExistenceCase:
-    case_id: str
-    gamma: float
-    tau: float
-    constraint_notes: str = ""
-
-
 def w_eval(params: AnsatzParams, r):
     r = np.asarray(r, dtype=float)
     return np.sqrt(params.A + r * r)[()]
@@ -88,7 +82,6 @@ def source_eval(params: AnsatzParams, r):
 def source_profile(params: AnsatzParams) -> RadialProfile:
     return RadialProfile(
         evaluate=lambda s: source_eval(params, s),
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=AsymptoticSpec(-params.gamma, params.tau),
         scale=math.sqrt(params.A),
         positive_mass_near_zero=True,
@@ -336,7 +329,6 @@ def verify_supersolution(
         sigma_up = N - alpha  # snap onto the critical line the case hypothesis targets
     powered = RadialProfile(
         evaluate=lambda s: table(s) ** p,
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=AsymptoticSpec(-sigma_up, logpow_up),
         scale=math.sqrt(A),
         positive_mass_near_zero=True,
@@ -376,115 +368,3 @@ def verify_supersolution(
         stable=stable, passed=passed,
         margin_profile=tuple(main_rows + ext_rows),
     )
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
-def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float, q: float) -> ExistenceCase:
-    """Pick (gamma, tau) for a catalogued existence case, or explain why not.
-
-    Open intervals are resolved to midpoints; hypotheses that fail raise
-    HypothesisViolated, admissible-but-empty parameter intervals raise
-    EmptyParameterInterval.
-    """
-    if N < 3:
-        raise InvalidDimension("constructions need N >= 3")
-    validate(KernelParams(N=N, alpha=alpha, beta=beta))
-    if p <= 0.0 or q <= 0.0:
-        raise ParameterError("exponents p, q must be positive")
-    t = N - 2.0
-    thr = (N - alpha) / t
-    thr_n = N / t
-    thr_2 = (2.0 * N - alpha) / t
-    s = p + q
-
-    if case_id in ("1a", "1b", "2", "3", "4", "5", "6") and approx_eq(alpha, float(N)):
-        raise HypothesisViolated("cases 1a-6 need alpha < N; use T4-1 or T4-2")
-    if case_id in ("T4-1", "T4-2") and not approx_eq(alpha, float(N)):
-        raise HypothesisViolated("T4 cases need alpha = N")
-
-    if case_id == "1a":
-        if not (p > thr and q > thr and s > thr_2):
-            raise HypothesisViolated("case 1a needs p, q > (N-alpha)/(N-2) and p+q > (2N-alpha)/(N-2)")
-        lo = max(2.0 + (N - alpha) / p, 2.0 + (2.0 * N - alpha) / s, 2.0)
-        hi = min(2.0 + N / p, float(N))
-        if not lo < hi:
-            raise EmptyParameterInterval(f"no admissible gamma in ({lo}, {hi}); p > N/(N-2) wants case 1b")
-        gamma = _midpoint(lo, hi)
-        return ExistenceCase("1a", gamma, 0.0, f"gamma in ({lo:.6g}, {hi:.6g}), tau = 0")
-
-    if case_id == "1b":
-        if not (p > thr_n and q > thr):
-            raise HypothesisViolated("case 1b needs p > N/(N-2) and q > (N-alpha)/(N-2)")
-        return ExistenceCase("1b", float(N), 0.0, "gamma = N, tau = 0")
-
-    if case_id == "2":
-        if not (approx_eq(p, thr) and q > thr_n and beta < -1.0):
-            raise HypothesisViolated("case 2 needs p = (N-alpha)/(N-2), q > N/(N-2), beta < -1")
-        hi = min(1.0, (-1.0 - beta) / p - 1.0)
-        if not hi > -1.0:
-            raise EmptyParameterInterval("no tau with beta + (1+tau)p < -1")
-        tau = _midpoint(-1.0, hi)
-        return ExistenceCase("2", float(N), tau, f"gamma = N, tau in (-1, {hi:.6g})")
-
-    if case_id == "3":
-        if not (p > thr_n and approx_eq(q, thr) and beta < -1.0):
-            raise HypothesisViolated("case 3 needs p > N/(N-2), q = (N-alpha)/(N-2), beta < -1")
-        if approx_eq(q, 1.0):
-            lo, hi = -1.0, 1.0
-        elif q > 1.0:
-            lo, hi = -1.0, min(1.0, -(beta + q) / (q - 1.0))
-        else:
-            lo, hi = max(-1.0, (beta + q) / (1.0 - q)), 1.0
-        if not lo < hi:
-            raise EmptyParameterInterval("no tau with tau > beta + (1+tau)q")
-        tau = _midpoint(lo, hi)
-        return ExistenceCase("3", float(N), tau, f"gamma = N, tau in ({lo:.6g}, {hi:.6g})")
-
-    if case_id == "4":
-        if not (p > thr and q > thr and approx_eq(s, thr_2) and beta < -1.0):
-            raise HypothesisViolated(
-                "case 4 needs p, q > (N-alpha)/(N-2), p+q = (2N-alpha)/(N-2), beta < -1"
-            )
-        hi = min(1.0, -(beta + s) / (s - 1.0))
-        if not hi > -1.0:
-            raise EmptyParameterInterval("no tau with tau > beta + (1+tau)(p+q)")
-        tau = _midpoint(-1.0, hi)
-        return ExistenceCase("4", float(N), tau, f"gamma = N, tau in (-1, {hi:.6g})")
-
-    if case_id == "5":
-        if not (approx_eq(p, thr) and approx_eq(q, thr_n) and beta < -2.0):
-            raise HypothesisViolated("case 5 needs p = (N-alpha)/(N-2), q = N/(N-2), beta < -2")
-        hi = min(1.0, -(1.0 + beta + s) / (s - 1.0), (-1.0 - beta) / p - 1.0)
-        if not hi > -1.0:
-            raise EmptyParameterInterval("no tau with tau > 1 + beta + (1+tau)(p+q)")
-        tau = _midpoint(-1.0, hi)
-        return ExistenceCase("5", float(N), tau, f"gamma = N, tau in (-1, {hi:.6g})")
-
-    if case_id == "6":
-        if not (approx_eq(p, thr_n) and approx_eq(q, thr) and beta < -2.0):
-            raise HypothesisViolated("case 6 needs p = N/(N-2), q = (N-alpha)/(N-2), beta < -2")
-        hi = min(1.0, -(1.0 + beta + s) / (s - 1.0))
-        if not hi > -1.0:
-            raise EmptyParameterInterval("no tau with tau > 1 + beta + (1+tau)(p+q)")
-        tau = _midpoint(-1.0, hi)
-        return ExistenceCase("6", float(N), tau, f"gamma = N, tau in (-1, {hi:.6g})")
-
-    if case_id == "T4-1":
-        if not (beta > 0.0 and 1.0 <= p <= thr_n and q > 0.0 and s > thr_n):
-            raise HypothesisViolated("T4-1 needs beta > 0, 1 <= p <= N/(N-2), p+q > N/(N-2)")
-        lo = 2.0 + N / s
-        hi = min(2.0 + N / p, float(N))
-        if not lo < hi:
-            raise EmptyParameterInterval(f"no admissible gamma in ({lo}, {hi})")
-        gamma = _midpoint(lo, hi)
-        return ExistenceCase("T4-1", gamma, 0.0, f"gamma in ({lo:.6g}, {hi:.6g}), tau = 0")
-
-    if case_id == "T4-2":
-        if not (beta > 0.0 and p > thr_n and q > 0.0):
-            raise HypothesisViolated("T4-2 needs beta > 0 and p > N/(N-2)")
-        return ExistenceCase("T4-2", float(N), 0.0, "gamma = N, tau = 0")
-
-    raise ParameterError(f"unknown case id {case_id!r}")

@@ -23,8 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .ansatz import ExistenceCase, choose_case_params
-from .errors import HypothesisViolated, ParameterError
+from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
 from .kernel import KernelParams, approx_eq, validate
 
 
@@ -58,6 +57,14 @@ class ProblemParams:
     alpha: float
     beta: float
     u_class: UClass = UClass.GENERAL
+
+
+@dataclass(frozen=True)
+class ExistenceCase:
+    case_id: str
+    gamma: float
+    tau: float
+    constraint_notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,16 @@ def _lt(a: float, b: float) -> bool:
     return a < b and not approx_eq(a, b)
 
 
+def _mid(lo: float, hi: float) -> float:
+    return 0.5 * (lo + hi)
+
+
+def thresholds(N: int, alpha: float) -> tuple[float, float, float]:
+    """(t1, tN, t2) = (N - alpha, N, 2N - alpha) / (N - 2); needs N >= 3."""
+    t = N - 2.0
+    return (N - alpha) / t, N / t, (2.0 * N - alpha) / t
+
+
 def classify_pminus(params: ProblemParams) -> RegimeDecision:
     """Damped side: nonexistence holds throughout 0 < alpha < N.
 
@@ -124,10 +141,7 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
 
 def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """First matching nonexistence clause (ii)-(ix), or None; assumes N >= 3."""
-    t = N - 2.0
-    t1 = (N - alpha) / t
-    tn = N / t
-    t2 = (2.0 * N - alpha) / t
+    t1, tn, t2 = thresholds(N, alpha)
     s = p + q
     a_le_2 = alpha < 2.0 or approx_eq(alpha, 2.0)
     a_lt_2 = _lt(alpha, 2.0)
@@ -151,40 +165,131 @@ def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | 
     return None
 
 
+# ---------------------------------------------------------------------------
+# Construction catalogue: Theorem 3's cases 1a-6 (alpha < N) and Theorem 4's
+# T4-1, T4-2 (alpha = N).  Each entry holds the clause tag, the message raised
+# when the hypothesis fails, and the hypothesis on (p, q, beta, s = p + q, t1, tN, t2);
+# the clause machine and choose_case_params both read it.  Case 1a leaves out
+# p <= tN: the clause machine tries 1b (p > tN) first, and for p > tN the
+# gamma interval of 1a is empty.  A beta condition is tested first: most
+# tuples fail it by one comparison, before any tolerant equality runs.
+# ---------------------------------------------------------------------------
+
+_CASES: dict[str, tuple[str, str, Callable[..., bool]]] = {
+    "2": ("Thm3(ii)", "case 2 needs p = (N-alpha)/(N-2), q > N/(N-2), beta < -1",
+          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and approx_eq(p, t1) and _gt(q, tn)),
+    "3": ("Thm3(iii)", "case 3 needs p > N/(N-2), q = (N-alpha)/(N-2), beta < -1",
+          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and _gt(p, tn) and approx_eq(q, t1)),
+    "4": ("Thm3(iv)", "case 4 needs p, q > (N-alpha)/(N-2), p+q = (2N-alpha)/(N-2), beta < -1",
+          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and _gt(p, t1) and _gt(q, t1) and approx_eq(s, t2)),
+    "5": ("Thm3(v)", "case 5 needs p = (N-alpha)/(N-2), q = N/(N-2), beta < -2",
+          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -2.0) and approx_eq(p, t1) and approx_eq(q, tn)),
+    "6": ("Thm3(vi)", "case 6 needs p = N/(N-2), q = (N-alpha)/(N-2), beta < -2",
+          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -2.0) and approx_eq(p, tn) and approx_eq(q, t1)),
+    "1b": ("Thm3(i)", "case 1b needs p > N/(N-2) and q > (N-alpha)/(N-2)",
+           lambda p, q, beta, s, t1, tn, t2: _gt(p, tn) and _gt(q, t1)),
+    "1a": ("Thm3(i)", "case 1a needs p, q > (N-alpha)/(N-2) and p+q > (2N-alpha)/(N-2)",
+           lambda p, q, beta, s, t1, tn, t2: _gt(p, t1) and _gt(q, t1) and _gt(s, t2)),
+    "T4-1": ("Thm4", "T4-1 needs beta > 0, 1 <= p <= N/(N-2), p+q > N/(N-2)",
+             lambda p, q, beta, s, t1, tn, t2: beta > 0.0 and _ge(p, 1.0) and _ge(tn, p) and _gt(s, tn)),
+    "T4-2": ("Thm4", "T4-2 needs beta > 0 and p > N/(N-2)",
+             lambda p, q, beta, s, t1, tn, t2: beta > 0.0 and _gt(p, tn)),
+}
+# the order in which the clause machine tries the cases: equality rows before
+# the fully interior clause (i), so boundary tuples keep their sharper tags
+_THM3_CASES = ("2", "3", "4", "5", "6", "1b", "1a")
+_THM4_CASES = ("T4-1", "T4-2")
+
+
+def _first_case(case_ids: tuple[str, ...], N: int, p: float, q: float, alpha: float,
+                beta: float) -> tuple[str, str] | None:
+    """(clause, case id) of the first case in case_ids whose hypothesis holds."""
+    args = (p, q, beta, p + q, *thresholds(N, alpha))
+    for case_id in case_ids:
+        clause, _, holds = _CASES[case_id]
+        if holds(*args):
+            return clause, case_id
+    return None
+
+
+def _construction(case_id: str, N: int, alpha: float, beta: float, p: float, q: float) -> ExistenceCase:
+    """(gamma, tau) of a case whose hypothesis holds, open intervals resolved to
+    midpoints; an admissible but empty interval raises EmptyParameterInterval."""
+    s = p + q
+    if case_id in ("1b", "T4-2"):
+        return ExistenceCase(case_id, float(N), 0.0, "gamma = N, tau = 0")
+    if case_id in ("1a", "T4-1"):
+        hi = min(2.0 + N / p, float(N))
+        if case_id == "1a":
+            lo = max(2.0 + (N - alpha) / p, 2.0 + (2.0 * N - alpha) / s, 2.0)
+            hint = "; p > N/(N-2) wants case 1b"
+        else:
+            lo, hint = 2.0 + N / s, ""
+        if not lo < hi:
+            raise EmptyParameterInterval(f"no admissible gamma in ({lo}, {hi}){hint}")
+        return ExistenceCase(case_id, _mid(lo, hi), 0.0, f"gamma in ({lo:.6g}, {hi:.6g}), tau = 0")
+    if case_id == "3":
+        if approx_eq(q, 1.0):
+            lo, hi = -1.0, 1.0
+        elif q > 1.0:
+            lo, hi = -1.0, min(1.0, -(beta + q) / (q - 1.0))
+        else:
+            lo, hi = max(-1.0, (beta + q) / (1.0 - q)), 1.0
+        if not lo < hi:
+            raise EmptyParameterInterval("no tau with tau > beta + (1+tau)q")
+        return ExistenceCase("3", float(N), _mid(lo, hi), f"gamma = N, tau in ({lo:.6g}, {hi:.6g})")
+    # cases 2, 4, 5 and 6: tau in (-1, hi)
+    if case_id == "2":
+        hi, need = (-1.0 - beta) / p - 1.0, "beta + (1+tau)p < -1"
+    elif case_id == "4":
+        hi, need = -(beta + s) / (s - 1.0), "tau > beta + (1+tau)(p+q)"
+    else:
+        hi, need = -(1.0 + beta + s) / (s - 1.0), "tau > 1 + beta + (1+tau)(p+q)"
+        if case_id == "5":
+            hi = min(hi, (-1.0 - beta) / p - 1.0)
+    hi = min(1.0, hi)
+    if not hi > -1.0:
+        raise EmptyParameterInterval(f"no tau with {need}")
+    return ExistenceCase(case_id, float(N), _mid(-1.0, hi), f"gamma = N, tau in (-1, {hi:.6g})")
+
+
+def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float, q: float) -> ExistenceCase:
+    """Pick (gamma, tau) for a catalogued existence case, or explain why not.
+
+    Open intervals are resolved to midpoints; hypotheses that fail raise
+    HypothesisViolated, admissible-but-empty parameter intervals raise
+    EmptyParameterInterval.
+    """
+    if N < 3:
+        raise InvalidDimension("constructions need N >= 3")
+    validate(KernelParams(N=N, alpha=alpha, beta=beta))
+    if p <= 0.0 or q <= 0.0:
+        raise ParameterError("exponents p, q must be positive")
+    if case_id in _THM3_CASES and approx_eq(alpha, float(N)):
+        raise HypothesisViolated("cases 1a-6 need alpha < N; use T4-1 or T4-2")
+    if case_id in _THM4_CASES and not approx_eq(alpha, float(N)):
+        raise HypothesisViolated("T4 cases need alpha = N")
+    if case_id not in _CASES:
+        raise ParameterError(f"unknown case id {case_id!r}")
+    _, message, holds = _CASES[case_id]
+    if not holds(p, q, beta, p + q, *thresholds(N, alpha)):
+        raise HypothesisViolated(message)
+    return _construction(case_id, N, alpha, beta, p, q)
+
+
 def thm3_clause(N: int, p: float, q: float, alpha: float, beta: float) -> tuple[str, str] | None:
     """First matching existence clause with its construction case id.
 
-    Assumes N >= 3 and 0 <= alpha < N; equality rows are tested before the
-    fully interior clause (i) so boundary tuples keep their sharper tags.
+    Assumes N >= 3 and 0 <= alpha < N.
     """
-    t = N - 2.0
-    t1 = (N - alpha) / t
-    tn = N / t
-    t2 = (2.0 * N - alpha) / t
-    s = p + q
-
-    if approx_eq(p, t1) and _gt(q, tn) and _lt(beta, -1.0):
-        return "Thm3(ii)", "2"
-    if _gt(p, tn) and approx_eq(q, t1) and _lt(beta, -1.0):
-        return "Thm3(iii)", "3"
-    if _gt(p, t1) and _gt(q, t1) and approx_eq(s, t2) and _lt(beta, -1.0):
-        return "Thm3(iv)", "4"
-    if approx_eq(p, t1) and approx_eq(q, tn) and _lt(beta, -2.0):
-        return "Thm3(v)", "5"
-    if approx_eq(p, tn) and approx_eq(q, t1) and _lt(beta, -2.0):
-        return "Thm3(vi)", "6"
-    if _gt(p, t1) and _gt(q, t1) and _gt(s, t2):
-        return "Thm3(i)", ("1a" if _ge(tn, p) else "1b")
-    return None
+    return _first_case(_THM3_CASES, N, p, q, alpha, beta)
 
 
 def corollary_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """Only-if directions of the sharp characterizations for p, q >= 1, alpha < N."""
     if not (_ge(p, 1.0) and _ge(q, 1.0)):
         return None
-    t = N - 2.0
-    t1 = (N - alpha) / t
-    t2 = (2.0 * N - alpha) / t
+    t1, _, t2 = thresholds(N, alpha)
     s = p + q
     if _lt(beta, -2.0):
         if not (_ge(p, t1) and _ge(q, t1) and _ge(s, t2)):
@@ -198,10 +303,7 @@ def corollary_clause(N: int, p: float, q: float, alpha: float, beta: float) -> s
 
 def open_row(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """Documented open cells (six rows); None means uncharted territory."""
-    t = N - 2.0
-    t1 = (N - alpha) / t
-    tn = N / t
-    t2 = (2.0 * N - alpha) / t
+    t1, tn, t2 = thresholds(N, alpha)
     s = p + q
 
     def in_closed(x, lo, hi):
@@ -232,14 +334,12 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
     if N <= 2:
         return RegimeDecision(Verdict.NOT_EXISTS, "Thm2(i)", note=NOT_EXISTS_NOTE)
 
-    s = p + q
-    tn = N / (N - 2.0)
     if approx_eq(alpha, float(N)):
+        hit = _first_case(_THM4_CASES, N, p, q, alpha, beta)
+        if hit is not None:
+            case = _construction(hit[1], N, alpha, beta, p, q)
+            return RegimeDecision(Verdict.EXISTS, "Thm4", construction=case, note=EXISTS_NOTE)
         if _ge(p, 1.0):
-            if _gt(s, tn):
-                case_id = "T4-1" if _ge(tn, p) else "T4-2"
-                case = choose_case_params(case_id, N, float(N), beta, p, q)
-                return RegimeDecision(Verdict.EXISTS, "Thm4", construction=case, note=EXISTS_NOTE)
             return RegimeDecision(Verdict.NOT_EXISTS, "Thm4", note=NOT_EXISTS_NOTE)
         return RegimeDecision(Verdict.OPEN, "uncharted",
                               note="alpha = N with p < 1 is unresolved")
@@ -251,7 +351,7 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
     hit = thm3_clause(N, p, q, alpha, beta)
     if hit is not None:
         clause, case_id = hit
-        case = choose_case_params(case_id, N, alpha, beta, p, q)
+        case = _construction(case_id, N, alpha, beta, p, q)
         return RegimeDecision(Verdict.EXISTS, clause, construction=case, note=EXISTS_NOTE)
 
     clause = corollary_clause(N, p, q, alpha, beta)
@@ -310,10 +410,6 @@ def _valid_beta(beta: float, alpha: float, N: int) -> bool:
     return _gt(beta, alpha - N)
 
 
-def _mid(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
 def _beta_between(lo: float, hi: float, alpha: float, N: int) -> float | None:
     """Midpoint of (max(lo, alpha-N), hi), or None when empty."""
     lo = max(lo, alpha - N)
@@ -323,11 +419,6 @@ def _beta_between(lo: float, hi: float, alpha: float, N: int) -> float | None:
 
 
 def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
-    t = N - 2.0
-
-    def thresholds(alpha: float):
-        return (N - alpha) / t, N / t, (2.0 * N - alpha) / t
-
     def a_le2(alpha):
         return alpha <= 2.0
 
@@ -340,7 +431,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows: list[tuple[int, str, str, Callable]] = []
 
     def r1(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and t1 > 1.0):
             return []
         return [(_mid(1.0, t1), 1.0, 0.0, "Thm2(ii)")]
@@ -348,7 +439,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((1, "1 <= p < t1, q > 0: nonexistence", "NotExists", r1))
 
     def r2(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         beta = _beta_between(-2.0, -1.0, alpha, N)
@@ -359,7 +450,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((2, "p = t1, q < tN: below the combined threshold", "NotExists", r2))
 
     def r3(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         beta = _beta_between(-3.0, -2.0, alpha, N)
@@ -370,7 +461,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((3, "p = t1, q = tN, beta < -2: existence", "Exists", r3))
 
     def r4(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         out = [(t1, tn, 0.0, "Thm2(iii)")]
@@ -383,7 +474,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((4, "p = t1, q = tN, beta > -2+1/q: nonexistence", "NotExists", r4))
 
     def r5(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         beta = _beta_between(-2.0, -2.0 + 1.0 / tn, alpha, N)
@@ -394,7 +485,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((5, "p = t1, q = tN, -2 <= beta <= -2+1/q: open", "Open", r5))
 
     def r6(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         out = [(t1, tn + 0.7, 0.0, "Thm2(iii)")]
@@ -405,7 +496,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((6, "p = t1, q > tN, beta >= -1: nonexistence", "NotExists", r6))
 
     def r7(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         beta = _beta_between(-3.0, -1.0, alpha, N)
@@ -416,7 +507,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((7, "p = t1, q > tN, beta < -1: existence", "Exists", r7))
 
     def r8(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         return [(_mid(t1, tn), t1, 0.0, "Thm2(iv)")]
@@ -424,7 +515,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((8, "t1 < p < tN, q <= t1: below combined threshold", "NotExists", r8))
 
     def r9(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         p = _mid(t1, tn)
@@ -433,7 +524,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((9, "t1 < p < tN, p+q = t2, beta above window: nonexistence", "NotExists", r9))
 
     def r10(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         p = _mid(t1, tn)
@@ -445,7 +536,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((10, "t1 < p < tN, p+q = t2, beta in open window", "Open", r10))
 
     def r11(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         p = _mid(t1, tn)
@@ -457,7 +548,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((11, "t1 < p < tN, p+q = t2, beta < -1: existence", "Exists", r11))
 
     def r12(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         p = _mid(t1, tn)
@@ -466,7 +557,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((12, "t1 < p < tN, p+q > t2: existence", "Exists", r12))
 
     def r13(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_le2(alpha):
             return []
         if alpha > 0.0:
@@ -481,7 +572,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((13, "p = tN, q < t1: below combined threshold", "NotExists", r13))
 
     def r14(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_lt2(alpha):
             return []
         q = t1
@@ -495,7 +586,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((14, "p = tN, q = t1, beta > -2+1/q: nonexistence", "NotExists", r14))
 
     def r15(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_le2(alpha) and alpha > 0.0):
             return []
         beta = _beta_between(-2.0, -2.0 + 1.0 / t1, alpha, N)
@@ -506,7 +597,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((15, "p = tN, q = t1, -2 <= beta <= -2+1/q: open", "Open", r15))
 
     def r16(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_ltN(alpha) and alpha > 0.0):
             return []
         beta = _beta_between(-3.5, -2.0, alpha, N)
@@ -517,7 +608,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((16, "p = tN, q = t1, beta < -2: existence", "Exists", r16))
 
     def r17(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if alpha <= 0.0:
             return []
         if approx_eq(alpha, float(N)):
@@ -527,7 +618,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((17, "p = tN, q > t1, p+q > t2: existence (alpha up to N)", "Exists", r17))
 
     def r18(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_ltN(alpha) and alpha > 0.0):
             return []
         return [(tn + t1 / 4.0, t1 / 2.0, 0.0, "Thm2(iv)")]
@@ -538,7 +629,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
         return min(0.9, 0.6 * t1)
 
     def r19(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_ltN(alpha):
             return []
         q = _small_q(t1)
@@ -547,7 +638,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((19, "p > tN, q <= 1, p+q = t2, beta above window: nonexistence", "NotExists", r19))
 
     def r20(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_ltN(alpha):
             return []
         q = _small_q(t1)
@@ -559,7 +650,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((20, "p > tN, q <= 1, p+q = t2, beta in open window", "Open", r20))
 
     def r21(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not a_ltN(alpha):
             return []
         q = _small_q(t1)
@@ -572,7 +663,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((21, "p > tN, q <= 1, p+q > t2: open", "Open", r21))
 
     def r22(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_lt2(alpha) and t1 > 1.0):
             return []
         q = _mid(1.0, t1)
@@ -582,7 +673,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((22, "p > tN, 1 < q < t1: nonexistence", "NotExists", r22))
 
     def r23(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_lt2(alpha) and t1 > 1.0):
             return []
         return [(tn + 1.0, t1, 0.0, "Thm2(vii)")]
@@ -590,7 +681,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((23, "p > tN, q = t1, beta > -1+1/q: nonexistence", "NotExists", r23))
 
     def r24(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_lt2(alpha) and t1 > 1.0):
             return []
         out = [(tn + 1.0, t1, -1.0 + 1.0 / (2.0 * t1), "Table1-row4")]
@@ -601,7 +692,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((24, "p > tN, q = t1, -1 <= beta <= -1+1/q: open", "Open", r24))
 
     def r25(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if not (a_lt2(alpha) and t1 > 1.0):
             return []
         beta = _beta_between(-3.0, -1.0, alpha, N)
@@ -612,7 +703,7 @@ def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
     rows.append((25, "p > tN, q = t1, beta < -1: existence", "Exists", r25))
 
     def r26(alpha):
-        t1, tn, t2 = thresholds(alpha)
+        t1, tn, t2 = thresholds(N, alpha)
         if approx_eq(alpha, float(N)):
             return [(tn + 1.0, t1 + 0.8, 1.0, "Thm4")]
         return [(tn + 1.0, t1 + 0.8, 0.0, "Thm3(i)")]

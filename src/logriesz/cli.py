@@ -18,7 +18,6 @@ import numpy as np
 
 from .ansatz import (
     AnsatzParams,
-    choose_case_params,
     lambda_star,
     source_profile,
     u_upper_bound,
@@ -30,6 +29,7 @@ from .classifier import (
     Side,
     UClass,
     Verdict,
+    choose_case_params,
     classify,
     emit_regime_table,
 )
@@ -82,7 +82,10 @@ def parse_radii(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ParameterError("--radii expects start:stop:count")
     start, stop = parse_number(parts[0]), parse_number(parts[1])
-    count = int(parts[2])
+    try:
+        count = int(parts[2])
+    except ValueError as exc:
+        raise ParameterError(f"--radii count must be an integer, got {parts[2]!r}") from exc
     if not 0.0 < start < stop < np.inf or count < 2:
         raise ParameterError("--radii needs finite 0 < start < stop and count >= 2")
     return np.geomspace(start, stop, count)

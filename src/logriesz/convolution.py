@@ -58,7 +58,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, eval_kernel, validate
+from .kernel import AsymptoticSpec, KernelParams, _kernel_values, eval_kernel, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -73,15 +73,14 @@ TRUNCATION_FACTOR = 1e3
 class RadialProfile:
     """Nonnegative radial profile with declared endpoint behavior.
 
-    evaluate must accept scalars and numpy arrays.  zero_spec/infinity_spec
-    declare power-log shapes in the (A + r)-form with A = scale; the
-    infinity spec is what divergence detection and tail completion trust,
-    so it must match the actual decay.  positive_mass_near_zero opts the
-    profile into lower bounds that integrate over a neighborhood of 0.
+    evaluate must accept scalars and numpy arrays.  infinity_spec declares
+    the power-log decay shape in the (A + r)-form with A = scale; divergence
+    detection and tail completion trust it, so it must match the actual
+    decay.  positive_mass_near_zero opts the profile into lower bounds that
+    integrate over a neighborhood of 0.
     """
 
     evaluate: Callable
-    zero_spec: AsymptoticSpec
     infinity_spec: AsymptoticSpec | None = None
     scale: float = 1.0
     support_radius: float | None = None
@@ -165,7 +164,7 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     give inf, which convolve_radial reports as a QuadratureFailure.
     """
     if r == 0.0:
-        return colatitude_total(N) * s ** (-alpha) * np.log1p(s) ** beta
+        return colatitude_total(N) * _kernel_values(s, alpha, beta)
     d, m, M, D = np.abs(delta), np.minimum(r, s), np.maximum(r, s), r + s
     diagonal = d == 0.0
     t0 = np.where(diagonal, np.minimum(M, 1.0), d)
@@ -193,8 +192,7 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
         o = lo + h * np.where(squared, (_GL_U * _GL_U)[:, None], _GL_U[:, None])
         t = np.where(last, D, d) + o
         tau = t / M
-        # K in logs when beta != 0: t^-alpha may underflow where log(1+t)^beta overflows
-        vals = (np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t)) if beta else t ** (-alpha)) * tau
+        vals = _kernel_values(t, alpha, beta) * tau
         if N != 3:
             nu = o * (sign / (2.0 * m))
             vals *= (nu * (1.0 - nu) * (tau + d / M) * (tau + D / M)) ** ((N - 3) / 2.0)
@@ -473,7 +471,6 @@ def ball_profile(r0: float) -> RadialProfile:
 
     return RadialProfile(
         evaluate=evaluate,
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=None,
         scale=1.0,
         support_radius=r0,
@@ -493,7 +490,6 @@ def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
 
     return RadialProfile(
         evaluate=evaluate,
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=spec,
         scale=A,
         positive_mass_near_zero=True,

@@ -57,6 +57,14 @@ def validate(params: KernelParams) -> None:
         )
 
 
+def _kernel_values(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """K at an array t > 0 without checks.  For beta != 0 it is evaluated in logs:
+    t^-alpha underflows where log(1+t)^beta overflows, and their product is finite."""
+    if not beta:
+        return t ** -alpha
+    return np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t))
+
+
 def eval_kernel(params: KernelParams, t):
     """Evaluate K at t > 0 (scalar or array).
 
@@ -66,7 +74,7 @@ def eval_kernel(params: KernelParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise NonpositiveRadius("kernel argument must be positive")
-    out = t_arr ** (-params.alpha) * np.log1p(t_arr) ** params.beta
+    out = _kernel_values(t_arr, params.alpha, params.beta)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out

@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from scipy import integrate
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
-from .classifier import thm2_clause
+from .classifier import thm2_clause, thresholds
 from .convolution import RadialProfile, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError, QuadratureFailure
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
@@ -218,7 +218,7 @@ def _certificate_clause(N: int, p: float, q: float, alpha: float, beta: float) -
     whenever several apply; the classifier keeps statement order instead.
     """
     s = p + q
-    t2 = (2.0 * N - alpha) / (N - 2.0)
+    t2 = thresholds(N, alpha)[2]
     if p >= 1.0 and s < t2 and not approx_eq(s, t2):
         return "Thm2(iv)"
     if p >= 1.0 and approx_eq(s, t2) and beta > 1.0 / s - 1.0:
@@ -369,8 +369,7 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
         def powered(r):
             return np.maximum(1.0, np.asarray(r, dtype=float)) ** (-sigma)
 
-        f = RadialProfile(evaluate=powered, zero_spec=AsymptoticSpec(0.0, 0.0),
-                          infinity_spec=AsymptoticSpec(-sigma, 0.0),
+        f = RadialProfile(evaluate=powered, infinity_spec=AsymptoticSpec(-sigma, 0.0),
                           positive_mass_near_zero=True)
         predicted = AsymptoticSpec(N - alpha - sigma, beta)
     else:
@@ -381,9 +380,7 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
         if u0.infinity_spec is not None:
             inf_spec = AsymptoticSpec(p * u0.infinity_spec.power,
                                       p * u0.infinity_spec.logpower)
-        zero_spec = AsymptoticSpec(p * u0.zero_spec.power, p * u0.zero_spec.logpower)
-        f = RadialProfile(evaluate=powered, zero_spec=zero_spec,
-                          infinity_spec=inf_spec, scale=u0.scale,
+        f = RadialProfile(evaluate=powered, infinity_spec=inf_spec, scale=u0.scale,
                           support_radius=u0.support_radius,
                           positive_mass_near_zero=u0.positive_mass_near_zero)
         try:

@@ -297,7 +297,6 @@ def _powered_envelope(params, p):
     sigma = -e_pow * p
     return ev, RadialProfile(
         evaluate=lambda s: ev(s) ** p,
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=AsymptoticSpec(-sigma, e_log * p),
         scale=math.sqrt(A),
         positive_mass_near_zero=True,
@@ -316,7 +315,6 @@ def test_rhs_envelope_matches_measured_shape(label, N, alpha, beta, gamma, tau, 
     if abs(sigma - (N - alpha)) < 1e-9:
         powered = RadialProfile(
             evaluate=powered.evaluate,
-            zero_spec=powered.zero_spec,
             infinity_spec=AsymptoticSpec(-(N - alpha), powered.infinity_spec.logpower),
             scale=powered.scale,
             positive_mass_near_zero=True,

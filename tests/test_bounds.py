@@ -72,7 +72,6 @@ class TestLowerBoundPrediction:
     def test_requires_some_declared_structure(self):
         silent = RadialProfile(
             evaluate=lambda s: math.exp(-s),
-            zero_spec=None,
             support_radius=5.0,
             positive_mass_near_zero=False,
         )
@@ -126,7 +125,6 @@ class TestUpperBoundPrediction:
             upper_bound_prediction(K310, power_profile(2.0, -1.0))
         narrow = RadialProfile(
             evaluate=lambda s: (1.0 + s * s) ** -2.0,
-            zero_spec=None,
             infinity_spec=AsymptoticSpec(-4.0, 0.0),
             scale=1.0,
         )
@@ -134,7 +132,6 @@ class TestUpperBoundPrediction:
             upper_bound_prediction(K310, narrow)
         grower = RadialProfile(
             evaluate=lambda s: 1.0 + s,
-            zero_spec=None,
             infinity_spec=AsymptoticSpec(0.5, 0.0),
             scale=2.0,
         )
@@ -177,7 +174,6 @@ def test_upper_prediction_covers_every_admissible_tail(alpha, beta_off, sigma, k
     k = KernelParams(3, alpha, beta)
     f = RadialProfile(
         evaluate=lambda s: 1.0,
-        zero_spec=None,
         infinity_spec=AsymptoticSpec(-sigma, kappa),
         scale=4.0,
     )

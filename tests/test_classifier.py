@@ -1,5 +1,7 @@
 """Verdict logic for the damped and driven inequalities."""
 
+import ast
+import itertools
 import math
 
 import pytest
@@ -14,6 +16,8 @@ from logriesz import (
     Side,
     UClass,
     Verdict,
+    choose_case_params,
+    classifier,
     classify_pminus,
     classify_pplus,
     emit_regime_table,
@@ -185,6 +189,55 @@ def test_decisions_are_internally_consistent(alpha, beta_off, p, q):
         assert d.note == NOT_EXISTS_NOTE
     else:
         assert d.verdict == Verdict.OPEN
+
+
+CASE_IDS = ("1a", "1b", "2", "3", "4", "5", "6", "T4-1", "T4-2")
+NEAR = (-1e-13, 0.0, 1e-13)  # relative offsets inside the 1e-12 comparison tolerance
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+@pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0, None))
+def test_case_hypotheses_agree_with_classifier_near_thresholds(N, alpha):
+    """On and next to t1, tN and t2, a case that choose_case_params accepts is an
+    Exists verdict, and an Exists verdict's construction is what it returns."""
+    alpha = float(N) if alpha is None else alpha
+    t1, tn, t2 = (N - alpha) / (N - 2.0), N / (N - 2.0), (2.0 * N - alpha) / (N - 2.0)
+    free = (0.8, 1.0, 2.5, 4.5)
+    ps = [t * (1.0 + e) for t in (t1, tn) for e in NEAR] + list(free)
+    betas = [b * (1.0 + e) for b in (-2.0, -1.0) for e in NEAR] + [-3.0, -1.5, -0.5, 0.5, 1.0]
+    checked = 0
+    for p, beta in itertools.product(ps, betas):
+        if not (p > 0.0 and beta > alpha - N):
+            continue
+        qs = [t * (1.0 + e) for t in (t1, tn) for e in NEAR] + list(free)
+        qs += [t2 * (1.0 + e) - p for e in NEAR]
+        for q in (q for q in qs if q > 0.0):
+            decision = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta))
+            for case_id in CASE_IDS:
+                try:
+                    choose_case_params(case_id, N, alpha, beta, p, q)
+                except ParameterError:
+                    continue
+                assert decision.verdict is Verdict.EXISTS, (case_id, N, alpha, beta, p, q, decision)
+            if decision.verdict is Verdict.EXISTS:
+                case = decision.construction
+                assert choose_case_params(case.case_id, N, alpha, beta, p, q) == case
+                checked += 1
+    assert checked > 0
+
+
+def test_classifier_imports_only_the_decision_layer():
+    """The decision layer stays free of the numerical stack (ansatz, convolution, scipy)."""
+    with open(classifier.__file__) as fh:
+        tree = ast.parse(fh.read())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert package <= {"errors", "kernel"}
+    assert "logriesz" not in absolute
 
 
 class TestRegimeTable:

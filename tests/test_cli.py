@@ -35,7 +35,8 @@ class TestParsers:
     def test_radii_grid(self):
         radii = parse_radii("2:1000:3")
         assert np.allclose(radii, np.geomspace(2.0, 1000.0, 3))
-        for bad in ("5:4:3", "0:10:3", "1:10", "1:10:1", "1:inf:3", "nan:10:3", "1:nan:3", "inf:inf:3"):
+        for bad in ("5:4:3", "0:10:3", "1:10", "1:10:1", "1:inf:3", "nan:10:3", "1:nan:3", "inf:inf:3",
+                    "1:10:x"):
             with pytest.raises(ParameterError):
                 parse_radii(bad)
 
@@ -68,6 +69,17 @@ class TestClassifyCommand:
         assert env["version"] == "0.1.0"
         assert env["result"]["verdict"] == "Exists"
         assert env["result"]["construction"]["case_id"] == "2"
+
+    def test_endpoint_kernel_within_tolerance_of_serrin_threshold(self, capsys):
+        # p is 1e-13 above N/(N-2) = 3, so the classifier puts it on p = N/(N-2): case T4-1
+        code, env, _ = run_json(capsys, [
+            "classify", "--side", "P+", "--N", "3", "--p", "3.0000000000003", "--q", "1",
+            "--alpha", "3", "--beta", "1",
+        ])
+        assert code == 0
+        assert env["result"]["verdict"] == "Exists"
+        assert env["result"]["clause"] == "Thm4"
+        assert env["result"]["construction"]["case_id"] == "T4-1"
 
     def test_nonexistence_exit_three(self, capsys):
         code, env, _ = run_json(capsys, [
@@ -192,6 +204,14 @@ class TestConvolveCommand:
         assert code == 2
         assert "invalid parameters" in err
 
+    def test_non_integer_count_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "ball:1", "--radii", "1:10:x",
+        ])
+        assert code == 2
+        assert "invalid parameters" in err
+
 
 class TestAsymptoticsCommand:
     def test_upper_envelope_report(self, capsys, tmp_path):
@@ -246,6 +266,16 @@ class TestVerifyCommand:
         ])
         assert code == 2
         assert err
+
+    def test_case_refused_where_classifier_finds_nonexistence(self, capsys):
+        # q is 1e-13 above N/(N-2) = 3, so q = N/(N-2) to the classifier (Thm2(ix)),
+        # and case 2's hypothesis q > N/(N-2) fails
+        code, _, err = run(capsys, [
+            "verify", "--case", "2", "--N", "3", "--alpha", "1", "--beta", "-1.5",
+            "--p", "2", "--q", "3.0000000000003",
+        ])
+        assert code == 2
+        assert "HypothesisViolated" in err
 
 
 class TestProbeCommand:

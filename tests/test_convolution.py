@@ -128,6 +128,16 @@ def test_angular_factor_diagonal_large_beta():
     assert math.isclose(angular_factor(3, 1.0, 3.0, KernelParams(3, 1.0, 300.0)), 8.910793179145335e59, rel_tol=1e-12)
 
 
+def test_kernel_where_power_underflows_and_log_overflows():
+    # at t = 1e110, t^-3 underflows and log(1+t)^150 overflows; K itself is finite
+    kernel = KernelParams(3, 3.0, 150.0)
+    with mp.workdps(40):
+        exact = float(mp.mpf("1e110") ** -3 * mp.log1p(mp.mpf("1e110")) ** 150)
+    assert math.isclose(eval_kernel(kernel, 1e110), exact, rel_tol=1e-12)
+    # from the origin the sphere of radius s sits at distance s: angular = B_3 K(s) = 2 K(s)
+    assert math.isclose(angular_factor(3, 0.0, 1e110, kernel), 2.0 * exact, rel_tol=1e-12)
+
+
 def _angular_closed_form(N, alpha, r, delta):
     """(r s)^-1 int_d^D t^(1-alpha) [(t^2 - d^2)(D^2 - t^2) / (4 r^2 s^2)]^((N-3)/2) dt
     for N = 3 and 5, where the weight is a polynomial, in 60-digit arithmetic."""
@@ -264,7 +274,6 @@ def test_non_finite_radius_rejected():
 def test_non_finite_integrand_raises_quadrature_failure():
     bad = RadialProfile(
         evaluate=lambda s: np.where(np.asarray(s) < 0.5, 1.0, np.inf),
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         support_radius=1.0,
     )
     with pytest.raises(QuadratureFailure):
@@ -320,7 +329,6 @@ def test_linearity_in_the_profile():
 
     combo = RadialProfile(
         evaluate=lambda s: c * f.evaluate(s) + g.evaluate(s),
-        zero_spec=f.zero_spec,
         infinity_spec=f.infinity_spec,
         scale=f.scale,
     )
@@ -337,7 +345,7 @@ def test_detect_divergence_cases():
     assert detect_divergence(KernelParams(3, 1.0, -0.5), power_profile(2.0, -0.5)) is True
     assert detect_divergence(KernelParams(3, 1.0, -0.5), power_profile(2.0, -0.6)) is False
 
-    bare = RadialProfile(evaluate=lambda s: 1.0 / (1.0 + s), zero_spec=None)
+    bare = RadialProfile(evaluate=lambda s: 1.0 / (1.0 + s))
     with pytest.raises(MissingAsymptoticSpec):
         detect_divergence(NEWTONIAN, bare)
 
@@ -345,7 +353,6 @@ def test_detect_divergence_cases():
 def test_divergent_convolution_flagged_not_computed():
     slow = RadialProfile(
         evaluate=lambda s: 1.0 / (1.0 + s),
-        zero_spec=None,
         infinity_spec=AsymptoticSpec(-1.0, 0.0),
     )
     res = convolve_radial(NEWTONIAN, slow, 1.0)

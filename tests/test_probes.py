@@ -115,7 +115,6 @@ class TestFunctionBound:
 def _ones_profile():
     return RadialProfile(
         evaluate=lambda s: np.ones_like(np.asarray(s, dtype=float))[()],
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         positive_mass_near_zero=True,
     )
 
@@ -123,7 +122,6 @@ def _ones_profile():
 def _truncated_newton_profile():
     return RadialProfile(
         evaluate=lambda s: np.maximum(1.0, np.asarray(s, dtype=float)) ** -1.0,
-        zero_spec=AsymptoticSpec(0.0, 0.0),
         infinity_spec=AsymptoticSpec(-1.0, 0.0),
         positive_mass_near_zero=True,
     )
@@ -283,7 +281,6 @@ class TestLowerBoundChain:
     def test_zero_seed_produces_zero_data(self):
         zero = RadialProfile(
             evaluate=lambda r: np.zeros_like(np.asarray(r, dtype=float))[()],
-            zero_spec=AsymptoticSpec(0.0, 0.0),
             support_radius=1.0,
         )
         c = lower_bound_chain(3, 1.0, 0.0, 2.0, self.GRID, u0=zero)
