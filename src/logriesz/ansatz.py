@@ -29,7 +29,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from .bounds import BoundKind, PredictedBound
+from .bounds import BoundKind, PredictedBound, _upper_ladder
 # ExistenceCase and choose_case_params live in the classifier; perfbench/workloads.py
 # still reaches choose_case_params as ansatz.choose_case_params
 from .classifier import ExistenceCase, choose_case_params
@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     ScalingUndefined,
 )
-from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
+from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, approx_eq, validate
 
 
 @dataclass(frozen=True)
@@ -158,70 +158,44 @@ def u_upper_bound(params: AnsatzParams) -> PredictedBound:
 def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: float) -> PredictedBound:
     """Envelope of (K * u^p) u^q from the sharp product estimates.
 
-    gamma < N (exponents below are in the potential power g2 = gamma - 2):
+    The upper ladder (bounds.py) applied to u^p's envelope, p times
+    u_upper_bound's, shifted by q times u_upper_bound's.  For gamma < N,
+    with g2 = gamma - 2, that reads
       p = (N-alpha)/g2, beta + tau*p < -1   (-g2*q, 1+beta+tau(p+q))
       (N-alpha)/g2 < p < N/g2              (N-alpha-g2(p+q), beta+tau(p+q))
       p = N/g2, tau*p > -1                 (-alpha-g2*q, 1+beta+tau(p+q))
       p > N/g2                             (-alpha-g2*q, beta+tau*q)
-    gamma = N: same ladder with tau replaced by 1+tau in every log exponent
-    and the critical column p = N/(N-2) valid for all tau.
-    alpha = N (tau = 0 only):
-      gamma < N, p < N/(gamma-2)           (-(gamma-2)(p+q), 1+beta)
-      gamma = N, p > N/(N-2)               (-N-(N-2)q, beta+q)
+    and for gamma = N the same with 1+tau for tau in every log exponent.
+    The ladder raises where K * u^p diverges.  As in the catalogue, alpha
+    within approx_eq of N is N, and p within approx_eq of N/(gamma-2) is the
+    row sigma = N.  Refused as uncatalogued, though the ladder covers them:
+    alpha = N with tau != 0, p >= N/(gamma-2) (gamma < N) or p <= N/(N-2)
+    (gamma = N); p = N/(gamma-2) with gamma < N, alpha > 0 and tau*p <= -1.
     """
     validate(kernel)
     if kernel.N != params.N:
         raise HypothesisViolated("kernel and ansatz dimensions disagree")
     if p <= 0.0 or q <= 0.0:
         raise ParameterError("exponents p, q must be positive")
-    N, alpha, beta = params.N, kernel.alpha, kernel.beta
-    g, tau = params.gamma, params.tau
-    A = math.sqrt(params.A)
+    N, g, tau = params.N, params.gamma, params.tau
+    p_high = N / (g - 2.0)
     gamma_is_n = approx_eq(g, float(N))
-
-    if approx_eq(alpha, float(N)):
+    if approx_eq(kernel.alpha, float(N)):
         if not approx_eq(tau, 0.0):
             raise OutOfHypothesis("alpha = N product bounds are stated for tau = 0 only")
-        if not gamma_is_n:
-            if p < N / (g - 2.0):
-                return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-(g - 2.0) * (p + q), 1.0 + beta), scale=A)
+        if not gamma_is_n and not _lt(p, p_high):
             raise OutOfHypothesis("alpha = N, gamma < N bound needs p < N/(gamma-2)")
-        if p > N / (N - 2.0):
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-N - (N - 2.0) * q, beta + q), scale=A)
-        raise OutOfHypothesis("alpha = N, gamma = N bound needs p > N/(N-2)")
-
-    g2 = g - 2.0
-    p_low = (N - alpha) / g2
-    p_high = N / g2
-    # equality rows first: the open-interval row would otherwise claim
-    # p within float noise of N/(gamma-2) (e.g. 3/0.8 != 3.75 exactly)
-    if gamma_is_n:
-        tau_eff = 1.0 + tau
-        if approx_eq(p, p_low):
-            if beta + tau_eff * p < -1.0:
-                return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-g2 * q, 1.0 + beta + tau_eff * (p + q)), scale=A)
-            raise OutOfHypothesis("critical p = (N-alpha)/(N-2) needs beta + (1+tau)p < -1")
-        if approx_eq(p, p_high):
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-alpha - g2 * q, 1.0 + beta + tau_eff * (p + q)), scale=A)
-        if p_low < p < p_high:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(N - alpha - g2 * (p + q), beta + tau_eff * (p + q)), scale=A)
-        if p > p_high:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-alpha - g2 * q, beta + tau_eff * q), scale=A)
-        raise OutOfHypothesis("p below (N-alpha)/(N-2): the convolution of u^p diverges")
-
-    if approx_eq(p, p_low):
-        if beta + tau * p < -1.0:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-g2 * q, 1.0 + beta + tau * (p + q)), scale=A)
-        raise OutOfHypothesis("critical p = (N-alpha)/(gamma-2) needs beta + tau*p < -1")
-    if approx_eq(p, p_high):
-        if tau * p > -1.0:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-alpha - g2 * q, 1.0 + beta + tau * (p + q)), scale=A)
+        if gamma_is_n and not _gt(p, p_high):
+            raise OutOfHypothesis("alpha = N, gamma = N bound needs p > N/(N-2)")
+        kernel = KernelParams(N, float(N), kernel.beta)
+    elif not gamma_is_n and _gt(kernel.alpha, 0.0) and approx_eq(p, p_high) and not _gt(tau * p, -1.0):
         raise OutOfHypothesis("p = N/(gamma-2) with tau*p <= -1 has no catalogued product bound")
-    if p_low < p < p_high:
-        return PredictedBound(BoundKind.UPPER, AsymptoticSpec(N - alpha - g2 * (p + q), beta + tau * (p + q)), scale=A)
-    if p > p_high:
-        return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-alpha - g2 * q, beta + tau * q), scale=A)
-    raise OutOfHypothesis("p below (N-alpha)/(gamma-2): the convolution of u^p diverges")
+
+    u = u_upper_bound(params)
+    sigma = float(N) if approx_eq(p, p_high) else -p * u.spec.power
+    spec, _ = _upper_ladder(kernel, sigma, p * u.spec.logpower)
+    shifted = AsymptoticSpec(spec.power + q * u.spec.power, spec.logpower + q * u.spec.logpower)
+    return PredictedBound(BoundKind.UPPER, shifted, scale=u.scale)
 
 
 class PotentialTable:
@@ -322,15 +296,11 @@ def verify_supersolution(
 
     table = PotentialTable(params, r_max=max(4.0 * TRUNCATION_FACTOR * r_out, 1e6))
 
-    N, alpha = kernel.N, kernel.alpha
-    sigma_up = (case.gamma - 2.0) * p
-    logpow_up = (1.0 + case.tau) * p if approx_eq(case.gamma, float(N)) else case.tau * p
-    if abs(sigma_up - (N - alpha)) < 1e-9:
-        sigma_up = N - alpha  # snap onto the critical line the case hypothesis targets
+    u = u_upper_bound(params)
     powered = RadialProfile(
         evaluate=lambda s: table(s) ** p,
-        infinity_spec=AsymptoticSpec(-sigma_up, logpow_up),
-        scale=math.sqrt(A),
+        infinity_spec=AsymptoticSpec(p * u.spec.power, p * u.spec.logpower),
+        scale=u.scale,
         positive_mass_near_zero=True,
     )
 
@@ -361,7 +331,7 @@ def verify_supersolution(
 
     return VerificationReport(
         case_id=case.case_id,
-        N=N, alpha=kernel.alpha, beta=kernel.beta, p=p, q=q,
+        N=kernel.N, alpha=kernel.alpha, beta=kernel.beta, p=p, q=q,
         gamma=case.gamma, tau=case.tau, A=A,
         lam=float(lam), lam_threshold=float(threshold),
         S=float(s_final), C=float(scale_c),

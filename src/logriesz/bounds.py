@@ -2,7 +2,9 @@
 
 The predictions mirror the sharp two-sided estimates for kernels
 t^(-alpha) log(1+t)^beta against profiles with declared power-log decay
-(A + r)^(-sigma) log(A + r)^kappa:
+(A + r)^(-sigma) log(A + r)^kappa.  Convergence is convolution._tail_gap's
+test, which takes sigma within approx_eq of N - alpha as the critical line;
+the other thresholds compare the declared exponents exactly.
 
 lower bounds (valid for r large, shapes in (1 + r)-form)
   * baseline (-alpha, beta) whenever the profile holds positive mass near 0;
@@ -12,16 +14,15 @@ lower bounds (valid for r large, shapes in (1 + r)-form)
     or (0, 1 + beta + kappa) on the critical line sigma = N - alpha with
     1 + beta + kappa < 0; divergence otherwise.
 
-upper bounds (alpha < N), shapes in (A + r)-form
+upper bounds, shapes in (A + r)-form
   sigma < N - alpha            out of hypothesis (divergent)
   sigma = N - alpha            (0, 1+beta+kappa) if 1+beta+kappa < 0, else divergent
-  N - alpha < sigma < N        (N-alpha-sigma, beta+kappa)
+  N - alpha < sigma < N        (N-alpha-sigma, beta+kappa); at alpha = N the mass of K
+                               near the diagonal adds a log: (-sigma, 1+beta+kappa)
   sigma = N, kappa > -1        (-alpha, 1+beta+kappa)
   sigma = N, kappa = -1        (-alpha, beta) with an extra loglog factor
   sigma = N, kappa < -1        (-alpha, beta)
   sigma > N                    (-alpha, beta)
-and for alpha = N the same ladder with every power replaced by
-max(-sigma, -N) and the sigma < N rows carrying 1+beta+kappa.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convolution import ConvolutionResult, RadialProfile, convolve_radial
+from .convolution import RadialProfile, _tail_gap, convolve_radial
 from .errors import DegenerateSamples, MissingAsymptoticSpec, OutOfHypothesis
 from .kernel import AsymptoticSpec, KernelParams, validate
 
@@ -81,13 +82,10 @@ def lower_bound_prediction(kernel: KernelParams, f: RadialProfile) -> PredictedB
             raise MissingAsymptoticSpec("lower bounds need a declared tail or compact support")
         sigma = -f.infinity_spec.power
         kappa = f.infinity_spec.logpower
-        gap = N - alpha - sigma
-        if gap > 0.0 or (gap == 0.0 and 1.0 + beta + kappa >= 0.0):
+        gap = _tail_gap(kernel, sigma, kappa)
+        if gap is None:
             return PredictedBound(kind=BoundKind.DIVERGENT, spec=None)
-        if gap < 0.0:
-            candidates.append((gap, beta + kappa))
-        else:
-            candidates.append((0.0, 1.0 + beta + kappa))
+        candidates.append((gap, beta + kappa) if gap < 0.0 else (0.0, 1.0 + beta + kappa))
         dominates_newton = sigma < N or (sigma == N and kappa >= 0.0)
         if beta <= 0.0 and dominates_newton:
             candidates.append((-alpha, 1.0 + beta))
@@ -103,54 +101,33 @@ def lower_bound_prediction(kernel: KernelParams, f: RadialProfile) -> PredictedB
     return PredictedBound(kind=BoundKind.LOWER, spec=AsymptoticSpec(power, logpower), scale=1.0)
 
 
+def _upper_ladder(kernel: KernelParams, sigma: float, kappa: float) -> tuple[AsymptoticSpec, bool]:
+    """The upper table of the module docstring: the envelope of K * f for
+    f ~ s^-sigma log^kappa s, and whether it carries the extra loglog factor."""
+    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
+    gap = _tail_gap(kernel, sigma, kappa)
+    if gap is None:
+        raise OutOfHypothesis("declared decay too slow for the kernel: the convolution diverges")
+    if gap == 0.0:
+        return AsymptoticSpec(0.0, 1.0 + beta + kappa), False
+    if sigma < N:
+        return AsymptoticSpec(gap, 1.0 + beta + kappa if alpha == N else beta + kappa), False
+    if sigma > N or kappa < -1.0:
+        return AsymptoticSpec(-alpha, beta), False
+    if kappa > -1.0:
+        return AsymptoticSpec(-alpha, 1.0 + beta + kappa), False
+    return AsymptoticSpec(-alpha, beta), True
+
+
 def upper_bound_prediction(kernel: KernelParams, f: RadialProfile) -> PredictedBound:
     """Sharp upper envelope for (K * f)(r), (A + r)-form with the profile's A."""
     validate(kernel)
-    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
     if f.infinity_spec is None:
         raise MissingAsymptoticSpec("upper bounds need a declared tail shape")
     if f.scale <= 1.0:
         raise OutOfHypothesis("upper envelopes are stated for profiles with scale A > 1")
-    sigma = -f.infinity_spec.power
-    kappa = f.infinity_spec.logpower
-    A = f.scale
-
-    if sigma < N - alpha:
-        raise OutOfHypothesis("declared decay slower than N - alpha: convolution diverges")
-    if sigma == N - alpha:
-        if 1.0 + beta + kappa < 0.0:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(0.0, 1.0 + beta + kappa), scale=A)
-        raise OutOfHypothesis(
-            "critical decay with 1 + beta + kappa >= 0 diverges; no finite envelope exists"
-        )
-
-    if alpha < N:
-        if sigma < N:
-            spec = AsymptoticSpec(N - alpha - sigma, beta + kappa)
-        elif sigma > N:
-            spec = AsymptoticSpec(-alpha, beta)
-        elif kappa > -1.0:
-            spec = AsymptoticSpec(-alpha, 1.0 + beta + kappa)
-        elif kappa < -1.0:
-            spec = AsymptoticSpec(-alpha, beta)
-        else:
-            return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-alpha, beta), extra_loglog=True, scale=A)
-        return PredictedBound(BoundKind.UPPER, spec, scale=A)
-
-    # alpha == N: powers saturate at -N
-    if sigma <= 0.0:
-        raise OutOfHypothesis("alpha = N needs a decaying profile")
-    if sigma < N:
-        spec = AsymptoticSpec(-sigma, 1.0 + beta + kappa)
-    elif sigma > N:
-        spec = AsymptoticSpec(-N, beta)
-    elif kappa > -1.0:
-        spec = AsymptoticSpec(-N, 1.0 + beta + kappa)
-    elif kappa < -1.0:
-        spec = AsymptoticSpec(-N, beta)
-    else:
-        return PredictedBound(BoundKind.UPPER, AsymptoticSpec(-N, beta), extra_loglog=True, scale=A)
-    return PredictedBound(BoundKind.UPPER, spec, scale=A)
+    spec, loglog = _upper_ladder(kernel, -f.infinity_spec.power, f.infinity_spec.logpower)
+    return PredictedBound(BoundKind.UPPER, spec, extra_loglog=loglog, scale=f.scale)
 
 
 def fit_asymptotics(samples: Sequence[tuple[float, float]], A: float = 1.0) -> FitResult:

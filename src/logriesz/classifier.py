@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
-from .kernel import KernelParams, approx_eq, validate
+from .kernel import KernelParams, _ge, _gt, _lt, approx_eq, validate
 
 
 class Side(enum.Enum):
@@ -92,21 +92,11 @@ class RegimeDecision:
 
 
 def validate_problem(params: ProblemParams) -> None:
-    validate(KernelParams(N=params.N, alpha=params.alpha, beta=params.beta))
+    # alpha within approx_eq of N is decided as alpha = N, whose kernel needs beta > 0
+    at_n = params.beta <= 0.0 and approx_eq(params.alpha, float(params.N))
+    validate(KernelParams(N=params.N, alpha=float(params.N) if at_n else params.alpha, beta=params.beta))
     if params.p <= 0.0 or params.q <= 0.0:
         raise ParameterError("exponents p, q must be positive")
-
-
-def _ge(a: float, b: float) -> bool:
-    return a > b or approx_eq(a, b)
-
-
-def _gt(a: float, b: float) -> bool:
-    return a > b and not approx_eq(a, b)
-
-
-def _lt(a: float, b: float) -> bool:
-    return a < b and not approx_eq(a, b)
 
 
 def _mid(lo: float, hi: float) -> float:

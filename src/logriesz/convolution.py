@@ -58,7 +58,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, _kernel_values, eval_kernel, validate
+from .kernel import AsymptoticSpec, KernelParams, _kernel_values, approx_eq, eval_kernel, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -217,22 +217,29 @@ def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
     return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g))
 
 
-def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
-    """Symbolic finiteness test from the declared tail shape.
+def _tail_gap(kernel: KernelParams, sigma: float, kappa: float) -> float | None:
+    """Power gap N - alpha - sigma of int_r^inf s^(N-1) K(s) f(s) ds for f ~ s^-sigma
+    log^kappa s: the tail ~ r^gap log^(beta+kappa) r for gap < 0.  On the critical
+    line the gap is 0.0 and the tail ~ log^(1+beta+kappa) r; it takes every sigma
+    within approx_eq of N - alpha, since a sigma derived as p (gamma - 2) rounds off
+    the line.  None when the integral diverges."""
+    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
+    if approx_eq(sigma, N - alpha):
+        return 0.0 if 1.0 + beta + kappa < 0.0 else None
+    gap = N - alpha - sigma
+    return gap if gap < 0.0 else None
 
-    The convolution is infinite at every radius iff the mass integrand
-    f(s) s^(N-1) K(s) fails to be integrable at infinity: power gap
-    N - alpha - sigma positive, or zero with log exponent 1 + beta + kappa >= 0.
-    """
+
+def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
+    """Symbolic finiteness test from the declared tail shape: the convolution
+    is infinite at every radius iff the mass integrand f(s) s^(N-1) K(s) fails
+    to be integrable at infinity (_tail_gap)."""
     validate(kernel)
     if f.support_radius is not None:
         return False
     if f.infinity_spec is None:
         raise MissingAsymptoticSpec("profile declares no tail shape and no compact support")
-    sigma = -f.infinity_spec.power
-    kappa = f.infinity_spec.logpower
-    gap = kernel.N - kernel.alpha - sigma
-    return gap > 0.0 or (gap == 0.0 and 1.0 + kernel.beta + kappa >= 0.0)
+    return _tail_gap(kernel, -f.infinity_spec.power, f.infinity_spec.logpower) is None
 
 
 def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float, R: float) -> tuple[float, float]:
@@ -314,11 +321,13 @@ def _integrate_marks(
     def g(x, h):
         # the integrand in each row's own variable, at node coordinates x
         s, delta, jac = x, x - cusp, 1.0
-        if grading != 1.0:
-            graded = (h != 0.0)[:, None]
-            delta = np.where(graded, h[:, None] * x ** grading, delta)
-            s = np.where(graded, cusp + delta, x)
-            jac = np.where(graded, np.abs(h)[:, None] * grading * x ** (grading - 1.0), 1.0)
+        if grading != 1.0 and (graded := h != 0.0).any():
+            # x ** grading only on the graded rows: on the others x = s may overflow it
+            u, h_g = x[graded], h[graded, None]
+            delta[graded] = h_g * u ** grading
+            s = np.where(graded[:, None], cusp + delta, x)
+            jac = np.ones_like(x)
+            jac[graded] = np.abs(h_g) * grading * u ** (grading - 1.0)
         fx = integrand(s.ravel(), delta.ravel()).reshape(s.shape) * jac
         if not np.all(np.isfinite(fx)):
             raise QuadratureFailure(f"non-finite integrand at s = {s[~np.isfinite(fx)][0]!r} on [{marks[0]}, {marks[-1]}]")
@@ -409,6 +418,8 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
     sigma = -spec.power
     kappa = spec.logpower
     A = f.scale
+    if _tail_gap(kernel, sigma, kappa) == 0.0:
+        sigma = kernel.N - kernel.alpha  # on the critical line the tail integral takes it exactly
 
     probes = s_max * np.array([1.0, 1.5, 2.0])
     shape = spec.shape(probes, A)
@@ -441,12 +452,12 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     if not 0.0 <= r < math.inf:
         raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {r!r}")
     compact = f.support_radius is not None
+    # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
+    # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
+    newton = KernelParams(N, N - 2.0, 0.0)
     if not compact:
-        if f.infinity_spec is None:
-            raise MissingAsymptoticSpec("profile declares no tail shape and no compact support")
-        sigma = -f.infinity_spec.power
-        if sigma <= 2.0:
-            raise DivergentIntegral("tail mass int s f ds diverges: declared decay power <= 2")
+        if detect_divergence(newton, f):
+            raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
         s_max = TRUNCATION_FACTOR * max(r, f.scale, 1.0)
     else:
         s_max = float(f.support_radius)
@@ -455,9 +466,7 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     marks = sorted(set(_grid_marks(r_in / 2.0, f, r_in) + _grid_marks(r, f, s_max)))
     layer_cake = _integrate_marks(lambda s, _: f.evaluate(s) * s ** (N - 1) * np.maximum(r, s) ** (2 - N), marks)[0]
     if not compact:
-        # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
-        # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
-        layer_cake += _tail_addon(KernelParams(N, N - 2.0, 0.0), f, r, s_max)[0] / unit_sphere_area(N)
+        layer_cake += _tail_addon(newton, f, r, s_max)[0] / unit_sphere_area(N)
     return layer_cake / (N - 2)
 
 

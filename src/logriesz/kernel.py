@@ -21,6 +21,18 @@ def approx_eq(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
+def _ge(a: float, b: float) -> bool:
+    return a > b or approx_eq(a, b)
+
+
+def _gt(a: float, b: float) -> bool:
+    return a > b and not approx_eq(a, b)
+
+
+def _lt(a: float, b: float) -> bool:
+    return a < b and not approx_eq(a, b)
+
+
 @dataclass(frozen=True)
 class AsymptoticSpec:
     """Power-log shape (A + r)^power * log(A + r)^logpower (A supplied by context)."""

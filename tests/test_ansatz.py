@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from logriesz import (
@@ -33,9 +35,11 @@ from logriesz import (
     u_eval,
     u_upper_bound,
     unit_sphere_area,
+    upper_bound_prediction,
     verify_supersolution,
     w_eval,
 )
+from logriesz.kernel import _gt, _lt
 
 
 class TestAnsatzParams:
@@ -325,6 +329,89 @@ def test_rhs_envelope_matches_measured_shape(label, N, alpha, beta, gamma, tau, 
     fit = fit_asymptotics(list(zip(radii, vals)), A=bound.scale)
     assert abs(fit.power_est - bound.spec.power) < 0.05
     assert abs(fit.logpower_est - bound.spec.logpower) < 0.2
+
+
+def test_rhs_envelope_on_a_rounded_critical_line():
+    """(N, alpha, beta, gamma, tau) = (3, 1.1, -1.5, 2.46, 0), p = (N-alpha)/(gamma-2):
+    u^p declares sigma = 1.8999999999999997, which is the critical line 1.9."""
+    N, alpha, beta, q = 3, 1.1, -1.5, 1.0
+    params = AnsatzParams(N=N, gamma=2.46, tau=0.0, A=10.0)
+    kernel = KernelParams(N, alpha, beta)
+    p = (N - alpha) / (params.gamma - 2.0)
+    _, powered = _powered_envelope(params, p)
+    assert -powered.infinity_spec.power != N - alpha
+    critical = RadialProfile(evaluate=powered.evaluate, infinity_spec=AsymptoticSpec(-(N - alpha), 0.0),
+                             scale=powered.scale, positive_mass_near_zero=True)
+    for r in (0.0, 10.0, 1e4):
+        value = convolve_radial(kernel, powered, r).value
+        assert math.isfinite(value)
+        assert math.isclose(value, convolve_radial(kernel, critical, r).value, rel_tol=1e-10)
+    row = upper_bound_prediction(kernel, powered)
+    assert row.spec == AsymptoticSpec(0.0, 1.0 + beta)
+    u = u_upper_bound(params).spec
+    rhs = rhs_upper_bound(params, kernel, p, q)
+    assert rhs.spec == AsymptoticSpec(row.spec.power + q * u.power, row.spec.logpower + q * u.logpower)
+
+
+def _expected_rhs(N, alpha, beta, gamma, tau, p, q):
+    """The product-estimate table, transcribed with tolerant comparisons;
+    None where no bound is catalogued."""
+    g2 = gamma - 2.0
+    gamma_is_n = approx_eq(gamma, float(N))
+    if approx_eq(alpha, float(N)):
+        if not approx_eq(tau, 0.0):
+            return None
+        if gamma_is_n:
+            return (-N - (N - 2.0) * q, beta + q) if _gt(p, N / (N - 2.0)) else None
+        return (-g2 * (p + q), 1.0 + beta) if _lt(p, N / g2) else None
+    t = 1.0 + tau if gamma_is_n else tau
+    p_low, p_high = (N - alpha) / g2, N / g2
+    if approx_eq(p, p_low):
+        return (-g2 * q, 1.0 + beta + t * (p + q)) if _lt(beta + t * p, -1.0) else None
+    if approx_eq(p, p_high):
+        return (-alpha - g2 * q, 1.0 + beta + t * (p + q)) if _gt(t * p, -1.0) else None
+    if _gt(p, p_low) and _lt(p, p_high):
+        return (N - alpha - g2 * (p + q), beta + t * (p + q))
+    if _gt(p, p_high):
+        return (-alpha - g2 * q, beta + t * q)
+    return None
+
+
+@st.composite
+def _rhs_inputs(draw):
+    N = draw(st.integers(3, 5))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, float(N)]))
+    gamma = draw(st.one_of(st.just(float(N)), st.floats(2.1, N - 0.01)))
+    tau = draw(st.one_of(st.just(0.0), st.floats(-0.95, 0.95)))
+    g2 = gamma - 2.0
+    p_low, p_high = (N - alpha) / g2, N / g2
+    u = draw(st.floats(0.01, 0.99))
+    base = draw(st.sampled_from([p_low, p_high, p_low + u * (p_high - p_low), p_high * (1.0 + u), p_low * (1.0 - u)]))
+    p = base * (1.0 + draw(st.sampled_from([-1e-13, 0.0, 1e-13])))
+    beta = alpha - N + draw(st.floats(0.001, 4.0))
+    q = draw(st.floats(0.1, 4.0))
+    return N, alpha, beta, gamma, tau, p, q
+
+
+@given(_rhs_inputs())
+@settings(max_examples=200, deadline=None)
+def test_rhs_envelope_agrees_with_the_product_table_near_thresholds(inputs):
+    """On and within 1e-13 of p = (N-alpha)/(gamma-2) (sigma = N - alpha) and
+    p = N/(gamma-2), the envelope is the table's row, or both refuse."""
+    N, alpha, beta, gamma, tau, p, q = inputs
+    assume(p > 0.0)
+    t = 1.0 + tau if approx_eq(gamma, float(N)) else tau
+    # the table's log thresholds are not what this test probes
+    assume(abs(beta + t * p + 1.0) > 1e-9 and abs(t * p + 1.0) > 1e-9)
+    expected = _expected_rhs(N, alpha, beta, gamma, tau, p, q)
+    params, kernel = AnsatzParams(N=N, gamma=gamma, tau=tau, A=10.0), KernelParams(N, alpha, beta)
+    if expected is None:
+        with pytest.raises(OutOfHypothesis):
+            rhs_upper_bound(params, kernel, p, q)
+        return
+    spec = rhs_upper_bound(params, kernel, p, q).spec
+    assert math.isclose(spec.power, expected[0], rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(spec.logpower, expected[1], rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_saturated_kernel_near_diagonal_ratio():

@@ -156,6 +156,11 @@ class TestDrivenSide:
         with pytest.raises(InvalidBeta):
             pplus(3, 2.0, 2.0, 1.0, -2.5)
 
+    def test_alpha_decided_as_n_is_validated_as_n(self):
+        # alpha within 1e-12 of N takes the alpha = N branch, whose kernel needs beta > 0
+        with pytest.raises(InvalidBeta):
+            pplus(3, 2.0, 1.5, 3 - 1e-13, -5e-14)
+
 
 @given(
     alpha=st.floats(0.0, 3.0),

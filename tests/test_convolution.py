@@ -439,3 +439,22 @@ def test_log_endpoint_kernel_far_field():
         assert res.error_estimate <= 1e-5 * res.value
         assert norm < prev
         prev = norm
+
+
+@pytest.mark.parametrize("r", [1e35, 1e60])
+def test_graded_cusp_far_out_matches_mass_times_kernel(r):
+    """Past r = 1e35 the ungraded rows reach s ** grading overflow; the value is
+    the far field M K(r), M = |S^2| int s^2 (10 + s)^-3.5 ds = 4 pi 10^-0.5 16/15."""
+    k = KernelParams(3, 2.9, 0.0)
+    res = convolve_radial(k, power_profile(3.5, 0.0), r)
+    mass = 4.0 * math.pi * 10.0 ** -0.5 * 16.0 / 15.0
+    assert math.isfinite(res.value)
+    assert math.isclose(res.value, mass * eval_kernel(k, r), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("kappa", [-1.5, -2.0, -3.0])
+def test_newtonian_oracle_on_the_critical_line(kappa):
+    """sigma = 2 with kappa < -1 keeps int s f ds finite:
+    u(0) = int_10^inf (w - 10) w^-2 log^kappa w dw = ln(10)^(1+kappa)/(-1-kappa) - 10 Gamma(1+kappa, ln 10)."""
+    exact = mp.log(10) ** (1 + kappa) / (-1 - kappa) - 10 * mp.gammainc(1 + kappa, mp.log(10))
+    assert math.isclose(newtonian_potential_radial(3, power_profile(2.0, kappa), 0.0), float(exact), rel_tol=1e-10)
