@@ -155,6 +155,18 @@ def u_upper_bound(params: AnsatzParams) -> PredictedBound:
     return PredictedBound(BoundKind.UPPER, spec, scale=math.sqrt(params.A))
 
 
+def _powered_spec(params: AnsatzParams, kernel: KernelParams, p: float) -> AsymptoticSpec:
+    """Tail of u^p: p times u_upper_bound's spec, with sigma = p (gamma - 2) put on
+    N - alpha or N within approx_eq, since it rounds off the thresholds the catalogue
+    puts it on (p = 1.9 / (2.46 - 2) gives 1.8999999999999997)."""
+    u = u_upper_bound(params).spec
+    sigma = -p * u.power
+    for line in (kernel.N - kernel.alpha, float(kernel.N)):
+        if approx_eq(sigma, line):
+            sigma = line
+    return AsymptoticSpec(-sigma, p * u.logpower)
+
+
 def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: float) -> PredictedBound:
     """Envelope of (K * u^p) u^q from the sharp product estimates.
 
@@ -167,10 +179,11 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
       p > N/g2                             (-alpha-g2*q, beta+tau*q)
     and for gamma = N the same with 1+tau for tau in every log exponent.
     The ladder raises where K * u^p diverges.  As in the catalogue, alpha
-    within approx_eq of N is N, and p within approx_eq of N/(gamma-2) is the
-    row sigma = N.  Refused as uncatalogued, though the ladder covers them:
-    alpha = N with tau != 0, p >= N/(gamma-2) (gamma < N) or p <= N/(N-2)
-    (gamma = N); p = N/(gamma-2) with gamma < N, alpha > 0 and tau*p <= -1.
+    within approx_eq of N is N, and u^p's sigma is put on N - alpha and N
+    within approx_eq (_powered_spec).  Refused as uncatalogued, though the
+    ladder covers them: alpha = N with tau != 0, p >= N/(gamma-2) (gamma < N)
+    or p <= N/(N-2) (gamma = N); p = N/(gamma-2) with gamma < N, alpha > 0 and
+    tau*p <= -1.
     """
     validate(kernel)
     if kernel.N != params.N:
@@ -191,9 +204,9 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
     elif not gamma_is_n and _gt(kernel.alpha, 0.0) and approx_eq(p, p_high) and not _gt(tau * p, -1.0):
         raise OutOfHypothesis("p = N/(gamma-2) with tau*p <= -1 has no catalogued product bound")
 
+    powered = _powered_spec(params, kernel, p)
+    spec, _ = _upper_ladder(kernel, -powered.power, powered.logpower)
     u = u_upper_bound(params)
-    sigma = float(N) if approx_eq(p, p_high) else -p * u.spec.power
-    spec, _ = _upper_ladder(kernel, sigma, p * u.spec.logpower)
     shifted = AsymptoticSpec(spec.power + q * u.spec.power, spec.logpower + q * u.spec.logpower)
     return PredictedBound(BoundKind.UPPER, shifted, scale=u.scale)
 
@@ -296,11 +309,10 @@ def verify_supersolution(
 
     table = PotentialTable(params, r_max=max(4.0 * TRUNCATION_FACTOR * r_out, 1e6))
 
-    u = u_upper_bound(params)
     powered = RadialProfile(
         evaluate=lambda s: table(s) ** p,
-        infinity_spec=AsymptoticSpec(p * u.spec.power, p * u.spec.logpower),
-        scale=u.scale,
+        infinity_spec=_powered_spec(params, kernel, p),
+        scale=math.sqrt(A),
         positive_mass_near_zero=True,
     )
 

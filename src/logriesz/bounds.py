@@ -3,8 +3,9 @@
 The predictions mirror the sharp two-sided estimates for kernels
 t^(-alpha) log(1+t)^beta against profiles with declared power-log decay
 (A + r)^(-sigma) log(A + r)^kappa.  Convergence is convolution._tail_gap's
-test, which takes sigma within approx_eq of N - alpha as the critical line;
-the other thresholds compare the declared exponents exactly.
+test.  Every threshold compares the declared exponents exactly; an exponent
+derived in rounded arithmetic is put on its threshold where it is derived
+(ansatz._powered_spec).
 
 lower bounds (valid for r large, shapes in (1 + r)-form)
   * baseline (-alpha, beta) whenever the profile holds positive mass near 0;

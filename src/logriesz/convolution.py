@@ -58,7 +58,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, _kernel_values, approx_eq, eval_kernel, validate
+from .kernel import AsymptoticSpec, KernelParams, _kernel_values, eval_kernel, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -219,14 +219,11 @@ def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
 
 def _tail_gap(kernel: KernelParams, sigma: float, kappa: float) -> float | None:
     """Power gap N - alpha - sigma of int_r^inf s^(N-1) K(s) f(s) ds for f ~ s^-sigma
-    log^kappa s: the tail ~ r^gap log^(beta+kappa) r for gap < 0.  On the critical
-    line the gap is 0.0 and the tail ~ log^(1+beta+kappa) r; it takes every sigma
-    within approx_eq of N - alpha, since a sigma derived as p (gamma - 2) rounds off
-    the line.  None when the integral diverges."""
-    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
-    if approx_eq(sigma, N - alpha):
-        return 0.0 if 1.0 + beta + kappa < 0.0 else None
-    gap = N - alpha - sigma
+    log^kappa s: the tail ~ r^gap log^(beta+kappa) r for gap < 0, and on the critical
+    line gap = 0 it ~ log^(1+beta+kappa) r.  None when the integral diverges."""
+    gap = kernel.N - kernel.alpha - sigma
+    if gap == 0.0:
+        return gap if 1.0 + kernel.beta + kappa < 0.0 else None
     return gap if gap < 0.0 else None
 
 
@@ -379,12 +376,9 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
 
     compact = f.support_radius is not None
-    if not compact:
-        if detect_divergence(kernel, f):
-            return ConvolutionResult(value=math.inf, error_estimate=math.inf, evaluations=0, divergent=True)
-        s_max = TRUNCATION_FACTOR * max(r, f.scale, 1.0)
-    else:
-        s_max = float(f.support_radius)
+    if not compact and detect_divergence(kernel, f):
+        return ConvolutionResult(value=math.inf, error_estimate=math.inf, evaluations=0, divergent=True)
+    s_max = float(f.support_radius) if compact else TRUNCATION_FACTOR * max(r, f.scale, 1.0)
 
     if N >= 2:
         prefactor = unit_sphere_area(N - 1)
@@ -414,12 +408,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
 
 
 def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) -> tuple[float, float]:
-    spec = f.infinity_spec
-    sigma = -spec.power
-    kappa = spec.logpower
-    A = f.scale
-    if _tail_gap(kernel, sigma, kappa) == 0.0:
-        sigma = kernel.N - kernel.alpha  # on the critical line the tail integral takes it exactly
+    spec, A = f.infinity_spec, f.scale
 
     probes = s_max * np.array([1.0, 1.5, 2.0])
     shape = spec.shape(probes, A)
@@ -431,7 +420,7 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
         return 0.0, 0.0
     spread = float((ratios.max() - ratios.min()) / c)
 
-    tail_1d, q_err = _tail_integral_1d(kernel, sigma, kappa, A, s_max)
+    tail_1d, q_err = _tail_integral_1d(kernel, -spec.power, spec.logpower, A, s_max)
     sigma_n = unit_sphere_area(kernel.N)
     tail = sigma_n * c * tail_1d
     # calibration spread, far-field angular error O((r/s)^2), and 1-d quadrature error
@@ -455,12 +444,9 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
     # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
     # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
     newton = KernelParams(N, N - 2.0, 0.0)
-    if not compact:
-        if detect_divergence(newton, f):
-            raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
-        s_max = TRUNCATION_FACTOR * max(r, f.scale, 1.0)
-    else:
-        s_max = float(f.support_radius)
+    if not compact and detect_divergence(newton, f):
+        raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
+    s_max = float(f.support_radius) if compact else TRUNCATION_FACTOR * max(r, f.scale, 1.0)
 
     r_in = min(r, s_max)
     marks = sorted(set(_grid_marks(r_in / 2.0, f, r_in) + _grid_marks(r, f, s_max)))
