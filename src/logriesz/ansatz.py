@@ -214,9 +214,11 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
 class PotentialTable:
     """Spline cache of the potential u on [0, r_max], exact at its nodes.
 
-    Interpolates log u against log(sqrt(A) + r); every node value is a
-    genuine layer-cake quadrature, so the cache only smooths between
-    quadrature points.
+    Interpolates log u against log(sqrt(A) + r) through 481 nodes, which one
+    newtonian_potential_radial sweep computes together.  error_estimate is
+    the largest relative error bound of a node value, from the sweep's
+    segment errors and its tail's; the cache only smooths between nodes.
+    Radii past r_max raise ParameterError.
     """
 
     def __init__(self, params: AnsatzParams, r_max: float = 1e10):
@@ -224,17 +226,19 @@ class PotentialTable:
         self.r_max = float(r_max)
         root_a = math.sqrt(params.A)
         radii = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, 480)))
-        values = np.array([u_eval(params, float(r)) for r in radii])
-        if np.any(values <= 0.0):
+        nodes = newtonian_potential_radial(params.N, source_profile(params), radii)
+        if np.any(nodes.value <= 0.0):
             raise ParameterError("potential must be positive")
+        self.error_estimate = float(np.max(nodes.error_estimate / nodes.value))
         x = np.log(root_a + radii)
         self._root_a = root_a
-        self._spline = CubicSpline(x, np.log(values))
+        self._spline = CubicSpline(x, np.log(nodes.value))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        clipped = np.minimum(r, self.r_max)
-        return np.exp(self._spline(np.log(self._root_a + clipped)))[()]
+        if np.any(r > self.r_max):
+            raise ParameterError(f"potential table covers r <= {self.r_max}, asked for r = {np.max(r)}")
+        return np.exp(self._spline(np.log(self._root_a + r)))[()]
 
 
 @dataclass(frozen=True)
@@ -307,6 +311,7 @@ def verify_supersolution(
     r_out = float(grid.max())
     ext = np.geomspace(r_out * 1.09, 2.0 * r_out, 8)
 
+    # convolve_radial's outermost tail probe, 2 s_max at r = 2 r_out, lands on r_max
     table = PotentialTable(params, r_max=max(4.0 * TRUNCATION_FACTOR * r_out, 1e6))
 
     powered = RadialProfile(

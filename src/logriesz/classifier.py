@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
-from .kernel import KernelParams, _ge, _gt, _lt, approx_eq, validate
+from .kernel import _ge, _gt, _lt, _validate_exponents, approx_eq
 
 
 class Side(enum.Enum):
@@ -94,7 +94,7 @@ class RegimeDecision:
 def validate_problem(params: ProblemParams) -> None:
     # alpha within approx_eq of N is decided as alpha = N, whose kernel needs beta > 0
     at_n = params.beta <= 0.0 and approx_eq(params.alpha, float(params.N))
-    validate(KernelParams(N=params.N, alpha=float(params.N) if at_n else params.alpha, beta=params.beta))
+    _validate_exponents(params.N, float(params.N) if at_n else params.alpha, params.beta)
     if params.p <= 0.0 or params.q <= 0.0:
         raise ParameterError("exponents p, q must be positive")
 
@@ -252,7 +252,7 @@ def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float
     """
     if N < 3:
         raise InvalidDimension("constructions need N >= 3")
-    validate(KernelParams(N=N, alpha=alpha, beta=beta))
+    _validate_exponents(N, alpha, beta)
     if p <= 0.0 or q <= 0.0:
         raise ParameterError("exponents p, q must be positive")
     if case_id in _THM3_CASES and approx_eq(alpha, float(N)):

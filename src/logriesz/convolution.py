@@ -20,6 +20,16 @@ of every new panel.  Panel errors are QUADPACK's, including its roundoff
 floor 50 eps int |f|, so an error estimate never claims more than double
 precision delivers; the sweep stops at REL_TOL relative error.
 
+The Newtonian potential takes the layer-cake form (N-2) u(r) = r^(2-N) M(r)
++ T(r), with M(r) = int_0^r s^(N-1) f ds and T(r) = int_r^inf s f ds.  One
+sweep integrates both integrands over the segments between every requested
+radius and octave marks, up to s_end = max(TRUNCATION_FACTOR max r,
+POTENTIAL_REACH max(A, 1)).  M is the forward cumulative sum of the segment
+integrals, T the sum from the far end plus one analytic tail past s_end.
+Both integrands are positive, so every radius keeps the relative accuracy of
+its segments; an octave is short enough for one G7-K15 panel to reach
+roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
+
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s), with
@@ -67,6 +77,11 @@ MAX_SUBDIVISIONS = 2000
 # the marks r/2, r, 2r no longer bracket the cusp at s = r inside [0, s_max],
 # and the tail's far-field error term 10 (r/s_max)^2 stops being small.
 TRUNCATION_FACTOR = 1e3
+# newtonian_potential_radial sweeps to at least POTENTIAL_REACH * max(A, 1):
+# the tail addon's calibration error is O(A / s_end) of the tail.  For the
+# ansatz source w^-2.5 log^0.3 w, A = sqrt(10), it puts u(0) off by 3.9e-5 at
+# s_end = 1e3 A, 1.4e-9 at 1e6 A and 5e-14 at 1e9 A.
+POTENTIAL_REACH = 1e9
 
 
 @dataclass(frozen=True)
@@ -294,29 +309,34 @@ def _integrate_marks(
     marks: Sequence[float],
     cusp: float = 0.0,
     grading: float = 1.0,
-) -> tuple[float, float, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Globally adaptive G7-K15 over the segments between consecutive marks.
 
     integrand(s, delta) takes 1-d arrays of nodes s and their offsets
-    delta = s - cusp.  With grading m != 1, the segments that end at the
-    cusp run in u, s = cusp -+ h u^m and delta = -+ h u^m, which turns a
-    factor |s - cusp|^mu, mu = 1/m - 1, into a limit g(0) in u.  The sweep
-    covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m), and adds u_f g(u_f).
+    delta = s - cusp and returns one value per node, or k components of
+    them (shape (k, len(s))) that share the panels.  With grading m != 1, the
+    segments that end at the cusp run in u, s = cusp -+ h u^m and
+    delta = -+ h u^m, which turns a factor |s - cusp|^mu, mu = 1/m - 1, into
+    a limit g(0) in u.  The sweep covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m),
+    and adds u_f g(u_f).
 
     Each round evaluates the 15 nodes of every new panel in one call.  Panel
     errors follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5),
-    floored at 50 eps int |f|.  The sweep stops once the summed error is at
-    most REL_TOL |total|; until then every panel whose error exceeds its
-    share of that target is bisected.  Returns (total, error, evaluations).
+    floored at 50 eps int |f|.  The sweep stops once each component's summed
+    error is at most REL_TOL |its total|; until then every panel whose error
+    in some component exceeds that component's share of its target is
+    bisected.  Returns (integrals, errors, evaluations), the first two of
+    shape (k, segments): each component's integral and error on every
+    segment between the marks.
     """
     a, b = np.array(marks[:-1], dtype=float), np.array(marks[1:], dtype=float)
     # h != 0 marks a graded segment, run in u
     h = np.where(b == cusp, a - b, np.where(a == cusp, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
     u_f = _CUSP_SLAB ** (1.0 / grading)
-    lo, hi = np.where(h != 0.0, u_f, a), np.where(h != 0.0, 1.0, b)
+    lo, hi, seg = np.where(h != 0.0, u_f, a), np.where(h != 0.0, 1.0, b), np.arange(len(a))
 
     def g(x, h):
-        # the integrand in each row's own variable, at node coordinates x
+        # the integrand's components in each row's own variable, at node coordinates x
         s, delta, jac = x, x - cusp, 1.0
         if grading != 1.0 and (graded := h != 0.0).any():
             # x ** grading only on the graded rows: on the others x = s may overflow it
@@ -325,42 +345,49 @@ def _integrate_marks(
             s = np.where(graded[:, None], cusp + delta, x)
             jac = np.ones_like(x)
             jac[graded] = np.abs(h_g) * grading * u ** (grading - 1.0)
-        fx = integrand(s.ravel(), delta.ravel()).reshape(s.shape) * jac
+        out = integrand(s.ravel(), delta.ravel())
+        fx = out.reshape(out.shape[:-1] + s.shape) * jac
         if not np.all(np.isfinite(fx)):
-            raise QuadratureFailure(f"non-finite integrand at s = {s[~np.isfinite(fx)][0]!r} on [{marks[0]}, {marks[-1]}]")
+            bad = ~np.isfinite(fx).reshape((-1,) + s.shape).all(axis=0)
+            raise QuadratureFailure(f"non-finite integrand at s = {s[bad][0]!r} on [{marks[0]}, {marks[-1]}]")
         return fx
 
     def panels(lo, hi, h):
         half = 0.5 * (hi - lo)
         fx = g((0.5 * (lo + hi))[:, None] + half[:, None] * _KX, h)
         resk = fx @ _KW
-        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _KW * half
+        resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KW * half
         err = np.abs(resk - fx @ _GW) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
         return resk * half, np.maximum(scaled, 50.0 * _EPS * (np.abs(fx) @ _KW) * half)
 
-    slab_h = h[h != 0.0]
-    slab = u_f * float(np.sum(g(np.full((len(slab_h), 1), u_f), slab_h)))
+    def by_segment(v, owner):
+        return np.array([np.bincount(owner, row, len(a)) for row in np.atleast_2d(v)])
+
+    slab_seg = np.flatnonzero(h)
+    slab = u_f * g(np.full((len(slab_seg), 1), u_f), h[slab_seg])[..., 0]
+    slab_total = slab.sum(axis=-1)
     val, err = panels(lo, hi, h)
-    evaluations = 15 * len(lo) + len(slab_h)
+    evaluations = 15 * len(lo) + len(slab_seg)
     while True:
-        total = slab + float(np.sum(val))
-        target = REL_TOL * abs(total)
-        err_sum = float(np.sum(err))
-        if err_sum <= target:
-            return total, err_sum, evaluations
-        split = err > target / len(err)
-        if len(err) + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+        target = REL_TOL * np.abs(slab_total + val.sum(axis=-1))
+        err_sum = err.sum(axis=-1)
+        if (err_sum <= target).all():
+            values = by_segment(np.concatenate((val, slab), axis=-1), np.concatenate((seg, slab_seg)))
+            return values, by_segment(err, seg), evaluations
+        split = (err > target[..., None] / err.shape[-1]).reshape(-1, err.shape[-1]).any(axis=0)
+        if err.shape[-1] + np.count_nonzero(split) > MAX_SUBDIVISIONS:
+            worst = np.argmax(err_sum - target)
             raise QuadratureFailure(
                 f"no convergence within {MAX_SUBDIVISIONS} panels on [{marks[0]}, {marks[-1]}]: "
-                f"error {err_sum:.3g} against target {target:.3g}")
+                f"error {err_sum.flat[worst]:.3g} against target {target.flat[worst]:.3g}")
         keep, mid = ~split, 0.5 * (lo[split] + hi[split])
-        halves = (np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])), np.tile(h[split], 2))
-        lo, hi, h = (np.concatenate((old[keep], new)) for old, new in zip((lo, hi, h), halves))
-        new_val, new_err = panels(*halves)
+        halves = [np.concatenate(pair) for pair in ((lo[split], mid), (mid, hi[split]), (h[split],) * 2, (seg[split],) * 2)]
+        lo, hi, h, seg = (np.concatenate((old[keep], new)) for old, new in zip((lo, hi, h, seg), halves))
+        new_val, new_err = panels(*halves[:3])
         evaluations += 15 * len(mid) * 2
-        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
+        val, err = np.concatenate((val[..., keep], new_val), axis=-1), np.concatenate((err[..., keep], new_err), axis=-1)
 
 
 def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> ConvolutionResult:
@@ -395,9 +422,9 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     # the outer integrand behaves like |s - r|^mu at the cusp
     mu = min(0.0, N - 1 + beta - alpha)
     grading = 1.0 / (1.0 + mu) if mu < 0.0 else 2.0
-    total, err, evaluations = _integrate_marks(integrand, _grid_marks(r, f, s_max), cusp=r, grading=grading)
-    total *= prefactor
-    err *= prefactor
+    values, errors, evaluations = _integrate_marks(integrand, _grid_marks(r, f, s_max), cusp=r, grading=grading)
+    total = prefactor * float(values.sum())
+    err = prefactor * float(errors.sum())
 
     if not compact:
         tail, tail_err = _tail_addon(kernel, f, r, s_max)
@@ -428,32 +455,61 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
     return tail, tail_err
 
 
-def newtonian_potential_radial(N: int, f: RadialProfile, r: float) -> float:
-    """Decaying solution u of -Laplace(u) = f for radial f, N >= 3.
+def newtonian_potential_radial(N: int, f: RadialProfile, r):
+    """Decaying solution u of -Laplace(u) = f for radial f, N >= 3, at a radius
+    r or at every radius of an array r, all from one sweep.
 
-    Layer-cake form: (N-2) u(r) = r^(2-N) int_0^r s^(N-1) f ds + int_r^inf s f ds,
-    integrated in one sweep as int_0^inf s^(N-1) max(r, s)^(2-N) f ds.
+    Layer-cake form: (N-2) u(r) = r^(2-N) M(r) + T(r), M(r) = int_0^r s^(N-1) f ds,
+    T(r) = int_r^inf s f ds.  The sweep integrates s^(N-1) f and s f between
+    the radii and octave marks 2^k max(A, 1)/100 up to s_end =
+    max(TRUNCATION_FACTOR max r, POTENTIAL_REACH max(A, 1)), the support
+    radius for compact f.  M is the forward cumulative sum of the segment
+    integrals, T their sum from the far end plus one _tail_addon past s_end.
+
+    Returns a float for a scalar r.  For an array r it returns a
+    ConvolutionResult whose value and error_estimate are arrays of r's shape,
+    the error bounds propagated from the segment errors and the tail's.
     Relates to convolve_radial with the pure power kernel (alpha = N-2,
     beta = 0) through the factor (N-2) * |S^(N-1)|.
     """
     if N < 3:
         raise InvalidDimension("decaying potentials need N >= 3")
-    if not 0.0 <= r < math.inf:
-        raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {r!r}")
+    radii = np.asarray(r, dtype=float)
+    if not np.all((radii >= 0.0) & (radii < math.inf)):
+        raise NonpositiveRadius(f"evaluation radii must be finite and nonnegative, got {r!r}")
     compact = f.support_radius is not None
     # with K(t) = t^(2-N), s^(N-1) K(s) f(s) = s f(s): the convolution tail
-    # is |S^(N-1)| times the layer-cake tail int_{s_max}^inf s f ds
+    # is |S^(N-1)| times the layer-cake tail int_{s_end}^inf s f ds
     newton = KernelParams(N, N - 2.0, 0.0)
     if not compact and detect_divergence(newton, f):
         raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
-    s_max = float(f.support_radius) if compact else TRUNCATION_FACTOR * max(r, f.scale, 1.0)
+    anchor = max(f.scale, 1.0)
+    s_end = (float(f.support_radius) if compact
+             else max(TRUNCATION_FACTOR * radii.max(initial=0.0), POTENTIAL_REACH * anchor))
 
-    r_in = min(r, s_max)
-    marks = sorted(set(_grid_marks(r_in / 2.0, f, r_in) + _grid_marks(r, f, s_max)))
-    layer_cake = _integrate_marks(lambda s, _: f.evaluate(s) * s ** (N - 1) * np.maximum(r, s) ** (2 - N), marks)[0]
-    if not compact:
-        layer_cake += _tail_addon(newton, f, r, s_max)[0] / unit_sphere_area(N)
-    return layer_cake / (N - 2)
+    octaves = anchor / 100.0 * 2.0 ** np.arange(math.ceil(math.log2(100.0 * s_end / anchor)))
+    marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
+
+    def integrand(s: np.ndarray, _) -> np.ndarray:
+        fs = f.evaluate(s)
+        return np.stack((fs * s ** (N - 1), fs * s))
+
+    (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, marks)
+    # int_{s_end}^inf s f ds and its error: the Newton convolution's tail at r = 0,
+    # where its far field is exact
+    tail = (0.0, 0.0) if compact else np.divide(_tail_addon(newton, f, 0.0, s_end), unit_sphere_area(N))
+    # M and T with their error bounds at every mark
+    mass, mass_err = (np.concatenate(([0.0], np.cumsum(v))) for v in (m_seg, m_err))
+    beyond, beyond_err = (np.concatenate((np.cumsum(v[::-1])[::-1], [0.0])) + w
+                          for v, w in zip((t_seg, t_err), tail))
+    i = np.searchsorted(marks, np.minimum(radii, s_end))
+    # M(0) = 0, so r = 0 may take any finite weight
+    weight = np.where(radii > 0.0, radii, 1.0) ** (2.0 - N)
+    u = (weight * mass[i] + beyond[i]) / (N - 2)
+    if u.ndim == 0:
+        return float(u)
+    err = (weight * mass_err[i] + beyond_err[i]) / (N - 2)
+    return ConvolutionResult(value=u, error_estimate=err, evaluations=evaluations)
 
 
 def ball_profile(r0: float) -> RadialProfile:

@@ -59,14 +59,17 @@ class KernelParams:
 
 def validate(params: KernelParams) -> None:
     """Reject kernels that are not locally integrable in dimension N."""
-    if not isinstance(params.N, (int, np.integer)) or params.N < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {params.N!r}")
-    if not (0.0 <= params.alpha <= params.N):
-        raise InvalidAlpha(f"alpha must lie in [0, {params.N}], got {params.alpha}")
-    if not (params.beta > params.alpha - params.N):
-        raise InvalidBeta(
-            f"beta must exceed alpha - N = {params.alpha - params.N}, got {params.beta}"
-        )
+    _validate_exponents(params.N, params.alpha, params.beta)
+
+
+def _validate_exponents(N, alpha: float, beta: float) -> None:
+    """validate on (N, alpha, beta) without building a KernelParams."""
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise InvalidDimension(f"dimension must be a positive integer, got {N!r}")
+    if not (0.0 <= alpha <= N):
+        raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
+    if not (beta > alpha - N):
+        raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N}, got {beta}")
 
 
 def _kernel_values(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:

@@ -471,6 +471,60 @@ def test_potential_table_matches_direct_quadrature():
         assert math.isclose(table(r), u_eval(params, r), rel_tol=1e-5)
 
 
+# u(0) = int_sqrt(A)^inf w^(-1.5) log(w)^0.3 dw for (N, gamma, tau, A) = (3, 2.5, 0.3, 10),
+# by mpmath quad at 30 digits
+SLOW_LOG_U0 = 1.5342122738476517
+
+
+def test_u_eval_at_origin_with_slow_log_decay():
+    """About 5 % of u(0) lies past s = 1e3 sqrt(A); a sweep that handed over to the
+    tail model there was 3.9e-5 off."""
+    assert abs(u_eval(AnsatzParams(3, 2.5, 0.3, 10.0), 0.0) - SLOW_LOG_U0) <= 1e-10
+
+
+def test_potential_table_nodes_match_closed_form():
+    """(N, gamma, tau) = (3, 3, 0): u = asinh(r/sqrt(A))/r, 1/sqrt(A) at r = 0, on every
+    node up to r = 1e9; error_estimate covers the worst node without being vacuous."""
+    params = AnsatzParams(N=3, gamma=3.0, tau=0.0, A=10.0)
+    table = PotentialTable(params, r_max=1e9)
+    root_a = math.sqrt(params.A)
+    radii = np.geomspace(1e-3 * root_a, 1e9, 480)
+    exact = np.concatenate(([1.0 / root_a], np.arcsinh(radii / root_a) / radii))
+    relerr = np.abs(table(np.concatenate(([0.0], radii))) - exact) / exact
+    assert relerr.max() <= 1e-12
+    assert relerr.max() <= table.error_estimate <= 1e-8
+
+
+def test_potential_table_error_estimate_covers_slow_log_decay():
+    table = PotentialTable(AnsatzParams(N=3, gamma=2.5, tau=0.3, A=10.0), r_max=1e6)
+    assert abs(table(0.0) - SLOW_LOG_U0) <= table.error_estimate * SLOW_LOG_U0
+    assert table.error_estimate <= 1e-8
+
+
+def test_potential_table_refuses_radii_past_r_max():
+    table = PotentialTable(AnsatzParams(N=3, gamma=2.5, tau=0.3, A=10.0), r_max=1e6)
+    assert math.isfinite(table(1e6))
+    for r in (1.01e6, np.array([0.0, 1.01e6])):
+        with pytest.raises(ParameterError):
+            table(r)
+
+
+def test_default_certificate_stays_inside_its_table(monkeypatch):
+    """verify_supersolution sizes r_max for its own outermost tail probe,
+    2 s_max at the last extension radius, which lands on r_max."""
+    reach = []
+    call = PotentialTable.__call__
+
+    def spy(self, r):
+        reach.append(float(np.max(r)) / self.r_max)
+        return call(self, r)
+
+    monkeypatch.setattr(PotentialTable, "__call__", spy)
+    case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
+    assert verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0).passed
+    assert max(reach) == 1.0
+
+
 class TestVerifySupersolution:
     def test_small_grid_certificate(self):
         kernel = KernelParams(3, 1.0, -1.5)

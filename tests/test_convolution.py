@@ -452,6 +452,24 @@ def test_graded_cusp_far_out_matches_mass_times_kernel(r):
     assert math.isclose(res.value, mass * eval_kernel(k, r), rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("f", [ball_profile(1.0), power_profile(2.0, -2.0)], ids=["ball", "critical"])
+def test_newtonian_potential_of_many_radii_matches_scalar_calls(f):
+    """One sweep over an array of radii gives each radius its scalar-call value."""
+    radii = np.array([0.0, 0.3, 1.0, 2.0, 7.5, 1e3, 1e5, 1e8])
+    res = newtonian_potential_radial(3, f, radii)
+    scalar = [newtonian_potential_radial(3, f, float(r)) for r in radii]
+    np.testing.assert_allclose(res.value, scalar, rtol=1e-12, atol=0.0)
+    assert np.all(res.error_estimate <= 1e-10 * res.value)
+
+
+def test_newtonian_potential_error_estimates_cover_ball_closed_form():
+    """Unit ball in R^3: u = 1/2 - r^2/6 inside, 1/(3r) outside."""
+    radii = np.array([0.0, 0.01, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3])
+    res = newtonian_potential_radial(3, ball_profile(1.0), radii)
+    exact = np.where(radii <= 1.0, 0.5 - radii ** 2 / 6.0, 1.0 / (3.0 * np.maximum(radii, 1.0)))
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+
+
 @pytest.mark.parametrize("kappa", [-1.5, -2.0, -3.0])
 def test_newtonian_oracle_on_the_critical_line(kappa):
     """sigma = 2 with kappa < -1 keeps int s f ds finite:
