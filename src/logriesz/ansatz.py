@@ -214,25 +214,29 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
 class PotentialTable:
     """Spline cache of the potential u on [0, r_max], exact at its nodes.
 
-    Interpolates log u against log(sqrt(A) + r) through 481 nodes, which one
-    newtonian_potential_radial sweep computes together.  error_estimate is
-    the largest relative error bound of a node value, from the sweep's
-    segment errors and its tail's; the cache only smooths between nodes.
-    Radii past r_max raise ParameterError.
+    Interpolates log u against x = log(sqrt(A) + r) through 481 nodes.  One
+    newtonian_potential_radial sweep computes u at the nodes and at the 480
+    midpoints in x of the node intervals.  error_estimate is the largest
+    relative error bound of those values, from the sweep's segment errors and
+    its tail's, plus the largest relative deviation of the spline from u at
+    the midpoints.  Radii past r_max raise ParameterError.
     """
 
     def __init__(self, params: AnsatzParams, r_max: float = 1e10):
         self.params = params
         self.r_max = float(r_max)
         root_a = math.sqrt(params.A)
-        radii = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, 480)))
-        nodes = newtonian_potential_radial(params.N, source_profile(params), radii)
-        if np.any(nodes.value <= 0.0):
+        nodes = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, 480)))
+        x = np.log(root_a + nodes)
+        x_mid = 0.5 * (x[:-1] + x[1:])
+        radii = np.concatenate((nodes, np.exp(x_mid) - root_a))
+        u = newtonian_potential_radial(params.N, source_profile(params), radii)
+        if np.any(u.value <= 0.0):
             raise ParameterError("potential must be positive")
-        self.error_estimate = float(np.max(nodes.error_estimate / nodes.value))
-        x = np.log(root_a + radii)
         self._root_a = root_a
-        self._spline = CubicSpline(x, np.log(nodes.value))
+        self._spline = CubicSpline(x, np.log(u.value[:len(nodes)]))
+        spline_dev = np.max(np.abs(np.exp(self._spline(x_mid)) / u.value[len(nodes):] - 1.0))
+        self.error_estimate = float(np.max(u.error_estimate / u.value) + spline_dev)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

@@ -363,10 +363,14 @@ def classify(params: ProblemParams) -> RegimeDecision:
 # ---------------------------------------------------------------------------
 # Golden summary table for the driven side.
 #
-# Each row mirrors one body row of the published exponent summary; the
-# instantiator returns concrete (p, q, beta, expected clause) tuples for a
-# given (N, alpha), or [] when the row is empty there (degenerate blocks at
-# alpha = 0 or alpha = 2, kernel validity, clause alpha-ranges).
+# Each entry of _TABLE_ROWS mirrors one body row of the published exponent
+# summary: (row id, description, expected verdict, instances).  For every
+# sampled alpha, instances(N, alpha, t1, tN, t2) returns the row's concrete
+# (p, q, beta, expected clause) tuples, or [] where the row is empty
+# (degenerate blocks at alpha = 0 or alpha = 2, clause alpha-ranges).  A beta
+# written as a window (lo, hi) stands for _beta_between(lo, hi, alpha, N), and
+# an empty window drops its tuple; so does any beta not above alpha - N, where
+# the kernel is not admissible.
 # ---------------------------------------------------------------------------
 
 
@@ -396,10 +400,6 @@ class TableRowRecord:
         }
 
 
-def _valid_beta(beta: float, alpha: float, N: int) -> bool:
-    return _gt(beta, alpha - N)
-
-
 def _beta_between(lo: float, hi: float, alpha: float, N: int) -> float | None:
     """Midpoint of (max(lo, alpha-N), hi), or None when empty."""
     lo = max(lo, alpha - N)
@@ -408,299 +408,82 @@ def _beta_between(lo: float, hi: float, alpha: float, N: int) -> float | None:
     return _mid(lo, hi)
 
 
-def _table_rows(N: int) -> list[tuple[int, str, str, Callable]]:
-    def a_le2(alpha):
-        return alpha <= 2.0
+def _small_q(t1: float) -> float:
+    return min(0.9, 0.6 * t1)
 
-    def a_lt2(alpha):
-        return alpha < 2.0
 
-    def a_ltN(alpha):
-        return alpha < N
-
-    rows: list[tuple[int, str, str, Callable]] = []
-
-    def r1(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and t1 > 1.0):
-            return []
-        return [(_mid(1.0, t1), 1.0, 0.0, "Thm2(ii)")]
-
-    rows.append((1, "1 <= p < t1, q > 0: nonexistence", "NotExists", r1))
-
-    def r2(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        beta = _beta_between(-2.0, -1.0, alpha, N)
-        if beta is None:
-            return []
-        return [(t1, tn / 2.0, beta, "Thm2(iv)")]
-
-    rows.append((2, "p = t1, q < tN: below the combined threshold", "NotExists", r2))
-
-    def r3(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        beta = _beta_between(-3.0, -2.0, alpha, N)
-        if beta is None:
-            return []
-        return [(t1, tn, beta, "Thm3(v)")]
-
-    rows.append((3, "p = t1, q = tN, beta < -2: existence", "Exists", r3))
-
-    def r4(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        out = [(t1, tn, 0.0, "Thm2(iii)")]
-        if 0.0 < alpha < 2.0:
-            beta = _beta_between(-2.0 + 1.0 / tn, -1.0, alpha, N)
-            if beta is not None:
-                out.append((t1, tn, beta, "Thm2(ix)"))
-        return out
-
-    rows.append((4, "p = t1, q = tN, beta > -2+1/q: nonexistence", "NotExists", r4))
-
-    def r5(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        beta = _beta_between(-2.0, -2.0 + 1.0 / tn, alpha, N)
-        if beta is None:
-            return []
-        return [(t1, tn, beta, "Table1-row2")]
-
-    rows.append((5, "p = t1, q = tN, -2 <= beta <= -2+1/q: open", "Open", r5))
-
-    def r6(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        out = [(t1, tn + 0.7, 0.0, "Thm2(iii)")]
-        if _valid_beta(-1.0, alpha, N):
-            out.append((t1, tn + 0.7, -1.0, "Thm2(iii)"))
-        return out
-
-    rows.append((6, "p = t1, q > tN, beta >= -1: nonexistence", "NotExists", r6))
-
-    def r7(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        beta = _beta_between(-3.0, -1.0, alpha, N)
-        if beta is None:
-            return []
-        return [(t1, tn + 0.7, beta, "Thm3(ii)")]
-
-    rows.append((7, "p = t1, q > tN, beta < -1: existence", "Exists", r7))
-
-    def r8(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        return [(_mid(t1, tn), t1, 0.0, "Thm2(iv)")]
-
-    rows.append((8, "t1 < p < tN, q <= t1: below combined threshold", "NotExists", r8))
-
-    def r9(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        p = _mid(t1, tn)
-        return [(p, t2 - p, 0.0, "Thm2(v)")]
-
-    rows.append((9, "t1 < p < tN, p+q = t2, beta above window: nonexistence", "NotExists", r9))
-
-    def r10(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        p = _mid(t1, tn)
-        out = [(p, t2 - p, -1.0 + 1.0 / (2.0 * t2), "Table1-row1")]
-        if _valid_beta(-1.0, alpha, N):
-            out.append((p, t2 - p, -1.0, "Table1-row1"))
-        return out
-
-    rows.append((10, "t1 < p < tN, p+q = t2, beta in open window", "Open", r10))
-
-    def r11(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        p = _mid(t1, tn)
-        beta = _beta_between(-3.0, -1.0, alpha, N)
-        if beta is None:
-            return []
-        return [(p, t2 - p, beta, "Thm3(iv)")]
-
-    rows.append((11, "t1 < p < tN, p+q = t2, beta < -1: existence", "Exists", r11))
-
-    def r12(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        p = _mid(t1, tn)
-        return [(p, t2 - p + 0.6, 0.0, "Thm3(i)")]
-
-    rows.append((12, "t1 < p < tN, p+q > t2: existence", "Exists", r12))
-
-    def r13(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_le2(alpha):
-            return []
-        if alpha > 0.0:
-            return [(tn, t1 / 2.0, 0.0, "Thm2(iv)")]
-        # at alpha = 0 the p = tN block collides with p = t1, whose
-        # equality clause would preempt for beta >= -1
-        beta = _beta_between(-2.0, -1.0, alpha, N)
-        if beta is None:
-            return []
-        return [(tn, t1 / 2.0, beta, "Thm2(iv)")]
-
-    rows.append((13, "p = tN, q < t1: below combined threshold", "NotExists", r13))
-
-    def r14(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_lt2(alpha):
-            return []
-        q = t1
-        s = tn + t1
-        hi = min(1.0 / q - 1.0, 1.0 / s - 1.0, -1.0)
-        beta = _beta_between(-2.0 + 1.0 / q, hi, alpha, N)
-        if beta is None:
-            return []
-        return [(tn, q, beta, "Thm2(viii)")]
-
-    rows.append((14, "p = tN, q = t1, beta > -2+1/q: nonexistence", "NotExists", r14))
-
-    def r15(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_le2(alpha) and alpha > 0.0):
-            return []
-        beta = _beta_between(-2.0, -2.0 + 1.0 / t1, alpha, N)
-        if beta is None:
-            return []
-        return [(tn, t1, beta, "Table1-row3")]
-
-    rows.append((15, "p = tN, q = t1, -2 <= beta <= -2+1/q: open", "Open", r15))
-
-    def r16(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_ltN(alpha) and alpha > 0.0):
-            return []
-        beta = _beta_between(-3.5, -2.0, alpha, N)
-        if beta is None:
-            return []
-        return [(tn, t1, beta, "Thm3(vi)")]
-
-    rows.append((16, "p = tN, q = t1, beta < -2: existence", "Exists", r16))
-
-    def r17(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if alpha <= 0.0:
-            return []
-        if approx_eq(alpha, float(N)):
-            return [(tn, t1 + 0.8, 1.0, "Thm4")]
-        return [(tn, t1 + 0.8, 0.0, "Thm3(i)")]
-
-    rows.append((17, "p = tN, q > t1, p+q > t2: existence (alpha up to N)", "Exists", r17))
-
-    def r18(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_ltN(alpha) and alpha > 0.0):
-            return []
-        return [(tn + t1 / 4.0, t1 / 2.0, 0.0, "Thm2(iv)")]
-
-    rows.append((18, "p > tN, q < t1, p+q < t2: nonexistence", "NotExists", r18))
-
-    def _small_q(t1):
-        return min(0.9, 0.6 * t1)
-
-    def r19(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_ltN(alpha):
-            return []
-        q = _small_q(t1)
-        return [(t2 - q, q, 0.0, "Thm2(v)")]
-
-    rows.append((19, "p > tN, q <= 1, p+q = t2, beta above window: nonexistence", "NotExists", r19))
-
-    def r20(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_ltN(alpha):
-            return []
-        q = _small_q(t1)
-        beta = _beta_between(-1.0, -1.0 + 1.0 / t2, alpha, N)
-        if beta is None:
-            return []
-        return [(t2 - q, q, beta, "Table1-row5")]
-
-    rows.append((20, "p > tN, q <= 1, p+q = t2, beta in open window", "Open", r20))
-
-    def r21(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not a_ltN(alpha):
-            return []
-        q = _small_q(t1)
-        out = [(t2, q, 0.0, "Table1-row6")]
-        beta = _beta_between(-3.5, -2.0, alpha, N)
-        if beta is not None:
-            out.append((t2, q, beta, "Table1-row6"))
-        return out
-
-    rows.append((21, "p > tN, q <= 1, p+q > t2: open", "Open", r21))
-
-    def r22(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_lt2(alpha) and t1 > 1.0):
-            return []
-        q = _mid(1.0, t1)
-        p = tn + (t1 - q) + 0.5
-        return [(p, q, 0.0, "Thm2(vi)")]
-
-    rows.append((22, "p > tN, 1 < q < t1: nonexistence", "NotExists", r22))
-
-    def r23(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_lt2(alpha) and t1 > 1.0):
-            return []
-        return [(tn + 1.0, t1, 0.0, "Thm2(vii)")]
-
-    rows.append((23, "p > tN, q = t1, beta > -1+1/q: nonexistence", "NotExists", r23))
-
-    def r24(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_lt2(alpha) and t1 > 1.0):
-            return []
-        out = [(tn + 1.0, t1, -1.0 + 1.0 / (2.0 * t1), "Table1-row4")]
-        if _valid_beta(-1.0, alpha, N):
-            out.append((tn + 1.0, t1, -1.0, "Table1-row4"))
-        return out
-
-    rows.append((24, "p > tN, q = t1, -1 <= beta <= -1+1/q: open", "Open", r24))
-
-    def r25(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if not (a_lt2(alpha) and t1 > 1.0):
-            return []
-        beta = _beta_between(-3.0, -1.0, alpha, N)
-        if beta is None:
-            return []
-        return [(tn + 1.0, t1, beta, "Thm3(iii)")]
-
-    rows.append((25, "p > tN, q = t1, beta < -1: existence", "Exists", r25))
-
-    def r26(alpha):
-        t1, tn, t2 = thresholds(N, alpha)
-        if approx_eq(alpha, float(N)):
-            return [(tn + 1.0, t1 + 0.8, 1.0, "Thm4")]
-        return [(tn + 1.0, t1 + 0.8, 0.0, "Thm3(i)")]
-
-    rows.append((26, "p > tN, q > t1, p+q > t2: existence (alpha up to N)", "Exists", r26))
-
-    return rows
+_TABLE_ROWS: tuple[tuple[int, str, str, Callable[..., list]], ...] = (
+    (1, "1 <= p < t1, q > 0: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(_mid(1.0, t1), 1.0, 0.0, "Thm2(ii)")] if alpha <= 2.0 and t1 > 1.0 else []),
+    (2, "p = t1, q < tN: below the combined threshold", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(t1, tn / 2.0, (-2.0, -1.0), "Thm2(iv)")] if alpha <= 2.0 else []),
+    (3, "p = t1, q = tN, beta < -2: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(t1, tn, (-3.0, -2.0), "Thm3(v)")] if alpha <= 2.0 else []),
+    (4, "p = t1, q = tN, beta > -2+1/q: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [] if alpha > 2.0 else [(t1, tn, 0.0, "Thm2(iii)")] + (
+         # Thm2(ix) needs alpha < 2; at alpha = 0, p = t1 = tN and Thm2(viii) preempts it
+         [(t1, tn, (-2.0 + 1.0 / tn, -1.0), "Thm2(ix)")] if 0.0 < alpha < 2.0 else [])),
+    (5, "p = t1, q = tN, -2 <= beta <= -2+1/q: open", "Open",
+     lambda N, alpha, t1, tn, t2: [(t1, tn, (-2.0, -2.0 + 1.0 / tn), "Table1-row2")] if 0.0 < alpha <= 2.0 else []),
+    (6, "p = t1, q > tN, beta >= -1: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(t1, tn + 0.7, 0.0, "Thm2(iii)"), (t1, tn + 0.7, -1.0, "Thm2(iii)")]
+     if alpha <= 2.0 else []),
+    (7, "p = t1, q > tN, beta < -1: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(t1, tn + 0.7, (-3.0, -1.0), "Thm3(ii)")] if alpha <= 2.0 else []),
+    (8, "t1 < p < tN, q <= t1: below combined threshold", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(_mid(t1, tn), t1, 0.0, "Thm2(iv)")] if 0.0 < alpha <= 2.0 else []),
+    (9, "t1 < p < tN, p+q = t2, beta above window: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(_mid(t1, tn), t2 - _mid(t1, tn), 0.0, "Thm2(v)")] if 0.0 < alpha <= 2.0 else []),
+    (10, "t1 < p < tN, p+q = t2, beta in open window", "Open",
+     lambda N, alpha, t1, tn, t2: [(_mid(t1, tn), t2 - _mid(t1, tn), -1.0 + 1.0 / (2.0 * t2), "Table1-row1"),
+                                   (_mid(t1, tn), t2 - _mid(t1, tn), -1.0, "Table1-row1")] if 0.0 < alpha <= 2.0 else []),
+    (11, "t1 < p < tN, p+q = t2, beta < -1: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(_mid(t1, tn), t2 - _mid(t1, tn), (-3.0, -1.0), "Thm3(iv)")]
+     if 0.0 < alpha <= 2.0 else []),
+    (12, "t1 < p < tN, p+q > t2: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(_mid(t1, tn), t2 - _mid(t1, tn) + 0.6, 0.0, "Thm3(i)")] if 0.0 < alpha <= 2.0 else []),
+    (13, "p = tN, q < t1: below combined threshold", "NotExists",
+     # at alpha = 0 the p = tN block collides with p = t1, whose
+     # equality clause would preempt for beta >= -1
+     lambda N, alpha, t1, tn, t2: [(tn, t1 / 2.0, 0.0 if alpha > 0.0 else (-2.0, -1.0), "Thm2(iv)")]
+     if alpha <= 2.0 else []),
+    (14, "p = tN, q = t1, beta > -2+1/q: nonexistence", "NotExists",
+     # Thm2(vii) and Thm2(v) (p+q = t2 here) preempt Thm2(viii) above 1/q - 1 and 1/(p+q) - 1
+     lambda N, alpha, t1, tn, t2: [(tn, t1, (-2.0 + 1.0 / t1, min(1.0 / t1 - 1.0, 1.0 / (tn + t1) - 1.0, -1.0)),
+                                    "Thm2(viii)")] if alpha < 2.0 else []),
+    (15, "p = tN, q = t1, -2 <= beta <= -2+1/q: open", "Open",
+     lambda N, alpha, t1, tn, t2: [(tn, t1, (-2.0, -2.0 + 1.0 / t1), "Table1-row3")] if 0.0 < alpha <= 2.0 else []),
+    (16, "p = tN, q = t1, beta < -2: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(tn, t1, (-3.5, -2.0), "Thm3(vi)")] if 0.0 < alpha < N else []),
+    (17, "p = tN, q > t1, p+q > t2: existence (alpha up to N)", "Exists",
+     # alpha = N is Theorem 4's family, whose kernel needs beta > 0
+     lambda N, alpha, t1, tn, t2: [] if alpha <= 0.0 else [
+         (tn, t1 + 0.8, 1.0, "Thm4") if approx_eq(alpha, float(N)) else (tn, t1 + 0.8, 0.0, "Thm3(i)")]),
+    (18, "p > tN, q < t1, p+q < t2: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(tn + t1 / 4.0, t1 / 2.0, 0.0, "Thm2(iv)")] if 0.0 < alpha < N else []),
+    (19, "p > tN, q <= 1, p+q = t2, beta above window: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(t2 - _small_q(t1), _small_q(t1), 0.0, "Thm2(v)")] if alpha < N else []),
+    (20, "p > tN, q <= 1, p+q = t2, beta in open window", "Open",
+     lambda N, alpha, t1, tn, t2: [(t2 - _small_q(t1), _small_q(t1), (-1.0, -1.0 + 1.0 / t2), "Table1-row5")]
+     if alpha < N else []),
+    (21, "p > tN, q <= 1, p+q > t2: open", "Open",
+     lambda N, alpha, t1, tn, t2: [(t2, _small_q(t1), 0.0, "Table1-row6"), (t2, _small_q(t1), (-3.5, -2.0), "Table1-row6")]
+     if alpha < N else []),
+    (22, "p > tN, 1 < q < t1: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(tn + (t1 - _mid(1.0, t1)) + 0.5, _mid(1.0, t1), 0.0, "Thm2(vi)")]
+     if alpha < 2.0 and t1 > 1.0 else []),
+    (23, "p > tN, q = t1, beta > -1+1/q: nonexistence", "NotExists",
+     lambda N, alpha, t1, tn, t2: [(tn + 1.0, t1, 0.0, "Thm2(vii)")] if alpha < 2.0 and t1 > 1.0 else []),
+    (24, "p > tN, q = t1, -1 <= beta <= -1+1/q: open", "Open",
+     lambda N, alpha, t1, tn, t2: [(tn + 1.0, t1, -1.0 + 1.0 / (2.0 * t1), "Table1-row4"), (tn + 1.0, t1, -1.0, "Table1-row4")]
+     if alpha < 2.0 and t1 > 1.0 else []),
+    (25, "p > tN, q = t1, beta < -1: existence", "Exists",
+     lambda N, alpha, t1, tn, t2: [(tn + 1.0, t1, (-3.0, -1.0), "Thm3(iii)")] if alpha < 2.0 and t1 > 1.0 else []),
+    (26, "p > tN, q > t1, p+q > t2: existence (alpha up to N)", "Exists",
+     # alpha = N as in row 17
+     lambda N, alpha, t1, tn, t2: [
+         (tn + 1.0, t1 + 0.8, 1.0, "Thm4") if approx_eq(alpha, float(N)) else (tn + 1.0, t1 + 0.8, 0.0, "Thm3(i)")]),
+)
 
 
 def emit_regime_table(N: int) -> list[TableRowRecord]:
@@ -713,12 +496,12 @@ def emit_regime_table(N: int) -> list[TableRowRecord]:
         raise ParameterError("the summary table is stated for N >= 3")
     alpha_samples = sorted({0.0, 0.5, 1.0, 1.5, 2.0, min(2.5, N - 0.5), N - 0.5, float(N)})
     records: list[TableRowRecord] = []
-    for row_id, description, expected_verdict, instantiate in _table_rows(N):
+    for row_id, description, expected_verdict, instances in _TABLE_ROWS:
         for alpha in alpha_samples:
-            if not (0.0 <= alpha <= N):
-                continue
-            for p, q, beta, expected_clause in instantiate(alpha):
-                if not _valid_beta(beta, alpha, N):
+            for p, q, beta, expected_clause in instances(N, alpha, *thresholds(N, alpha)):
+                if isinstance(beta, tuple):
+                    beta = _beta_between(*beta, alpha, N)
+                if beta is None or not _gt(beta, alpha - N):
                     continue
                 decision = classify_pplus(ProblemParams(
                     side=Side.PPLUS, N=N, p=float(p), q=float(q),

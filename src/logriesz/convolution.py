@@ -28,7 +28,7 @@ POTENTIAL_REACH max(A, 1)).  M is the forward cumulative sum of the segment
 integrals, T the sum from the far end plus one analytic tail past s_end.
 Both integrands are positive, so every radius keeps the relative accuracy of
 its segments; an octave is short enough for one G7-K15 panel to reach
-roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
+roundoff on a power-log integrand.  A table of 961 radii costs one sweep.
 
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
@@ -460,9 +460,9 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
     r or at every radius of an array r, all from one sweep.
 
     Layer-cake form: (N-2) u(r) = r^(2-N) M(r) + T(r), M(r) = int_0^r s^(N-1) f ds,
-    T(r) = int_r^inf s f ds.  The sweep integrates s^(N-1) f and s f between
-    the radii and octave marks 2^k max(A, 1)/100 up to s_end =
-    max(TRUNCATION_FACTOR max r, POTENTIAL_REACH max(A, 1)), the support
+    T(r) = int_r^inf s f ds.  The sweep integrates s^(N-1) f (up to max r, zero
+    beyond) and s f between the radii and octave marks 2^k max(A, 1)/100 up to
+    s_end = max(TRUNCATION_FACTOR max r, POTENTIAL_REACH max(A, 1)), the support
     radius for compact f.  M is the forward cumulative sum of the segment
     integrals, T their sum from the far end plus one _tail_addon past s_end.
 
@@ -490,9 +490,16 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
     octaves = anchor / 100.0 * 2.0 ** np.arange(math.ceil(math.log2(100.0 * s_end / anchor)))
     marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
 
+    r_top = radii.max(initial=0.0)
+
     def integrand(s: np.ndarray, _) -> np.ndarray:
         fs = f.evaluate(s)
-        return np.stack((fs * s ** (N - 1), fs * s))
+        # M is read at the radii only: past the largest, s^(N-1) f gets weight 0
+        # and s^(N-1), which may overflow there, is never formed
+        inner = s <= r_top
+        mass = np.zeros_like(fs)
+        mass[inner] = fs[inner] * s[inner] ** (N - 1)
+        return np.stack((mass, fs * s))
 
     (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, marks)
     # int_{s_end}^inf s f ds and its error: the Newton convolution's tail at r = 0,

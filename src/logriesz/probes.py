@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import integrate
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
 from .classifier import thm2_clause, thresholds
-from .convolution import RadialProfile, convolve_radial, unit_sphere_area
-from .errors import HypothesisViolated, ParameterError, QuadratureFailure
+from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
+from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
 
 
@@ -152,10 +151,10 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
     if R <= 0.0 or p <= 0.0:
         raise ParameterError("harnack_mass needs R > 0 and p > 0")
 
-    def integrand(s: float) -> float:
-        return float(u.evaluate(s)) ** p * s ** (N - 1)
+    def integrand(s: np.ndarray, _) -> np.ndarray:
+        return u.evaluate(s) ** p * s ** (N - 1)
 
-    # break at the support edge and decades so quad sees smooth pieces
+    # break at the support edge and decades so every segment is smooth
     marks = {0.0, R}
     if u.support_radius is not None and 0.0 < u.support_radius < R:
         marks.add(u.support_radius)
@@ -163,14 +162,9 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
     while d < R:
         marks.add(d)
         d *= 10.0
-    pts = sorted(marks)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, err = integrate.quad(integrand, a, b, limit=200)
-        if not np.isfinite(val):
-            raise QuadratureFailure(f"ball mass integral failed on [{a}, {b}]")
-        total += val
-    mass = unit_sphere_area(N) * total
+    # a non-finite integrand raises QuadratureFailure
+    segments, _, _ = _integrate_marks(integrand, sorted(marks))
+    mass = unit_sphere_area(N) * float(segments.sum())
     return HarnackMass(mass=mass, ratio=mass / R ** N, R=R)
 
 

@@ -501,6 +501,21 @@ def test_potential_table_error_estimate_covers_slow_log_decay():
     assert table.error_estimate <= 1e-8
 
 
+@pytest.mark.parametrize("params", [(3, 3.0, 0.0, 10.0), (3, 2.5, 0.3, 10.0), (5, 4.83, 0.0, 10.0),
+                                    (3, 3.0, -0.875, 10.0)])
+def test_potential_table_error_estimate_covers_the_spline_between_nodes(params):
+    """At 20,001 radii up to the certificate's r_max = 4e9, against asinh(r/sqrt(A))/r
+    for (3, 3, 0) and against a direct sweep over those radii otherwise."""
+    p = AnsatzParams(*params)
+    table = PotentialTable(p, r_max=4e9)
+    radii = np.geomspace(1e-3 * math.sqrt(p.A), 4e9, 20001)
+    if params == (3, 3.0, 0.0, 10.0):
+        exact = np.arcsinh(radii / math.sqrt(p.A)) / radii
+    else:
+        exact = newtonian_potential_radial(p.N, source_profile(p), radii).value
+    assert np.max(np.abs(table(radii) / exact - 1.0)) <= table.error_estimate
+
+
 def test_potential_table_refuses_radii_past_r_max():
     table = PotentialTable(AnsatzParams(N=3, gamma=2.5, tau=0.3, A=10.0), r_max=1e6)
     assert math.isfinite(table(1e6))

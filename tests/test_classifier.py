@@ -1,7 +1,9 @@
 """Verdict logic for the damped and driven inequalities."""
 
 import ast
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -262,3 +264,18 @@ class TestRegimeTable:
         for r in records:
             assert r.match == (r.expected_verdict == r.verdict and r.expected_clause == r.clause)
             assert isinstance(r.description, str) and r.description
+
+    @pytest.mark.parametrize("N, count, digest", [
+        (3, 125, "ddf4debedc56c5e9e05065195c926725f5373e15ff43f0460b0b335a0185405f"),
+        (4, 145, "293c8c90e8bab7358b174a18bdb650d64023e31e0c13de403e31feb305e90424"),
+        (5, 151, "3cd07787ee94d97cef30b0a869261f17ee836703a024c7d0b49a158abdc58c44"),
+        (6, 151, "a00a3ad2624d8e46393a7dab109d39b325ecbf37c54a4f8642a4d612b45074e1"),
+        (7, 151, "3c9a0c05a777f1ab82d42a96b9d3413b561670f244f012fccd8a1e1114a4c940"),
+        (8, 151, "6aa871c14b9a26ad40df671c8b5000adb2855ed7dfec1df884fd068cd91ad601"),
+    ])
+    def test_table_records_are_pinned(self, N, count, digest):
+        # every record's exact (alpha, p, q, beta), expectation and outcome, in order
+        records = emit_regime_table(N)
+        assert len(records) == count
+        blob = json.dumps([r.to_dict() for r in records])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -470,6 +470,14 @@ def test_newtonian_potential_error_estimates_cover_ball_closed_form():
     assert np.all(np.abs(res.value - exact) <= res.error_estimate)
 
 
+@pytest.mark.parametrize("N, sigma, r, mass", [(5, 6.0, 1e75, 0.02), (3, 4.0, 1e152, 1.0 / 30.0)])
+def test_newtonian_potential_near_overflow_is_its_far_field(N, sigma, r, mass):
+    """The sweep runs to 1e3 r, where s^(N-1) overflows; u(r) is the far field
+    M / ((N-2) r^(N-2)), M = int s^(N-1) (10 + s)^-sigma ds = B(N, sigma - N) 10^(N - sigma)."""
+    u = newtonian_potential_radial(N, power_profile(sigma, 0.0), r)
+    assert math.isclose(u, mass / ((N - 2) * r ** (N - 2)), rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("kappa", [-1.5, -2.0, -3.0])
 def test_newtonian_oracle_on_the_critical_line(kappa):
     """sigma = 2 with kappa < -1 keeps int s f ds finite:
