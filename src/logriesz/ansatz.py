@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .bounds import BoundKind, PredictedBound, _upper_ladder
 # ExistenceCase and choose_case_params live in the classifier; perfbench/workloads.py
@@ -120,6 +118,8 @@ def lambda_star(params: AnsatzParams) -> float:
     Equals 2 sup_r Lap(v)/v clipped at 0; grid scan plus bounded scalar
     refinement around the best of 400 grid points up to r = 1e8.
     """
+    from scipy.optimize import minimize_scalar
+
     root_a = math.sqrt(params.A)
 
     def h(r):
@@ -223,6 +223,8 @@ class PotentialTable:
     """
 
     def __init__(self, params: AnsatzParams, r_max: float = 1e10):
+        from scipy.interpolate import CubicSpline
+
         self.params = params
         self.r_max = float(r_max)
         root_a = math.sqrt(params.A)

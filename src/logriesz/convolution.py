@@ -10,9 +10,10 @@ and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
 is split at {r/2, r, 2r} plus geometric marks, truncated at
 TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
 computed from the profile's declared decay shape (one scipy quad in log
-coordinates).  Tails matter: on the critical line sigma = N - alpha a
-macroscopic fraction of the value comes from arbitrarily large s, so plain
-truncation would bias every critical-case result.
+coordinates; scipy is imported by the first such quad, not with this
+module).  Tails matter: on the critical line sigma = N - alpha a macroscopic
+fraction of the value comes from arbitrarily large s, so plain truncation
+would bias every critical-case result.
 
 The outer integral is one batched, globally adaptive Gauss-Kronrod (G7-K15)
 sweep over all segments: each round calls the integrand once, on the nodes
@@ -50,6 +51,7 @@ integrand in u is that constant to working precision, is added as one rectangle.
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import os
 from dataclasses import dataclass
@@ -57,8 +59,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma
 
 from .errors import (
     DivergentIntegral,
@@ -110,14 +110,45 @@ class ConvolutionResult:
     divergent: bool = False
 
 
+class _DeferredModule:
+    """Stands in for a module and imports it on first attribute access, so
+    that scipy loads only in the processes that reach a tail quad."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+integrate = _DeferredModule("scipy.integrate")
+
+# math.gamma(N / 2) overflows from N = 344 on.  Past _GAMMA_DIMENSION both
+# constants step up from the closed form at the largest dimension n0 of N's
+# parity below it, by S_n = 2 pi S_(n-2) / (n-2) and B_n = B_(n-2) (n-3) / (n-2):
+# lgamma differences would lose 2e-13 relative at N = 400.
+_GAMMA_DIMENSION = 340
+
+
+def _gamma_base(N: int) -> int:
+    return _GAMMA_DIMENSION - (N - _GAMMA_DIMENSION) % 2
+
+
 def unit_sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere in R^N (N >= 1; equals 2 for N = 1)."""
-    return 2.0 * math.pi ** (N / 2.0) / _gamma(N / 2.0)
+    """Surface measure of the unit sphere in R^N (N >= 1; equals 2 for N = 1);
+    subnormal from N = 439 and 0.0 from N = 456 on."""
+    if N <= _GAMMA_DIMENSION:
+        return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    n0 = _gamma_base(N)
+    return math.prod((2.0 * math.pi / (n - 2) for n in range(n0 + 2, N + 1, 2)), start=unit_sphere_area(n0))
 
 
 def colatitude_total(N: int) -> float:
     """B_N = int_0^pi sin(theta)^(N-2) dtheta for N >= 2."""
-    return math.sqrt(math.pi) * _gamma((N - 1) / 2.0) / _gamma(N / 2.0)
+    if N <= _GAMMA_DIMENSION:
+        return math.sqrt(math.pi) * math.gamma((N - 1) / 2.0) / math.gamma(N / 2.0)
+    n0 = _gamma_base(N)
+    return math.prod(((n - 3) / (n - 2) for n in range(n0 + 2, N + 1, 2)), start=colatitude_total(n0))
 
 
 # 16-point Gauss-Legendre nodes and weights on [0, 1]

@@ -5,6 +5,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +249,44 @@ def test_classifier_imports_only_the_decision_layer():
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert package <= {"errors", "kernel"}
     assert "logriesz" not in absolute
+
+
+def test_decision_commands_run_without_scipy(tmp_path):
+    """In a fresh process the README classify, table and ball-profile convolve
+    leave scipy unimported; the calls that need it then load it on demand."""
+    script = textwrap.dedent(f"""
+        import contextlib, io, math, sys
+        from logriesz import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        for argv in (
+            "classify --side P+ --N 3 --p 2 --q 4 --alpha 1 --beta -1.5",
+            "table --N 3",
+            "convolve --N 3 --alpha 1 --beta 0 --profile ball:1 --radii 1:1e3:7 --out {tmp_path / 'rows.csv'}",
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv.split()) in (0, 3, 4), argv
+        assert scipy_modules() == [], scipy_modules()
+
+        from logriesz import (AnsatzParams, KernelParams, PotentialTable, convolve_radial,
+                              lambda_star, power_profile)
+        res = convolve_radial(KernelParams(3, 1.0, 0.0), power_profile(4.0, 0.0), 2.0)
+        assert math.isfinite(res.value) and res.value > 0.0
+        assert "scipy.integrate" in sys.modules
+        params = AnsatzParams(3, 3.0, 0.0, 10.0)
+        assert lambda_star(params) >= 0.0
+        assert "scipy.optimize" in sys.modules
+        table = PotentialTable(params, r_max=1e4)
+        assert math.isclose(float(table(2.0)), math.asinh(2.0 / math.sqrt(10.0)) / 2.0, rel_tol=1e-6)
+        assert "scipy.interpolate" in sys.modules
+    """)
+    package_root = os.path.dirname(os.path.dirname(classifier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRegimeTable:

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -28,6 +29,7 @@ from logriesz import (
     unit_sphere_area,
     write_convolution_csv,
 )
+from logriesz import convolution
 from logriesz.convolution import _Offsets
 from logriesz.errors import NonpositiveRadius
 
@@ -45,6 +47,59 @@ def test_colatitude_total_matches_sine_integral():
     for N in (2, 3, 4, 5, 7):
         direct, _ = integrate.quad(lambda t, n=N: math.sin(t) ** (n - 2), 0.0, math.pi)
         assert math.isclose(colatitude_total(N), direct, rel_tol=1e-10)
+
+
+def _sphere_constant_errors(dimensions):
+    """Largest relative errors of unit_sphere_area and colatitude_total over
+    the dimensions, against 40-digit gamma ratios."""
+    area_err = colatitude_err = 0.0
+    with mp.workdps(40):
+        for N in dimensions:
+            half = mp.mpf(N) / 2
+            area = 2 * mp.pi ** half / mp.gamma(half)
+            area_err = max(area_err, float(abs(unit_sphere_area(N) - area) / area))
+            if N >= 2:
+                total = mp.sqrt(mp.pi) * mp.gamma(half - mp.mpf(1) / 2) / mp.gamma(half)
+                colatitude_err = max(colatitude_err, float(abs(colatitude_total(N) - total) / total))
+    return area_err, colatitude_err
+
+
+def test_sphere_constants_match_mpmath_past_the_gamma_range():
+    """math.gamma(N / 2) overflows from N = 344 on; both constants stay finite
+    and accurate there (the area may underflow to 0.0, from N = 456)."""
+    assert max(_sphere_constant_errors(range(1, 41))) <= 1e-15
+    assert max(_sphere_constant_errors(range(41, 401))) <= 1e-13
+    dimensions = list(range(401, 10_001, 97)) + [9_999, 10_000]
+    assert _sphere_constant_errors(dimensions)[1] <= 1e-10
+    assert unit_sphere_area(10_000) == 0.0
+
+
+def test_convolution_in_high_dimension_stays_finite():
+    """Past the math.gamma range the prefactors stay finite and nonzero (not an
+    OverflowError).  Only finiteness is checked: the value is not accurate at
+    this N (the constant kernel reads the ball volume 6 % high)."""
+    res = convolve_radial(KernelParams(400, 1.0, 0.0), ball_profile(1.0), 2.0)
+    assert math.isfinite(res.value) and res.value > 0.0
+    assert math.isfinite(res.error_estimate)
+
+
+def test_tail_quad_goes_through_the_module_handle(monkeypatch):
+    """The analytic tail calls quad as convolution.integrate.quad, the name
+    the benchmark tracer swaps to count quad calls."""
+    calls = []
+    quad = convolution.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(convolution, "integrate", SimpleNamespace(quad=counting_quad))
+    res = convolve_radial(NEWTONIAN, power_profile(4.0, 0.0), 2.0)
+    assert len(calls) == 1 and calls[0][1] == math.inf
+    assert math.isfinite(res.value)
+    calls.clear()
+    convolve_radial(NEWTONIAN, ball_profile(1.0), 2.0)
+    assert calls == []
 
 
 def test_angular_factor_newtonian_closed_form():
