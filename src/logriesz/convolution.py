@@ -9,17 +9,17 @@ K(t) = t^(-alpha) log(1+t)^beta reduces to
 and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
 is split at {r/2, r, 2r} plus geometric marks, truncated at
 TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
-computed from the profile's declared decay shape (one scipy quad in log
-coordinates; scipy is imported by the first such quad, not with this
-module).  Tails matter: on the critical line sigma = N - alpha a macroscopic
-fraction of the value comes from arbitrarily large s, so plain truncation
-would bias every critical-case result.
+computed from the profile's declared decay shape, integrated in
+t = log s_max / log s.  Tails matter: on the critical line sigma = N - alpha
+a macroscopic fraction of the value comes from arbitrarily large s, so plain
+truncation would bias every critical-case result.
 
-The outer integral is one batched, globally adaptive Gauss-Kronrod (G7-K15)
-sweep over all segments: each round calls the integrand once, on the nodes
-of every new panel.  Panel errors are QUADPACK's, including its roundoff
-floor 50 eps int |f|, so an error estimate never claims more than double
-precision delivers; the sweep stops at REL_TOL relative error.
+The outer integral and the tail are each one batched, globally adaptive
+Gauss-Kronrod (G7-K15) sweep over their segments: each round calls the
+integrand once, on the nodes of every new panel.  Panel errors are
+QUADPACK's, including its roundoff floor 50 eps int |f|, so an error
+estimate never claims more than double precision delivers; the sweep stops
+at REL_TOL relative error.
 
 The Newtonian potential takes the layer-cake form (N-2) u(r) = r^(2-N) M(r)
 + T(r), with M(r) = int_0^r s^(N-1) f ds and T(r) = int_r^inf s f ds.  One
@@ -33,7 +33,8 @@ roundoff on a power-log integrand.  A table of 961 radii costs one sweep.
 
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
-16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s), with
+16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s) (at
+least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs), with
 the endpoint factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made
 smooth by t = endpoint -+ h u^2; the panels of all s form one ragged batch.
 
@@ -50,8 +51,8 @@ integrand in u is that constant to working precision, is added as one rectangle.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import importlib
 import math
 import os
 from dataclasses import dataclass
@@ -110,18 +111,14 @@ class ConvolutionResult:
     divergent: bool = False
 
 
-class _DeferredModule:
-    """Stands in for a module and imports it on first attribute access, so
-    that scipy loads only in the processes that reach a tail quad."""
+def __getattr__(name: str):
+    """convolution.integrate is scipy.integrate, imported on access (perfbench's
+    tracer wraps its quad); nothing in the package calls it."""
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate
+    return integrate
 
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
-
-
-integrate = _DeferredModule("scipy.integrate")
 
 # math.gamma(N / 2) overflows from N = 344 on.  Past _GAMMA_DIMENSION both
 # constants step up from the closed form at the largest dimension n0 of N's
@@ -206,8 +203,8 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a
     product of factors of at most 2, so no r s is formed to under- or
     overflow.  At s == r the geometric panels start at min(r, 1) and
-    _angular_origin_panel adds the rest.  Offsets so small that K overflows
-    give inf, which convolve_radial reports as a QuadratureFailure.
+    _angular_origin_panel adds the rest.  Where K overflows at offsets next
+    to the cusp (alpha > 7 or so), K tau sin(theta)^(N-3) is formed in logs.
     """
     if r == 0.0:
         return colatitude_total(N) * _kernel_values(s, alpha, beta)
@@ -215,9 +212,10 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     diagonal = d == 0.0
     t0 = np.where(diagonal, np.minimum(M, 1.0), d)
     spread = abs(beta) / _LOG_SPREAD
+    least = max(1.0, math.ceil((N - 3) / 8.0))
     n = np.maximum(np.ceil(np.maximum((np.log(M) - np.log(t0)) / _LOG_RATIO,
-                                      spread * (np.log(np.log1p(M)) - np.log(np.log1p(t0))))), ~diagonal)
-    n_last = np.maximum(np.ceil(spread * (np.log(np.log1p(D)) - np.log(np.log1p(M)))), 1.0)
+                                      spread * (np.log(np.log1p(M)) - np.log(np.log1p(t0))))), least * ~diagonal)
+    n_last = np.maximum(np.ceil(spread * (np.log(np.log1p(D)) - np.log(np.log1p(M)))), least)
     # panel k < n spans the offsets x_k..x_(k+1) from d, x_k = t0 (M/t0)^(k/n) - d;
     # panel k >= n spans m / n_last [j, j + 1] from D, j = n + n_last - 1 - k
     counts = (n + n_last).astype(np.int64)
@@ -241,7 +239,11 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
         vals = _kernel_values(t, alpha, beta) * tau
         if N != 3:
             nu = o * (sign / (2.0 * m))
-            vals *= (nu * (1.0 - nu) * (tau + d / M) * (tau + D / M)) ** ((N - 3) / 2.0)
+            q = nu * (1.0 - nu) * (tau + d / M) * (tau + D / M)
+            vals *= q ** ((N - 3) / 2.0)
+            if (over := ~np.isfinite(vals)).any():
+                t_o = t[over]
+                vals[over] = np.exp(beta * np.log(np.log1p(t_o)) - alpha * np.log(t_o) + np.log(tau[over]) + (N - 3) / 2.0 * np.log(q[over]))
     panel = np.where(squared, (2.0 * _GL_U * _GL_W) @ vals, _GL_W @ vals) * (np.abs(h) / m)
     out = np.add.reduceat(panel, starts)
     if diagonal.any():
@@ -286,20 +288,25 @@ def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
 
 
 def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float, R: float) -> tuple[float, float]:
-    """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds in log coordinates."""
-    N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
+    """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds for R > 1.
 
-    def log_shifted(x: float, c: float) -> float:
-        # log(c + e^x) without overflow
-        return x + math.log1p(c * math.exp(-x)) if x > 40.0 else math.log(c + math.exp(x))
+    One sweep in t = log R / x on (0, 1], x = log s, that never forms s:
+    log(A+s) = x + log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the
+    integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
+    with m = -1/(1+beta+kappa), at least 1/4 so that _CUSP_SLAB^(1/m) stays a normal
+    float.  The octave marks 2^-10..1 keep the A e^-x correction, which lives near
+    t = 1, out of that graded segment."""
+    L, gap, beta = math.log(R), kernel.N - kernel.alpha - sigma, kernel.beta
 
-    def g(x: float) -> float:
-        la = log_shifted(x, A)
-        out = math.exp((N - alpha) * x - sigma * la) * la ** kappa
-        # log(1 + s)^0 = 1: the potential's tail (beta = 0) skips the second log
-        return out * log_shifted(x, 1.0) ** beta if beta else out
+    def integrand(t: np.ndarray, _) -> np.ndarray:
+        x = L / t
+        a, b = np.log1p(A * np.exp(-x)), np.log1p(np.exp(-x))
+        with np.errstate(over="ignore"):  # a tail past the float range fails the sweep
+            return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (L / t ** 2)
 
-    return integrate.quad(g, math.log(R), math.inf, epsabs=0.0, epsrel=1e-10, limit=400)[:2]
+    grading = max(0.25, -1.0 / (1.0 + beta + kappa)) if gap == 0.0 else 1.0
+    values, errors, _ = _integrate_marks(integrand, [0.0, *2.0 ** np.arange(-10.0, 1.0)], grading=grading)
+    return float(values.sum()), float(errors.sum())
 
 
 def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
@@ -331,7 +338,7 @@ _EPS = np.finfo(float).eps
 
 
 # Inside |s - cusp| < _CUSP_SLAB |h| the graded integrand is its limit to
-# O(_CUSP_SLAB^-mu); outside, no offset is small enough to overflow K.
+# O(_CUSP_SLAB^-mu); outside, the sweep evaluates it at the exact offsets.
 _CUSP_SLAB = 1e-40
 
 
@@ -595,17 +602,9 @@ def convolution_rows(
 
 def write_convolution_csv(out, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
     """Write convolution_rows output as r,value,error_estimate (17 significant digits)."""
-    close = False
-    if isinstance(out, (str, bytes, os.PathLike)):
-        handle = open(out, "w", newline="")
-        close = True
-    else:
-        handle = out
-    try:
+    path = isinstance(out, (str, bytes, os.PathLike))
+    with open(out, "w", newline="") if path else contextlib.nullcontext(out) as handle:
         writer = csv.writer(handle)
         writer.writerow(["r", "value", "error_estimate"])
         for r, res in rows:
             writer.writerow([format(r, ".17g"), format(res.value, ".17g"), format(res.error_estimate, ".17g")])
-    finally:
-        if close:
-            handle.close()

@@ -252,8 +252,9 @@ def test_classifier_imports_only_the_decision_layer():
 
 
 def test_decision_commands_run_without_scipy(tmp_path):
-    """In a fresh process the README classify, table and ball-profile convolve
-    leave scipy unimported; the calls that need it then load it on demand."""
+    """In a fresh process the README classify, table and ball-profile convolve,
+    and a power-profile convolve with its analytic tail, leave scipy
+    unimported; lambda_star and PotentialTable then load it on demand."""
     script = textwrap.dedent(f"""
         import contextlib, io, math, sys
         from logriesz import cli
@@ -274,7 +275,7 @@ def test_decision_commands_run_without_scipy(tmp_path):
                               lambda_star, power_profile)
         res = convolve_radial(KernelParams(3, 1.0, 0.0), power_profile(4.0, 0.0), 2.0)
         assert math.isfinite(res.value) and res.value > 0.0
-        assert "scipy.integrate" in sys.modules
+        assert scipy_modules() == [], scipy_modules()
         params = AnsatzParams(3, 3.0, 0.0, 10.0)
         assert lambda_star(params) >= 0.0
         assert "scipy.optimize" in sys.modules

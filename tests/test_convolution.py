@@ -1,8 +1,11 @@
 """Radial convolution quadrature against closed forms and independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -83,23 +86,30 @@ def test_convolution_in_high_dimension_stays_finite():
     assert math.isfinite(res.error_estimate)
 
 
-def test_tail_quad_goes_through_the_module_handle(monkeypatch):
-    """The analytic tail calls quad as convolution.integrate.quad, the name
-    the benchmark tracer swaps to count quad calls."""
-    calls = []
-    quad = convolution.integrate.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(convolution, "integrate", SimpleNamespace(quad=counting_quad))
-    res = convolve_radial(NEWTONIAN, power_profile(4.0, 0.0), 2.0)
-    assert len(calls) == 1 and calls[0][1] == math.inf
-    assert math.isfinite(res.value)
-    calls.clear()
-    convolve_radial(NEWTONIAN, ball_profile(1.0), 2.0)
-    assert calls == []
+def test_tails_run_with_scipy_integrate_blocked():
+    """The analytic tails run on the package's own sweep: in a fresh process
+    where importing scipy.integrate fails, a power-profile convolution, an
+    array potential and the case 2 certificate still compute.
+    convolution.integrate, which perfbench's tracer wraps, still resolves."""
+    script = textwrap.dedent("""
+        import math, sys
+        sys.modules["scipy.integrate"] = None
+        import numpy as np
+        from logriesz import (KernelParams, choose_case_params, convolve_radial,
+                              newtonian_potential_radial, power_profile, verify_supersolution)
+        res = convolve_radial(KernelParams(3, 1.0, 0.0), power_profile(4.0, 0.0), 2.0)
+        assert math.isfinite(res.value) and res.value > 0.0, res
+        pot = newtonian_potential_radial(3, power_profile(2.5, 0.3), np.array([0.0, 2.0, 1e3]))
+        assert np.all(np.isfinite(pot.value)) and np.all(pot.value > 0.0), pot
+        case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
+        report = verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0)
+        assert report.passed and math.isclose(report.S, 74.3588398561505, rel_tol=1e-12), report.S
+    """)
+    package_root = os.path.dirname(os.path.dirname(convolution.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert convolution.integrate.quad is integrate.quad
 
 
 def test_angular_factor_newtonian_closed_form():
@@ -539,3 +549,72 @@ def test_newtonian_oracle_on_the_critical_line(kappa):
     u(0) = int_10^inf (w - 10) w^-2 log^kappa w dw = ln(10)^(1+kappa)/(-1-kappa) - 10 Gamma(1+kappa, ln 10)."""
     exact = mp.log(10) ** (1 + kappa) / (-1 - kappa) - 10 * mp.gammainc(1 + kappa, mp.log(10))
     assert math.isclose(newtonian_potential_radial(3, power_profile(2.0, kappa), 0.0), float(exact), rel_tol=1e-10)
+
+
+def _tail_oracle(N, alpha, beta, sigma, kappa, A, R):
+    """int_R^inf (A+s)^-sigma log(A+s)^kappa s^(N-1) K(s) ds in 30 digits: mpmath in
+    x = log s on [log R, 300], and past x = 300, where A e^-x < 1e-128, the closed form
+    of int x^k e^(gap x) dx, k = beta + kappa, gap = N - alpha - sigma.  mpmath's quad
+    stops on an absolute error, so the head is integrated relative to its value at log R."""
+    gap, k = N - alpha - sigma, mp.mpf(beta) + kappa
+    with mp.workdps(30):
+        def g(x):
+            a, b = mp.log1p(A * mp.exp(-x)), mp.log1p(mp.exp(-x))
+            return mp.exp(gap * x - sigma * a) * (x + a) ** kappa * (x + b) ** beta
+        L = mp.log(R)
+        breaks = [L + 2 ** j - 1 for j in range(9) if L + 2 ** j - 1 < 300] + [300]
+        scale = g(L)
+        head = scale * mp.quad(lambda x: g(x) / scale, breaks)
+        if gap == 0.0:
+            return head + mp.mpf(300) ** (k + 1) / -(k + 1)
+        return head + mp.gammainc(k + 1, -gap * 300) / mp.mpf(-gap) ** (k + 1)
+
+
+@pytest.mark.parametrize("N, alpha, beta, sigma, kappa, A, R", [
+    # critical line sigma = N - alpha, 1 + beta + kappa in {-0.005, -0.3, -1}
+    (3, 1.0, 0.0, 2.0, -1.005, 10.0, 1e4),
+    (4, 1.5, 0.4, 2.5, -1.7, 3.0, 1e6),
+    (5, 2.5, -0.5, 2.5, -1.5, 20.0, 1e9),
+    (5, 0.5, 1.0, 4.5, -2.005, 2.0, 1e7),
+    (3, 2.5, -0.2, 0.5, -1.1, 13.0, 1e9),
+    (4, 3.0, 2.0, 1.0, -4.0, 6.0, 1e5),
+    # the A e^-x correction near t = 1 that a single graded segment [0, 1] misses by 1.7e-8
+    (3, 1.0, 0.0, 2.0, -1.005, 13.0, 5.09e5),
+    # off the line: gap = N - alpha - sigma in {-0.01, -2}
+    (3, 1.0, 0.5, 2.01, -1.2, 10.0, 1e4),
+    (4, 2.0, -0.3, 4.0, 0.7, 3.0, 1e6),
+    (5, 1.5, 1.5, 3.51, 2.0, 20.0, 1e9),
+    (3, 0.5, 0.0, 4.5, -0.5, 2.0, 1e8),
+    # the potential's tails: beta = 0, R = 1e9 sqrt(A)
+    (3, 1.0, 0.0, 2.5, 0.3, math.sqrt(10.0), 1e9 * math.sqrt(10.0)),
+    (5, 3.0, 0.0, 2.0, -1.5, 10.0, 1e9 * math.sqrt(10.0)),
+])
+def test_tail_integral_matches_mpmath(N, alpha, beta, sigma, kappa, A, R):
+    value, estimate = convolution._tail_integral_1d(KernelParams(N, alpha, beta), sigma, kappa, A, R)
+    exact = _tail_oracle(N, alpha, beta, sigma, kappa, A, R)
+    error = abs(float((value - exact) / exact))
+    assert error <= 1e-12, error
+    assert error * value <= estimate + 1e-13 * value, (error, estimate / value)
+
+
+@pytest.mark.parametrize("N", [20, 50, 200])
+def test_angular_factor_of_constant_kernel_in_high_dimension(N):
+    """With K = 1 the colatitude integral is B_N at every s: the panels have to
+    resolve the weight sin(theta)^(N-3), which narrows as N grows."""
+    s = np.array([1e-3, 0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 10.0, 1e3])
+    got = angular_factor(N, 2.0, s, KernelParams(N, 0.0, 0.0))
+    assert np.allclose(got, colatitude_total(N), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [50, 200])
+def test_constant_kernel_ball_volume_in_high_dimension(N):
+    res = convolve_radial(KernelParams(N, 0.0, 0.0), ball_profile(1.0), 2.0)
+    assert math.isclose(res.value, unit_sphere_area(N) / N, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("N", [10, 20, 50])
+def test_newtonian_potential_at_the_ball_edge_in_high_dimension(N):
+    """At r = 1 the cusp slab reaches offsets |s - r| ~ 1e-40, where t^(2-N)
+    overflows for N >= 10; the angular rule forms the product in logs there."""
+    res = convolve_radial(KernelParams(N, N - 2.0, 0.0), ball_profile(1.0), 1.0)
+    assert math.isclose(res.value, unit_sphere_area(N) / N, rel_tol=1e-12)
