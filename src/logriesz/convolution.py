@@ -40,13 +40,18 @@ smooth by t = endpoint -+ h u^2; the panels of all s form one ragged batch.
 
 The cusp at s = r: there the t-integrand behaves like t^(N-2+beta-alpha), so
 angular(r, r) is finite only when beta > alpha - N + 1 (angular_factor
-returns inf below that line), and the outer integrand behaves like |s - r|^mu,
-mu = min(0, N-1+beta-alpha) > -1.  The two segments that touch r are graded,
-s = r -+ h u^m with m = 1/(1+mu) (m = 2 when mu = 0), which makes the
-integrand tend to a constant in u.  Their offsets h u^m reach the angular rule
-exactly: as mu nears -1 much of the value lies at |s - r| far below the
-spacing of floats around r.  The innermost slab |s - r| < 1e-40 h, where the
-integrand in u is that constant to working precision, is added as one rectangle.
+returns inf below that line).  Near r the outer integrand is c0 + c1 |s - r|^e,
+e = N-1+beta-alpha > -1, with c1 log|s - r| in place of the power at e = 0.  The
+two segments that touch r are graded, s = r -+ h u^m, with the least m that
+turns each term into an integer power of u or one of order u^3 or higher, so no
+panel chain bisects towards u = 0: m = max(1, ceil(4/(1+e))) for e >= 0 (4 at
+the log cusp, 1 from e = 3 on), and m = k/(1+e) for e < 0, with the least
+integer k that makes m an integer or at least 4 (k = 1 at e = -1/2 or -3/4).
+Their offsets h u^m reach the angular rule exactly: as e nears -1 much of the
+value lies at |s - r| far below the spacing of floats around r.  The innermost
+slab |s - r| < 1e-40 h is added as one rectangle, exact in the limit where the
+integrand in u tends to a constant (k = 1); where k > 1, 1 + e > 1/4 and the
+slab holds under 1e-10 of the c1 term.
 """
 
 from __future__ import annotations
@@ -265,6 +270,18 @@ def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
     return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g))
 
 
+def _times_shell(fs: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
+    """fs s^(N-1), formed in logs where s^(N-1) overflows (0 there where fs is 0)."""
+    with np.errstate(over="ignore"):
+        shell = s ** (N - 1)
+    far = np.isinf(shell)
+    out = fs * np.where(far, 0.0, shell)
+    if far.any():
+        with np.errstate(divide="ignore"):
+            out[far] = np.exp(np.log(fs[far]) + (N - 1) * np.log(s[far]))
+    return out
+
+
 def _tail_gap(kernel: KernelParams, sigma: float, kappa: float) -> float | None:
     """Power gap N - alpha - sigma of int_r^inf s^(N-1) K(s) f(s) ds for f ~ s^-sigma
     log^kappa s: the tail ~ r^gap log^(beta+kappa) r for gap < 0, and on the critical
@@ -295,7 +312,9 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
     integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
     with m = -1/(1+beta+kappa), at least 1/4 so that _CUSP_SLAB^(1/m) stays a normal
     float.  The octave marks 2^-10..1 keep the A e^-x correction, which lives near
-    t = 1, out of that graded segment."""
+    t = 1, out of that graded segment.  Off the line, gap < 0, the integrand lives
+    within a few 1/(|gap| L) below t = 1; the marks follow that scale, and the
+    segment [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
     L, gap, beta = math.log(R), kernel.N - kernel.alpha - sigma, kernel.beta
 
     def integrand(t: np.ndarray, _) -> np.ndarray:
@@ -304,8 +323,15 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
         with np.errstate(over="ignore"):  # a tail past the float range fails the sweep
             return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (L / t ** 2)
 
-    grading = max(0.25, -1.0 / (1.0 + beta + kappa)) if gap == 0.0 else 1.0
-    values, errors, _ = _integrate_marks(integrand, [0.0, *2.0 ** np.arange(-10.0, 1.0)], grading=grading)
+    if gap == 0.0:
+        grading, marks = max(0.25, -1.0 / (1.0 + beta + kappa)), [0.0, *2.0 ** np.arange(-10.0, 1.0)]
+    else:
+        # in y = 1/t - 1 the integrand decays like e^(-y/d), d = 1/(|gap| L): marks at
+        # y = d 2^j up to 32 d and the octaves y = 2^k - 1 below that take one round
+        d, octaves = -1.0 / (gap * L), 2.0 ** np.arange(1.0, 11.0) - 1.0
+        y = np.union1d(d * 2.0 ** np.arange(6.0), octaves[octaves < 32.0 * d])
+        grading, marks = 1.0, [0.0, *1.0 / (1.0 + y[::-1]), 1.0]
+    values, errors, _ = _integrate_marks(integrand, marks, grading=grading)
     return float(values.sum()), float(errors.sum())
 
 
@@ -449,7 +475,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
         prefactor = unit_sphere_area(N - 1)
 
         def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
-            return f.evaluate(s) * s ** (N - 1) * angular_factor(N, r, _Offsets(s, delta), kernel)
+            return _times_shell(f.evaluate(s), s, N) * angular_factor(N, r, _Offsets(s, delta), kernel)
 
     else:
         prefactor = 1.0
@@ -457,9 +483,11 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
         def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
             return f.evaluate(s) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, r + s))
 
-    # the outer integrand behaves like |s - r|^mu at the cusp
-    mu = min(0.0, N - 1 + beta - alpha)
-    grading = 1.0 / (1.0 + mu) if mu < 0.0 else 2.0
+    # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);
+    # the least grading m that turns each term into an integer power of u or u^3 or higher
+    e = N - 1 + beta - alpha
+    grading = (max(1, math.ceil(4.0 / (1.0 + e))) if e >= 0.0 else
+               next(m for m in (k / (1.0 + e) for k in range(1, 5)) if m.is_integer() or m >= 4.0))
     values, errors, evaluations = _integrate_marks(integrand, _grid_marks(r, f, s_max), cusp=r, grading=grading)
     total = prefactor * float(values.sum())
     err = prefactor * float(errors.sum())
@@ -536,7 +564,7 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
         # and s^(N-1), which may overflow there, is never formed
         inner = s <= r_top
         mass = np.zeros_like(fs)
-        mass[inner] = fs[inner] * s[inner] ** (N - 1)
+        mass[inner] = _times_shell(fs[inner], s[inner], N)
         return np.stack((mass, fs * s))
 
     (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, marks)

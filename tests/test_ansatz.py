@@ -39,6 +39,7 @@ from logriesz import (
     verify_supersolution,
     w_eval,
 )
+from logriesz import ansatz
 from logriesz.ansatz import _powered_spec
 from logriesz.kernel import _gt, _lt
 
@@ -538,6 +539,32 @@ def test_default_certificate_stays_inside_its_table(monkeypatch):
     case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
     assert verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0).passed
     assert max(reach) == 1.0
+
+
+@pytest.mark.parametrize("case_id, N, alpha, beta, p, q, most, exact", [
+    # alpha = N: e = N - 1 + beta - alpha = 0, a log cusp graded with u^4
+    # (83,445 evaluations with the u^2 grading)
+    ("T4-2", 3, 3.0, 1.0, 4.0, 1.0, 60_000, False),
+    # e = -1/2 keeps its u^2 grading, so its count stays exact
+    ("2", 3, 1.0, -1.5, 2.0, 4.0, 35_055, True),
+])
+def test_certificate_convolution_work(monkeypatch, case_id, N, alpha, beta, p, q, most, exact):
+    """Integrand evaluations summed over one certificate's convolutions: a
+    deterministic work counter, so a cusp grading that falls back to a bisection
+    chain shows up without a timer."""
+    evaluations = []
+    convolve = ansatz.convolve_radial
+
+    def counted(*args):
+        res = convolve(*args)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(ansatz, "convolve_radial", counted)
+    case = choose_case_params(case_id, N, alpha, beta, p, q)
+    assert verify_supersolution(case, KernelParams(N, alpha, beta), p, q).passed
+    total = sum(evaluations)
+    assert total == most if exact else total <= most, total
 
 
 class TestVerifySupersolution:
