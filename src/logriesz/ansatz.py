@@ -34,6 +34,7 @@ from .classifier import ExistenceCase, choose_case_params
 from .convolution import (
     TRUNCATION_FACTOR,
     RadialProfile,
+    _layer_cake,
     convolve_radial,
     newtonian_potential_radial,
 )
@@ -115,33 +116,24 @@ def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
 def lambda_star(params: AnsatzParams) -> float:
     """Smallest lam with -Lap(v) + (lam/2) v >= 0 everywhere.
 
-    Equals 2 sup_r Lap(v)/v clipped at 0; grid scan plus bounded scalar
-    refinement around the best of 400 grid points up to r = 1e8.
+    Equals 2 sup_r Lap(v)/v clipped at 0: the best of 401 grid radii up to
+    r = 1e8, then three zoom rounds of 401 points in x = log(sqrt(A) + r)
+    between the neighbours of the current best.
     """
-    from scipy.optimize import minimize_scalar
-
     root_a = math.sqrt(params.A)
 
     def h(r):
-        neg_lap_v = biharmonic_closed_form(params, 0.0, r)
-        return -2.0 * neg_lap_v / source_eval(params, r)
+        return -2.0 * biharmonic_closed_form(params, 0.0, r) / source_eval(params, r)
 
-    grid = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, 1e8, 400)))
-    vals = h(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi <= lo:
-        return max(float(vals[i]), 0.0)
-    # refine in the log coordinate x = log(root_a + r)
-    res = minimize_scalar(
-        lambda x: -h(max(math.exp(x) - root_a, 0.0)),
-        bounds=(math.log(root_a + lo), math.log(root_a + hi)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    best = max(float(vals[i]), float(-res.fun))
-    return max(best, 0.0)
+    r = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, 1e8, 400)))
+    best = 0.0
+    for _ in range(4):
+        vals = h(r)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        x = np.log(root_a + r[[max(i - 1, 0), min(i + 1, len(r) - 1)]])
+        r = np.maximum(np.exp(np.linspace(x[0], x[1], 401)) - root_a, 0.0)
+    return best
 
 
 def u_upper_bound(params: AnsatzParams) -> PredictedBound:
@@ -211,40 +203,54 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
     return PredictedBound(BoundKind.UPPER, shifted, scale=u.scale)
 
 
-class PotentialTable:
-    """Spline cache of the potential u on [0, r_max], exact at its nodes.
+# 4-point Gauss-Legendre nodes and weights on [0, 1]
+_GL4_U, _GL4_W = np.polynomial.legendre.leggauss(4)
+_GL4_U, _GL4_W = 0.5 * (1.0 + _GL4_U), 0.5 * _GL4_W
 
-    Interpolates log u against x = log(sqrt(A) + r) through 481 nodes.  One
-    newtonian_potential_radial sweep computes u at the nodes and at the 480
-    midpoints in x of the node intervals.  error_estimate is the largest
-    relative error bound of those values, from the sweep's segment errors and
-    its tail's, plus the largest relative deviation of the spline from u at
-    the midpoints.  Radii past r_max raise ParameterError.
+
+class PotentialTable:
+    """The potential u on [0, r_max], read from its layer cake.
+
+    One _layer_cake sweep gives M_i = int_0^(r_i) s^(N-1) v ds and T_i = int_(r_i)^inf s v ds
+    at 481 nodes r_i, 0 and 480 radii geometric up to r_max; for r in [r_i, r_(i+1)),
+        (N-2) u(r) = r^(2-N) [M_i + int_(r_i)^r s^(N-1) v ds] + T_i - int_(r_i)^r s v ds,
+    both integrals on one 4-point Gauss-Legendre panel over source_eval.  error_estimate
+    is the sweep's largest relative error bound at the nodes plus the largest relative
+    difference, at each node r_(i+1), between the read from r_i (the widest panel used)
+    and the sweep's value.  Radii outside [0, r_max] raise ParameterError.
     """
 
     def __init__(self, params: AnsatzParams, r_max: float = 1e10):
-        from scipy.interpolate import CubicSpline
-
         self.params = params
         self.r_max = float(r_max)
-        root_a = math.sqrt(params.A)
-        nodes = np.concatenate(([0.0], np.geomspace(1e-3 * root_a, self.r_max, 480)))
-        x = np.log(root_a + nodes)
-        x_mid = 0.5 * (x[:-1] + x[1:])
-        radii = np.concatenate((nodes, np.exp(x_mid) - root_a))
-        u = newtonian_potential_radial(params.N, source_profile(params), radii)
-        if np.any(u.value <= 0.0):
+        N = params.N
+        self._nodes = np.concatenate(([0.0], np.geomspace(1e-3 * math.sqrt(params.A), self.r_max, 480)))
+        # r_i^(2-N) M_i (0 at r_0 = 0) and T_i
+        self._inner, self._beyond, err, _ = _layer_cake(N, source_profile(params), self._nodes)
+        u = (self._inner + self._beyond) / (N - 2)
+        if np.any(u <= 0.0):
             raise ParameterError("potential must be positive")
-        self._root_a = root_a
-        self._spline = CubicSpline(x, np.log(u.value[:len(nodes)]))
-        spline_dev = np.max(np.abs(np.exp(self._spline(x_mid)) / u.value[len(nodes):] - 1.0))
-        self.error_estimate = float(np.max(u.error_estimate / u.value) + spline_dev)
+        widest = self._read(self._nodes[1:], np.arange(len(u) - 1)) / u[1:] - 1.0
+        self.error_estimate = float(np.max(err / (N - 2) / u) + np.max(np.abs(widest)))
+
+    def _read(self, r: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """u at radii r from the layer cake at nodes r_i <= r."""
+        N, r_i = self.params.N, self._nodes[i]
+        h = r - r_i
+        # at r = 0 only T_0 is left: r_i = h = 0 there, so any finite divisor does
+        r_safe = np.where(r > 0.0, r, 1.0)
+        s = r_i + h * _GL4_U[:, None]
+        v = source_eval(self.params, s)
+        inner = (r_i / r_safe) ** (N - 2) * self._inner[i] + h * (_GL4_W @ ((s / r_safe) ** (N - 1) * v)) * r
+        return (inner + self._beyond[i] - h * (_GL4_W @ (s * v))) / (N - 2)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r > self.r_max):
-            raise ParameterError(f"potential table covers r <= {self.r_max}, asked for r = {np.max(r)}")
-        return np.exp(self._spline(np.log(self._root_a + r)))[()]
+        flat = r.ravel()
+        if not (flat.min(initial=0.0) >= 0.0 and flat.max(initial=0.0) <= self.r_max):
+            raise ParameterError(
+                f"potential table covers 0 <= r <= {self.r_max}, asked for r in [{flat.min()}, {flat.max()}]")
+        return self._read(flat, np.searchsorted(self._nodes, flat, side="right") - 1).reshape(r.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -328,20 +334,15 @@ def verify_supersolution(
     )
 
     def ratio_rows(radii):
-        rows = []
-        for r in radii:
-            lhs = float(biharmonic_closed_form(params, lam, r))
-            conv = convolve_radial(kernel, powered, float(r))
-            rhs = conv.value * float(table(r)) ** q
-            rows.append((float(r), lhs, rhs))
-        return rows
+        conv = np.array([convolve_radial(kernel, powered, float(r)).value for r in radii])
+        rhs = conv * table(radii) ** q
+        return list(zip(radii.tolist(), biharmonic_closed_form(params, lam, radii).tolist(), rhs.tolist()))
 
     main_rows = ratio_rows(grid)
     s_main = max((rhs / lhs) for _, lhs, rhs in main_rows)
     ext_rows = ratio_rows(ext)
-    s_ext = max(s_main, max((rhs / lhs) for _, lhs, rhs in ext_rows))
-    stable = bool(abs(s_ext - s_main) <= 0.1 * s_main)
-    s_final = s_ext
+    s_final = max(s_main, max((rhs / lhs) for _, lhs, rhs in ext_rows))
+    stable = bool(abs(s_final - s_main) <= 0.1 * s_main)
     passed = bool(math.isfinite(s_final) and s_final > 0.0 and stable)
 
     if approx_eq(p + q, 1.0):

@@ -29,7 +29,7 @@ POTENTIAL_REACH max(A, 1)).  M is the forward cumulative sum of the segment
 integrals, T the sum from the far end plus one analytic tail past s_end.
 Both integrands are positive, so every radius keeps the relative accuracy of
 its segments; an octave is short enough for one G7-K15 panel to reach
-roundoff on a power-log integrand.  A table of 961 radii costs one sweep.
+roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
 
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
@@ -470,6 +470,8 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> Convolu
     if not compact and detect_divergence(kernel, f):
         return ConvolutionResult(value=math.inf, error_estimate=math.inf, evaluations=0, divergent=True)
     s_max = float(f.support_radius) if compact else TRUNCATION_FACTOR * max(r, f.scale, 1.0)
+    if not compact and not math.isfinite(2.0 * s_max):
+        raise NonpositiveRadius(f"radius {r!r} puts the tail probe 2 s_max past the float range")
 
     if N >= 2:
         prefactor = unit_sphere_area(N - 1)
@@ -521,23 +523,11 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) 
     return tail, tail_err
 
 
-def newtonian_potential_radial(N: int, f: RadialProfile, r):
-    """Decaying solution u of -Laplace(u) = f for radial f, N >= 3, at a radius
-    r or at every radius of an array r, all from one sweep.
-
-    Layer-cake form: (N-2) u(r) = r^(2-N) M(r) + T(r), M(r) = int_0^r s^(N-1) f ds,
-    T(r) = int_r^inf s f ds.  The sweep integrates s^(N-1) f (up to max r, zero
-    beyond) and s f between the radii and octave marks 2^k max(A, 1)/100 up to
-    s_end = max(TRUNCATION_FACTOR max r, POTENTIAL_REACH max(A, 1)), the support
-    radius for compact f.  M is the forward cumulative sum of the segment
-    integrals, T their sum from the far end plus one _tail_addon past s_end.
-
-    Returns a float for a scalar r.  For an array r it returns a
-    ConvolutionResult whose value and error_estimate are arrays of r's shape,
-    the error bounds propagated from the segment errors and the tail's.
-    Relates to convolve_radial with the pure power kernel (alpha = N-2,
-    beta = 0) through the factor (N-2) * |S^(N-1)|.
-    """
+def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """r^(2-N) M(r) and T(r) at every radius of r (0 for the first at r = 0), with
+    the error bound of their sum, from the one sweep of the module docstring (its octave
+    marks are 2^k max(A, 1)/100, s^(N-1) f weighs 0 past max r, and s_end is the
+    support radius for compact f); returns them with the sweep's evaluations."""
     if N < 3:
         raise InvalidDimension("decaying potentials need N >= 3")
     radii = np.asarray(r, dtype=float)
@@ -549,14 +539,11 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
     newton = KernelParams(N, N - 2.0, 0.0)
     if not compact and detect_divergence(newton, f):
         raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
-    anchor = max(f.scale, 1.0)
-    s_end = (float(f.support_radius) if compact
-             else max(TRUNCATION_FACTOR * radii.max(initial=0.0), POTENTIAL_REACH * anchor))
+    anchor, r_top = max(f.scale, 1.0), radii.max(initial=0.0)
+    s_end = float(f.support_radius) if compact else max(TRUNCATION_FACTOR * r_top, POTENTIAL_REACH * anchor)
 
     octaves = anchor / 100.0 * 2.0 ** np.arange(math.ceil(math.log2(100.0 * s_end / anchor)))
     marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
-
-    r_top = radii.max(initial=0.0)
 
     def integrand(s: np.ndarray, _) -> np.ndarray:
         fs = f.evaluate(s)
@@ -578,11 +565,23 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
     i = np.searchsorted(marks, np.minimum(radii, s_end))
     # M(0) = 0, so r = 0 may take any finite weight
     weight = np.where(radii > 0.0, radii, 1.0) ** (2.0 - N)
-    u = (weight * mass[i] + beyond[i]) / (N - 2)
+    return weight * mass[i], beyond[i], weight * mass_err[i] + beyond_err[i], evaluations
+
+
+def newtonian_potential_radial(N: int, f: RadialProfile, r):
+    """Decaying solution u of -Laplace(u) = f for radial f, N >= 3, at a radius r or at
+    every radius of an array r: (N-2) u = r^(2-N) M + T from one _layer_cake sweep.
+
+    Returns a float for a scalar r, and for an array r a ConvolutionResult whose value
+    and error_estimate (propagated from the segment errors and the tail's) are arrays of
+    r's shape.  Relates to convolve_radial with the pure power kernel (alpha = N-2,
+    beta = 0) through the factor (N-2) * |S^(N-1)|.
+    """
+    inner, beyond, err, evaluations = _layer_cake(N, f, r)
+    u = (inner + beyond) / (N - 2)
     if u.ndim == 0:
         return float(u)
-    err = (weight * mass_err[i] + beyond_err[i]) / (N - 2)
-    return ConvolutionResult(value=u, error_estimate=err, evaluations=evaluations)
+    return ConvolutionResult(value=u, error_estimate=err / (N - 2), evaluations=evaluations)
 
 
 def ball_profile(r0: float) -> RadialProfile:

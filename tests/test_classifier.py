@@ -253,8 +253,8 @@ def test_classifier_imports_only_the_decision_layer():
 
 def test_decision_commands_run_without_scipy(tmp_path):
     """In a fresh process the README classify, table and ball-profile convolve,
-    and a power-profile convolve with its analytic tail, leave scipy
-    unimported; lambda_star and PotentialTable then load it on demand."""
+    a power-profile convolve with its analytic tail, lambda_star and
+    PotentialTable leave scipy unimported."""
     script = textwrap.dedent(f"""
         import contextlib, io, math, sys
         from logriesz import cli
@@ -278,16 +278,64 @@ def test_decision_commands_run_without_scipy(tmp_path):
         assert scipy_modules() == [], scipy_modules()
         params = AnsatzParams(3, 3.0, 0.0, 10.0)
         assert lambda_star(params) >= 0.0
-        assert "scipy.optimize" in sys.modules
         table = PotentialTable(params, r_max=1e4)
         assert math.isclose(float(table(2.0)), math.asinh(2.0 / math.sqrt(10.0)) / 2.0, rel_tol=1e-6)
-        assert "scipy.interpolate" in sys.modules
+        assert scipy_modules() == [], scipy_modules()
     """)
     package_root = os.path.dirname(os.path.dirname(classifier.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_with_scipy_blocked():
+    """In a fresh process where importing scipy fails, the README classify and
+    ansatz, a power-profile convolve and verify --case 2 exit 0, and verify passes."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["scipy"] = None
+        from logriesz import cli
+
+        for argv in (
+            "classify --side P+ --N 3 --p 2 --q 4 --alpha 1 --beta -1.5",
+            "ansatz --N 3 --gamma 3 --tau 0",
+            "convolve --N 3 --alpha 1 --beta 0 --profile power:4:0:10 --radii 1:1e3:4",
+            "verify --case 2 --N 3 --alpha 1 --beta -1.5 --p 2 --q 4",
+        ):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv.split()) == 0, argv
+        assert json.loads(out.getvalue())["result"]["pass"] is True
+    """)
+    package_root = os.path.dirname(os.path.dirname(classifier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_integrate_hook_imports_scipy():
+    """No module of the package imports scipy, except convolution.__getattr__,
+    which keeps convolution.integrate resolvable for perfbench's tracer."""
+    package = os.path.dirname(classifier.__file__)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for scope in ast.walk(tree):
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(m.split(".")[0] == "scipy" for m in modules):
+                    found.add((name, getattr(scope, "name", None)))
+    assert found == {("convolution.py", "__getattr__")}
 
 
 class TestRegimeTable:

@@ -204,6 +204,14 @@ class TestConvolveCommand:
         assert code == 2
         assert "invalid parameters" in err
 
+    def test_radius_past_the_float_range_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "power:4:0:10", "--radii", "1e304:1e305:2",
+        ])
+        assert code == 2
+        assert "invalid parameters" in err
+
     def test_non_integer_count_exit_two(self, capsys):
         code, _, err = run(capsys, [
             "convolve", "--N", "3", "--alpha", "1", "--beta", "0",

@@ -103,7 +103,7 @@ def test_tails_run_with_scipy_integrate_blocked():
         assert np.all(np.isfinite(pot.value)) and np.all(pot.value > 0.0), pot
         case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
         report = verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0)
-        assert report.passed and math.isclose(report.S, 74.3588398561505, rel_tol=1e-12), report.S
+        assert report.passed and math.isclose(report.S, 74.3588397278631, rel_tol=1e-12), report.S
     """)
     package_root = os.path.dirname(os.path.dirname(convolution.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH")))))
@@ -662,3 +662,15 @@ def test_outer_integrands_never_form_an_overflowing_shell():
     res = convolve_radial(NEWTONIAN, f, r)
     assert math.isclose(res.value, 4.0 * math.pi / (30.0 * r), rel_tol=1e-10)
     assert math.isclose(newtonian_potential_radial(3, f, r), 1.0 / (30.0 * r), rel_tol=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_radius_whose_tail_probe_leaves_the_float_range_is_refused():
+    """The outermost tail probe sits at 2 s_max = 2e3 r: at r = 1e305 that is past
+    the float range, a ParameterError; at r = 8e304 it is 1.6e308 and the value is
+    finite (near the 4 pi / (30 r) far field)."""
+    f = power_profile(4.0, 0.0)
+    with pytest.raises(ParameterError):
+        convolve_radial(NEWTONIAN, f, 1e305)
+    res = convolve_radial(NEWTONIAN, f, 8e304)
+    assert math.isfinite(res.value) and math.isclose(res.value, 4.0 * math.pi / (30.0 * 8e304), rel_tol=1e-6)
