@@ -38,7 +38,7 @@ slow = power_profile(2.2, 0.0, A=3.0)
 print()
 print("slow tail (sigma=2.2): local slope of log value vs log r")
 radii = np.geomspace(1e2, 1e8, 7)
-values = [convolve_radial(kernel, slow, float(r)).value for r in radii]
+values = convolve_radial(kernel, slow, radii).value
 for i in range(1, len(radii)):
     slope = (math.log(values[i]) - math.log(values[i - 1])) / (
         math.log(radii[i]) - math.log(radii[i - 1]))

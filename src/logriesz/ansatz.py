@@ -334,8 +334,7 @@ def verify_supersolution(
     )
 
     def ratio_rows(radii):
-        conv = np.array([convolve_radial(kernel, powered, float(r)).value for r in radii])
-        rhs = conv * table(radii) ** q
+        rhs = convolve_radial(kernel, powered, radii).value * table(radii) ** q
         return list(zip(radii.tolist(), biharmonic_closed_form(params, lam, radii).tolist(), rhs.tolist()))
 
     main_rows = ratio_rows(grid)

@@ -205,15 +205,11 @@ def check_bound(
     if not (0.0 < lo < hi):
         raise DegenerateSamples("window must satisfy 0 < lo < hi")
     radii = np.geomspace(lo, hi, 8)
-    values = []
-    for r in radii:
-        res = convolve_radial(kernel, f, float(r))
-        if res.divergent:
-            raise OutOfHypothesis("convolution divergent inside the check window")
-        values.append(res.value)
-    values = np.asarray(values)
-    shape = np.asarray(bound.shape(radii), dtype=float)
-    ratios = values / shape
+    res = convolve_radial(kernel, f, radii)
+    if res.divergent:
+        raise OutOfHypothesis("convolution divergent inside the check window")
+    values = res.value
+    ratios = values / np.asarray(bound.shape(radii), dtype=float)
     margin = float(ratios.max() / ratios.min())
     passed = bool(margin < 10.0 and ratios.min() > 0.0)
     fitted = fit_asymptotics(np.column_stack([radii, values]), A=bound.scale)

@@ -170,13 +170,10 @@ def cmd_convolve(args) -> int:
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
     validate(kernel)
     f = parse_profile(args.profile, args.N)
-    radii = parse_radii(args.radii)
-    rows = convolution_rows(kernel, f, radii)
-    for r, res in rows:
-        if res.divergent:
-            raise DivergentIntegral(
-                "convolution diverges: the source decays too slowly against "
-                f"the kernel (slow-decay regime) at r={r}")
+    rows = convolution_rows(kernel, f, parse_radii(args.radii))
+    if rows[0][1].divergent:  # at every radius or none
+        raise DivergentIntegral("convolution diverges: the source decays too slowly against "
+                                f"the kernel (slow-decay regime) at r={rows[0][0]}")
     if args.out:
         write_convolution_csv(args.out, rows)
     result = {"rows": [{"r": r, "value": res.value, "error_estimate": res.error_estimate}

@@ -14,12 +14,13 @@ t = log s_max / log s.  Tails matter: on the critical line sigma = N - alpha
 a macroscopic fraction of the value comes from arbitrarily large s, so plain
 truncation would bias every critical-case result.
 
-The outer integral and the tail are each one batched, globally adaptive
-Gauss-Kronrod (G7-K15) sweep over their segments: each round calls the
-integrand once, on the nodes of every new panel.  Panel errors are
-QUADPACK's, including its roundoff floor 50 eps int |f|, so an error
-estimate never claims more than double precision delivers; the sweep stops
-at REL_TOL relative error.
+The outer integrals of all radii of one convolve_radial call form one batched,
+globally adaptive Gauss-Kronrod (G7-K15) sweep, their tails a second.  Each
+radius is a group with its own cusp, REL_TOL target and MAX_SUBDIVISIONS panel
+budget, and stops splitting once converged, so it gets the panels of a sweep
+of its own; each round calls the integrand once, on every new panel.  Panel
+errors are QUADPACK's, including its roundoff floor 50 eps int |f|, so an
+error estimate never claims more than double precision delivers.
 
 The Newtonian potential takes the layer-cake form (N-2) u(r) = r^(2-N) M(r)
 + T(r), with M(r) = int_0^r s^(N-1) f ds and T(r) = int_r^inf s f ds.  One
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -110,8 +112,8 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ConvolutionResult:
-    value: float
-    error_estimate: float
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
     divergent: bool = False
 
@@ -160,6 +162,9 @@ _GL_U, _GL_W = 0.5 * (1.0 + _GL_X), 0.5 * _GL_W
 # log(1+t)^beta (16 nodes integrate e^(20 u) over [0, 1] to 2e-15).
 _LOG_RATIO = math.log(4.0)
 _LOG_SPREAD = 12.0
+# Outer nodes per _angular slice: at 1.5-3 panels of 16 nodes each, its work arrays stay
+# near 1 MB.  Unsliced rounds of 10^4 nodes took 1.7-1.9 times as long (2 MiB L2 Xeon).
+_ANGULAR_BATCH = 2000
 
 
 @lru_cache(maxsize=64)
@@ -174,8 +179,8 @@ def _jacobi_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Offsets(NamedTuple):
-    """Outer nodes s with their exact offsets delta = s - r, which convolve_radial
-    hands to angular_factor: next to the cusp s - r would round them away."""
+    """Outer nodes s with their exact offsets delta = s - r (one r per node), which
+    convolve_radial hands to angular_factor: next to the cusp s - r rounds them away."""
 
     s: np.ndarray
     delta: np.ndarray
@@ -185,24 +190,25 @@ def angular_factor(N: int, r: float, s, kernel: KernelParams):
     """Colatitude integral of K over the sphere of radius s seen from radius r.
 
     s may be a scalar (the result is a float) or an array (the result is an
-    array of the same shape).  Returns inf at s == r when beta <= alpha - N + 1
+    array of the same shape); with the _Offsets of convolve_radial, r may hold
+    one radius per node.  Returns inf at s == r when beta <= alpha - N + 1
     (genuine divergence of the theta-integral; the two-dimensional (s, theta)
     integral is still finite there).
     """
     if isinstance(s, _Offsets):
-        return _angular(N, r, s.s, s.delta, kernel.alpha, kernel.beta)
+        return _angular(N, np.full_like(s.s, r), s.s, s.delta, kernel.alpha, kernel.beta)
     if N < 2:
         raise InvalidDimension("angular reduction needs N >= 2")
     s_arr = np.asarray(s, dtype=float)
     if not (np.all((s_arr > 0.0) & (s_arr < math.inf)) and 0.0 <= r < math.inf):
         raise NonpositiveRadius("angular_factor needs finite s > 0 and r >= 0")
     flat = s_arr.ravel()
-    out = _angular(N, r, flat, flat - r, kernel.alpha, kernel.beta).reshape(s_arr.shape)
+    out = _angular(N, np.full(flat.shape, float(r)), flat, flat - r, kernel.alpha, kernel.beta).reshape(s_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """angular(r, s) at 1-d arrays s > 0 and their exact offsets delta = s - r.
+def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """angular(r, s) at 1-d arrays r >= 0, s > 0 and the exact offsets delta = s - r.
 
     With d = |delta|, D = r + s, M = max(r, s) and w = 2 min(r, s) = D - d,
     sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a
@@ -210,15 +216,22 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     overflow.  At s == r the geometric panels start at min(r, 1) and
     _angular_origin_panel adds the rest.  Where K overflows at offsets next
     to the cusp (alpha > 7 or so), K tau sin(theta)^(N-3) is formed in logs.
+    Larger batches than _ANGULAR_BATCH nodes run in slices of that size.
     """
-    if r == 0.0:
-        return colatitude_total(N) * _kernel_values(s, alpha, beta)
+    if len(s) > _ANGULAR_BATCH:
+        return np.concatenate([_angular(N, *(v[i:i + _ANGULAR_BATCH] for v in (r, s, delta)), alpha, beta)
+                               for i in range(0, len(s), _ANGULAR_BATCH)])
+    if not r.all():  # angular(0, s) = B_N K(s)
+        out, rest = colatitude_total(N) * _kernel_values(s, alpha, beta), r > 0.0
+        out[rest] = _angular(N, r[rest], s[rest], delta[rest], alpha, beta)
+        return out
     d, m, M, D = np.abs(delta), np.minimum(r, s), np.maximum(r, s), r + s
     diagonal = d == 0.0
     t0 = np.where(diagonal, np.minimum(M, 1.0), d)
     spread = abs(beta) / _LOG_SPREAD
     least = max(1.0, math.ceil((N - 3) / 8.0))
-    n = np.maximum(np.ceil(np.maximum((np.log(M) - np.log(t0)) / _LOG_RATIO,
+    span = np.log(M) - np.log(t0)
+    n = np.maximum(np.ceil(np.maximum(span / _LOG_RATIO,
                                       spread * (np.log(np.log1p(M)) - np.log(np.log1p(t0))))), least * ~diagonal)
     n_last = np.maximum(np.ceil(spread * (np.log(np.log1p(D)) - np.log(np.log1p(M)))), least)
     # panel k < n spans the offsets x_k..x_(k+1) from d, x_k = t0 (M/t0)^(k/n) - d;
@@ -227,10 +240,10 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(s)), counts)
     k = np.arange(len(owner)) - starts[owner]
-    d, m, M, D, t0, n, n_last = (v[owner] for v in (d, m, M, D, t0, n, n_last))
+    d, m, M, D, t0, span, n, n_last = (v[owner] for v in (d, m, M, D, t0, span, n, n_last))
     last, j = k >= n, n + n_last - 1 - k
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_ratio = (np.log(M) - np.log(t0)) / n
+        log_ratio = span / n
         x0 = t0 * np.expm1(k * log_ratio) + (t0 - d)
         x1 = np.where(k + 1 == n, m, t0 * np.expm1((k + 1) * log_ratio) + (t0 - d))
         # nodes t = d + o on [d, M], t = D + o (o < 0) on [M, D]; o = lo + h u or lo + h u^2
@@ -252,7 +265,8 @@ def _angular(N: int, r: float, s: np.ndarray, delta: np.ndarray, alpha: float, b
     panel = np.where(squared, (2.0 * _GL_U * _GL_W) @ vals, _GL_W @ vals) * (np.abs(h) / m)
     out = np.add.reduceat(panel, starts)
     if diagonal.any():
-        out[diagonal] += _angular_origin_panel(N, r, alpha, beta)
+        for r_d in np.unique(r[diagonal]):
+            out[diagonal & (r == r_d)] += _angular_origin_panel(N, float(r_d), alpha, beta)
     return out
 
 
@@ -304,35 +318,43 @@ def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
     return _tail_gap(kernel, -f.infinity_spec.power, f.infinity_spec.logpower) is None
 
 
-def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float, R: float) -> tuple[float, float]:
-    """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds for R > 1.
+def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float, R) -> tuple[np.ndarray, np.ndarray]:
+    """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds for R > 1, and its error bound,
+    shaped like R (a scalar or an array).
 
-    One sweep in t = log R / x on (0, 1], x = log s, that never forms s:
-    log(A+s) = x + log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the
+    One sweep in t = log R / x on (0, 1], x = log s, one group per R, that never forms
+    s: log(A+s) = x + log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the
     integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
     with m = -1/(1+beta+kappa), at least 1/4 so that _CUSP_SLAB^(1/m) stays a normal
     float.  The octave marks 2^-10..1 keep the A e^-x correction, which lives near
     t = 1, out of that graded segment.  Off the line, gap < 0, the integrand lives
     within a few 1/(|gap| L) below t = 1; the marks follow that scale, and the
     segment [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
-    L, gap, beta = math.log(R), kernel.N - kernel.alpha - sigma, kernel.beta
+    L, gap, beta = np.array([math.log(x) for x in np.ravel(R)]), kernel.N - kernel.alpha - sigma, kernel.beta
 
-    def integrand(t: np.ndarray, _) -> np.ndarray:
-        x = L / t
-        a, b = np.log1p(A * np.exp(-x)), np.log1p(np.exp(-x))
+    def integrand(t: np.ndarray, _, group: np.ndarray) -> np.ndarray:
+        x = (log_r := L[group]) / t
+        a, b = np.log1p(A * (decay := np.exp(-x))), np.log1p(decay)
         with np.errstate(over="ignore"):  # a tail past the float range fails the sweep
-            return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (L / t ** 2)
+            return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (log_r / t ** 2)
 
     if gap == 0.0:
-        grading, marks = max(0.25, -1.0 / (1.0 + beta + kappa)), [0.0, *2.0 ** np.arange(-10.0, 1.0)]
+        grading, marks = max(0.25, -1.0 / (1.0 + beta + kappa)), [[0.0, *2.0 ** np.arange(-10.0, 1.0)]] * len(L)
     else:
         # in y = 1/t - 1 the integrand decays like e^(-y/d), d = 1/(|gap| L): marks at
         # y = d 2^j up to 32 d and the octaves y = 2^k - 1 below that take one round
-        d, octaves = -1.0 / (gap * L), 2.0 ** np.arange(1.0, 11.0) - 1.0
-        y = np.union1d(d * 2.0 ** np.arange(6.0), octaves[octaves < 32.0 * d])
-        grading, marks = 1.0, [0.0, *1.0 / (1.0 + y[::-1]), 1.0]
+        grading, marks, octaves = 1.0, [], 2.0 ** np.arange(1.0, 11.0) - 1.0
+        for d in -1.0 / (gap * L):
+            y = np.union1d(d * 2.0 ** np.arange(6.0), octaves[octaves < 32.0 * d])
+            marks.append([0.0, *1.0 / (1.0 + y[::-1]), 1.0])
     values, errors, _ = _integrate_marks(integrand, marks, grading=grading)
-    return float(values.sum()), float(errors.sum())
+    return tuple(_group_sums(v, marks).reshape(np.shape(R))[()] for v in (values, errors))
+
+
+def _group_sums(v: np.ndarray, marks: Sequence[Sequence[float]]) -> np.ndarray:
+    """Each group's total over its segments, the columns of v from _integrate_marks."""
+    ends = list(itertools.accumulate(len(m) - 1 for m in marks))
+    return np.array([v[:, i:j].sum() for i, j in zip([0, *ends], ends)])
 
 
 def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
@@ -360,7 +382,7 @@ _KX = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
 _KW = np.concatenate((_WGK, [0.20948214108472783], _WGK[::-1]))
 _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate((_WG, [0.41795918367346939], _WG[::-1]))
-_EPS = np.finfo(float).eps
+_KG, _EPS, _FLOAT_MAX = _KW - _GW, np.finfo(float).eps, np.finfo(float).max
 
 
 # Inside |s - cusp| < _CUSP_SLAB |h| the graded integrand is its limit to
@@ -369,38 +391,42 @@ _CUSP_SLAB = 1e-40
 
 
 def _integrate_marks(
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    marks: Sequence[float],
-    cusp: float = 0.0,
+    integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    marks: Sequence[Sequence[float]],
+    cusp=0.0,
     grading: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Globally adaptive G7-K15 over the segments between consecutive marks.
+    """Globally adaptive G7-K15 over the segments between consecutive marks, in groups.
 
-    integrand(s, delta) takes 1-d arrays of nodes s and their offsets
-    delta = s - cusp and returns one value per node, or k components of
-    them (shape (k, len(s))) that share the panels.  With grading m != 1, the
-    segments that end at the cusp run in u, s = cusp -+ h u^m and
-    delta = -+ h u^m, which turns a factor |s - cusp|^mu, mu = 1/m - 1, into
-    a limit g(0) in u.  The sweep covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m),
-    and adds u_f g(u_f).
+    marks holds one sequence of marks per group, cusp one cusp per group (or one for
+    all).  integrand(s, delta, group) takes 1-d arrays of nodes s, their offsets
+    delta = s - cusp and the group of each node, and returns one value per node, or
+    k components of them (shape (k, len(s))) that share the panels.  With grading
+    m != 1, the segments that end at their group's cusp run in u, s = cusp -+ h u^m and
+    delta = -+ h u^m, which turns a factor |s - cusp|^mu, mu = 1/m - 1, into a limit
+    g(0) in u.  The sweep covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m), and adds u_f g(u_f).
 
-    Each round evaluates the 15 nodes of every new panel in one call.  Panel
-    errors follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5),
-    floored at 50 eps int |f|.  The sweep stops once each component's summed
-    error is at most REL_TOL |its total|; until then every panel whose error
-    in some component exceeds that component's share of its target is
-    bisected.  Returns (integrals, errors, evaluations), the first two of
-    shape (k, segments): each component's integral and error on every
-    segment between the marks.
+    Each round evaluates the 15 nodes of every new panel in one call.  Panel errors
+    follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
+    50 eps int |f|.  Until each component's summed error in a group is at most
+    REL_TOL |its total|, each panel of the group whose error in some component exceeds
+    that component's share of the target is bisected, within MAX_SUBDIVISIONS panels
+    per group.  Returns (integrals, errors, evaluations), the first two of shape
+    (k, segments): each component's integral and error on every segment, by group.
     """
-    a, b = np.array(marks[:-1], dtype=float), np.array(marks[1:], dtype=float)
+    groups = len(marks)
+    group = np.repeat(np.arange(groups), [len(m) - 1 for m in marks])
+    a = np.concatenate([m[:-1] for m in marks], dtype=float)
+    b = np.concatenate([m[1:] for m in marks], dtype=float)
+    c = np.full(groups, cusp, dtype=float)[group]
     # h != 0 marks a graded segment, run in u
-    h = np.where(b == cusp, a - b, np.where(a == cusp, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
+    h = np.where(b == c, a - b, np.where(a == c, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
     u_f = _CUSP_SLAB ** (1.0 / grading)
     lo, hi, seg = np.where(h != 0.0, u_f, a), np.where(h != 0.0, 1.0, b), np.arange(len(a))
 
-    def g(x, h):
+    def g(x, h, seg):
         # the integrand's components in each row's own variable, at node coordinates x
+        cusp = c[seg][:, None]
         s, delta, jac = x, x - cusp, 1.0
         if grading != 1.0 and (graded := h != 0.0).any():
             # x ** grading only on the graded rows: on the others x = s may overflow it
@@ -409,117 +435,128 @@ def _integrate_marks(
             s = np.where(graded[:, None], cusp + delta, x)
             jac = np.ones_like(x)
             jac[graded] = np.abs(h_g) * grading * u ** (grading - 1.0)
-        out = integrand(s.ravel(), delta.ravel())
+        out = integrand(s.ravel(), delta.ravel(), group[seg].repeat(x.shape[1]))
         fx = out.reshape(out.shape[:-1] + s.shape) * jac
         if not np.all(np.isfinite(fx)):
             bad = ~np.isfinite(fx).reshape((-1,) + s.shape).all(axis=0)
-            raise QuadratureFailure(f"non-finite integrand at s = {s[bad][0]!r} on [{marks[0]}, {marks[-1]}]")
+            own = marks[group[seg[bad.any(axis=1)][0]]]
+            raise QuadratureFailure(f"non-finite integrand at s = {s[bad][0]!r} on [{own[0]}, {own[-1]}]")
         return fx
 
-    def panels(lo, hi, h):
+    def panels(lo, hi, h, seg):
         half = 0.5 * (hi - lo)
-        fx = g((0.5 * (lo + hi))[:, None] + half[:, None] * _KX, h)
+        fx = g((0.5 * (lo + hi))[:, None] + half[:, None] * _KX, h, seg)
         resk = fx @ _KW
         resasc = np.abs(fx - 0.5 * resk[..., None]) @ _KW * half
-        err = np.abs(resk - fx @ _GW) * half
+        # einsum sums each row in one order, so |K - G| is the same wherever the panel sits
+        err = np.abs(np.einsum("...j,j->...", fx, _KG)) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             scaled = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
         return resk * half, np.maximum(scaled, 50.0 * _EPS * (np.abs(fx) @ _KW) * half)
 
-    def by_segment(v, owner):
-        return np.array([np.bincount(owner, row, len(a)) for row in np.atleast_2d(v)])
+    def summed(v, owner, bins):
+        # each component's total over the entries of each bin, shape v.shape[:-1] + (bins,)
+        return np.bincount(owner, v, bins) if v.ndim == 1 else np.array([np.bincount(owner, row, bins) for row in v])
 
+    val, err = panels(lo, hi, h, seg)
     slab_seg = np.flatnonzero(h)
-    slab = u_f * g(np.full((len(slab_seg), 1), u_f), h[slab_seg])[..., 0]
-    slab_total = slab.sum(axis=-1)
-    val, err = panels(lo, hi, h)
+    slab = u_f * g(np.full((len(slab_seg), 1), u_f), h[slab_seg], slab_seg)[..., 0] if len(slab_seg) else val[..., :0]
+    slab_total = summed(slab, group[slab_seg], groups)
     evaluations = 15 * len(lo) + len(slab_seg)
     while True:
-        target = REL_TOL * np.abs(slab_total + val.sum(axis=-1))
-        err_sum = err.sum(axis=-1)
-        if (err_sum <= target).all():
-            values = by_segment(np.concatenate((val, slab), axis=-1), np.concatenate((seg, slab_seg)))
-            return values, by_segment(err, seg), evaluations
-        split = (err > target[..., None] / err.shape[-1]).reshape(-1, err.shape[-1]).any(axis=0)
-        if err.shape[-1] + np.count_nonzero(split) > MAX_SUBDIVISIONS:
-            worst = np.argmax(err_sum - target)
-            raise QuadratureFailure(
-                f"no convergence within {MAX_SUBDIVISIONS} panels on [{marks[0]}, {marks[-1]}]: "
-                f"error {err_sum.flat[worst]:.3g} against target {target.flat[worst]:.3g}")
+        owner = group[seg]
+        target, err_sum = REL_TOL * np.abs(slab_total + summed(val, owner, groups)), summed(err, owner, groups)
+        done = (err_sum <= target).reshape(-1, groups).all(axis=0)
+        if done.all():
+            values = summed(np.concatenate((val, slab), axis=-1), np.concatenate((seg, slab_seg)), len(a))
+            return np.atleast_2d(values), np.atleast_2d(summed(err, seg, len(a))), evaluations
+        panel_count = np.bincount(owner, minlength=groups)
+        split = (err > (target / panel_count)[..., owner]).reshape(-1, len(seg)).any(axis=0)
+        if done.any():  # a converged group's panels stay as they are
+            split &= ~done[owner]
+        if len(seg) + np.count_nonzero(split) > MAX_SUBDIVISIONS and (
+                over := panel_count + np.bincount(owner[split], minlength=groups) > MAX_SUBDIVISIONS).any():
+            i = np.argmax(over)
+            e, t = err_sum.reshape(-1, groups)[:, i], target.reshape(-1, groups)[:, i]
+            raise QuadratureFailure(f"no convergence within {MAX_SUBDIVISIONS} panels on [{marks[i][0]}, {marks[i][-1]}]: "
+                                    f"error {e[np.argmax(e - t)]:.3g} against target {t[np.argmax(e - t)]:.3g}")
         keep, mid = ~split, 0.5 * (lo[split] + hi[split])
         halves = [np.concatenate(pair) for pair in ((lo[split], mid), (mid, hi[split]), (h[split],) * 2, (seg[split],) * 2)]
         lo, hi, h, seg = (np.concatenate((old[keep], new)) for old, new in zip((lo, hi, h, seg), halves))
-        new_val, new_err = panels(*halves[:3])
+        new_val, new_err = panels(*halves)
         evaluations += 15 * len(mid) * 2
         val, err = np.concatenate((val[..., keep], new_val), axis=-1), np.concatenate((err[..., keep], new_err), axis=-1)
 
 
-def convolve_radial(kernel: KernelParams, f: RadialProfile, r: float) -> ConvolutionResult:
-    """Evaluate (K * f)(r) with certified truncation.
+def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionResult:
+    """Evaluate (K * f)(r) with certified truncation at a radius r, or at every radius of
+    an array r in one sweep: value and error_estimate are then arrays of r's shape and
+    evaluations is the sum over the radii.
 
-    Divergent cases are detected symbolically from the declared tail shape
-    and reported with value = inf rather than raised; quadrature that cannot
-    reach tolerance raises QuadratureFailure.
+    Divergent cases (one flag for all radii: it depends on the kernel and the profile)
+    are detected symbolically from the declared tail shape and reported with value =
+    inf rather than raised; quadrature that cannot reach tolerance raises
+    QuadratureFailure.
     """
     validate(kernel)
-    if not 0.0 <= r < math.inf:
-        raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {r!r}")
+    flat = (radii := np.asarray(r, dtype=float)).ravel()
+    if (bad := flat[~((flat >= 0.0) & (flat < math.inf))]).size:
+        raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {float(bad[0])!r}")
     N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
+
+    def result(value, err, evaluations=0, divergent=False):
+        value, err = (float(v[0]) if radii.ndim == 0 else v.reshape(radii.shape) for v in (value, err))
+        return ConvolutionResult(value, err, evaluations, divergent)
 
     compact = f.support_radius is not None
     if not compact and detect_divergence(kernel, f):
-        return ConvolutionResult(value=math.inf, error_estimate=math.inf, evaluations=0, divergent=True)
-    s_max = float(f.support_radius) if compact else TRUNCATION_FACTOR * max(r, f.scale, 1.0)
-    if not compact and not math.isfinite(2.0 * s_max):
-        raise NonpositiveRadius(f"radius {r!r} puts the tail probe 2 s_max past the float range")
+        return result(np.full(flat.shape, math.inf), np.full(flat.shape, math.inf), divergent=True)
+    if not flat.size:
+        return result(flat, flat)
+    with np.errstate(over="ignore"):
+        s_max = np.full(flat.shape, float(f.support_radius)) if compact else TRUNCATION_FACTOR * np.maximum(flat, max(f.scale, 1.0))
+    if not compact and (far := ~(s_max <= _FLOAT_MAX / 2.0)).any():
+        raise NonpositiveRadius(f"radius {float(flat[far][0])!r} puts the tail probe 2 s_max past the float range")
 
-    if N >= 2:
-        prefactor = unit_sphere_area(N - 1)
+    prefactor = unit_sphere_area(N - 1) if N >= 2 else 1.0
 
-        def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
-            return _times_shell(f.evaluate(s), s, N) * angular_factor(N, r, _Offsets(s, delta), kernel)
-
-    else:
-        prefactor = 1.0
-
-        def integrand(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
-            return f.evaluate(s) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, r + s))
+    def integrand(s: np.ndarray, delta: np.ndarray, group: np.ndarray) -> np.ndarray:
+        if N == 1:
+            return f.evaluate(s) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, flat[group] + s))
+        return _times_shell(f.evaluate(s), s, N) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
 
     # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);
     # the least grading m that turns each term into an integer power of u or u^3 or higher
     e = N - 1 + beta - alpha
     grading = (max(1, math.ceil(4.0 / (1.0 + e))) if e >= 0.0 else
                next(m for m in (k / (1.0 + e) for k in range(1, 5)) if m.is_integer() or m >= 4.0))
-    values, errors, evaluations = _integrate_marks(integrand, _grid_marks(r, f, s_max), cusp=r, grading=grading)
-    total = prefactor * float(values.sum())
-    err = prefactor * float(errors.sum())
-
+    marks = [_grid_marks(ri, f, si) for ri, si in zip(flat.tolist(), s_max.tolist())]
+    values, errors, evaluations = _integrate_marks(integrand, marks, cusp=flat, grading=grading)
+    total, err = (prefactor * _group_sums(v, marks) for v in (values, errors))
     if not compact:
-        tail, tail_err = _tail_addon(kernel, f, r, s_max)
-        total += tail
-        err += tail_err
-
-    return ConvolutionResult(value=total, error_estimate=err, evaluations=evaluations)
+        tail, tail_err = _tail_addon(kernel, f, flat, s_max)
+        total, err = total + tail, err + tail_err
+    return result(total, err, evaluations)
 
 
-def _tail_addon(kernel: KernelParams, f: RadialProfile, r: float, s_max: float) -> tuple[float, float]:
+def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic tail past s_max, and its error bound, at every radius of the 1-d array r: f's
+    ratio to its declared shape at (1, 1.5, 2) s_max times _tail_integral_1d (0 if not > 0)."""
     spec, A = f.infinity_spec, f.scale
-
-    probes = s_max * np.array([1.0, 1.5, 2.0])
+    probes = s_max[:, None] * np.array([1.0, 1.5, 2.0])
     shape = spec.shape(probes, A)
-    fv = np.asarray(f.evaluate(probes), dtype=float)
+    fv = np.asarray(f.evaluate(probes.ravel()), dtype=float).reshape(probes.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(shape > 0.0, fv / shape, 0.0)
-    c = float(np.median(ratios))
-    if c <= 0.0:
-        return 0.0, 0.0
-    spread = float((ratios.max() - ratios.min()) / c)
-
-    tail_1d, q_err = _tail_integral_1d(kernel, -spec.power, spec.logpower, A, s_max)
-    sigma_n = unit_sphere_area(kernel.N)
-    tail = sigma_n * c * tail_1d
-    # calibration spread, far-field angular error O((r/s)^2), and 1-d quadrature error
-    tail_err = abs(tail) * (2.0 * spread + 10.0 * (r / s_max) ** 2) + sigma_n * c * q_err
+    c = np.sort(ratios, axis=1)[:, 1]  # the median
+    tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
+    if (live := c > 0.0).any():
+        scale = unit_sphere_area(kernel.N) * c[live]
+        tail_1d, q_err = _tail_integral_1d(kernel, -spec.power, spec.logpower, A, s_max[live])
+        tail[live] = scale * tail_1d
+        # calibration spread, far-field angular error O((r/s)^2), and 1-d quadrature error
+        spread = (ratios[live].max(axis=1) - ratios[live].min(axis=1)) / c[live]
+        tail_err[live] = np.abs(tail[live]) * (2.0 * spread + 10.0 * (r[live] / s_max[live]) ** 2) + scale * q_err
     return tail, tail_err
 
 
@@ -545,7 +582,7 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
     octaves = anchor / 100.0 * 2.0 ** np.arange(math.ceil(math.log2(100.0 * s_end / anchor)))
     marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
 
-    def integrand(s: np.ndarray, _) -> np.ndarray:
+    def integrand(s: np.ndarray, *_) -> np.ndarray:
         fs = f.evaluate(s)
         # M is read at the radii only: past the largest, s^(N-1) f gets weight 0
         # and s^(N-1), which may overflow there, is never formed
@@ -554,10 +591,10 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
         mass[inner] = _times_shell(fs[inner], s[inner], N)
         return np.stack((mass, fs * s))
 
-    (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, marks)
+    (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, [marks])
     # int_{s_end}^inf s f ds and its error: the Newton convolution's tail at r = 0,
     # where its far field is exact
-    tail = (0.0, 0.0) if compact else np.divide(_tail_addon(newton, f, 0.0, s_end), unit_sphere_area(N))
+    tail = (0.0, 0.0) if compact else np.divide(_tail_addon(newton, f, np.zeros(1), np.full(1, s_end)), unit_sphere_area(N))
     # M and T with their error bounds at every mark
     mass, mass_err = (np.concatenate(([0.0], np.cumsum(v))) for v in (m_seg, m_err))
     beyond, beyond_err = (np.concatenate((np.cumsum(v[::-1])[::-1], [0.0])) + w
@@ -619,12 +656,12 @@ def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
     )
 
 
-def convolution_rows(
-    kernel: KernelParams,
-    f: RadialProfile,
-    radii: Sequence[float],
-) -> list[tuple[float, ConvolutionResult]]:
-    return [(float(r), convolve_radial(kernel, f, float(r))) for r in radii]
+def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[float]) -> list[tuple[float, ConvolutionResult]]:
+    """(r, result) rows from one array convolve_radial call; the first row carries the
+    call's evaluations and the others 0, so that they sum to it."""
+    res = convolve_radial(kernel, f, np.asarray(radii, dtype=float))
+    return [(float(r), ConvolutionResult(float(v), float(e), res.evaluations if i == 0 else 0, res.divergent))
+            for i, (r, v, e) in enumerate(zip(radii, res.value, res.error_estimate))]
 
 
 def write_convolution_csv(out, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:

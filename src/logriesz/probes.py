@@ -151,7 +151,7 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
     if R <= 0.0 or p <= 0.0:
         raise ParameterError("harnack_mass needs R > 0 and p > 0")
 
-    def integrand(s: np.ndarray, _) -> np.ndarray:
+    def integrand(s: np.ndarray, *_) -> np.ndarray:
         return u.evaluate(s) ** p * s ** (N - 1)
 
     # break at the support edge and decades so every segment is smooth
@@ -163,7 +163,7 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
         marks.add(d)
         d *= 10.0
     # a non-finite integrand raises QuadratureFailure
-    segments, _, _ = _integrate_marks(integrand, sorted(marks))
+    segments, _, _ = _integrate_marks(integrand, [sorted(marks)])
     mass = unit_sphere_area(N) * float(segments.sum())
     return HarnackMass(mass=mass, ratio=mass / R ** N, R=R)
 
@@ -383,22 +383,13 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
             # no claimable lower envelope (e.g. the zero profile): data only
             predicted = None
 
-    first = convolve_radial(kernel, f, float(grid[0]))
-    if first.divergent:
-        values = np.full(grid.shape, np.inf)
-        return ChainResult(radii=grid, values=values, predicted=predicted,
-                           fitted=None, divergent=True)
-    values = np.empty(grid.shape)
-    values[0] = first.value
-    for i, r in enumerate(grid[1:], start=1):
-        values[i] = convolve_radial(kernel, f, float(r)).value
-
+    res = convolve_radial(kernel, f, grid)
     fitted = None
     tail = grid >= 50.0
-    if np.count_nonzero(tail) >= 6:
+    if not res.divergent and np.count_nonzero(tail) >= 6:
         try:
-            fitted = fit_asymptotics(list(zip(grid[tail], values[tail])))
+            fitted = fit_asymptotics(list(zip(grid[tail], res.value[tail])))
         except ParameterError:
             fitted = None
-    return ChainResult(radii=grid, values=values, predicted=predicted,
-                       fitted=fitted, divergent=False)
+    return ChainResult(radii=grid, values=res.value, predicted=predicted,
+                       fitted=fitted, divergent=res.divergent)

@@ -39,7 +39,7 @@ from logriesz import (
     verify_supersolution,
     w_eval,
 )
-from logriesz import ansatz
+from logriesz import ansatz, convolution
 from logriesz.ansatz import _powered_spec
 from logriesz.kernel import _gt, _lt
 
@@ -692,3 +692,28 @@ class TestChooseCaseParams:
     def test_unknown_case_id(self):
         with pytest.raises(ParameterError):
             choose_case_params("9z", 3, 1.0, 0.0, 2.0, 2.0)
+
+
+def test_certificate_runs_two_convolution_sweeps(monkeypatch):
+    """A work counter that no timer noise moves: one case-2 certificate makes one
+    array convolve_radial call per row set (grid, then extension), so two outer
+    sweeps and two tail sweeps, plus the table's layer cake and its tail."""
+    calls, sweeps = [], []
+    convolve, sweep = ansatz.convolve_radial, convolution._integrate_marks
+
+    def counted_convolve(*args):
+        res = convolve(*args)
+        calls.append(res.evaluations)
+        return res
+
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(len(args[1]))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(ansatz, "convolve_radial", counted_convolve)
+    monkeypatch.setattr(convolution, "_integrate_marks", counted_sweep)
+    case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
+    assert verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0).passed
+    assert len(calls) == 2
+    assert len(sweeps) <= 8, sweeps
+    assert sum(calls) == 34_995

@@ -674,3 +674,56 @@ def test_radius_whose_tail_probe_leaves_the_float_range_is_refused():
         convolve_radial(NEWTONIAN, f, 1e305)
     res = convolve_radial(NEWTONIAN, f, 8e304)
     assert math.isfinite(res.value) and math.isclose(res.value, 4.0 * math.pi / (30.0 * 8e304), rel_tol=1e-6)
+
+
+# per dimension: a kernel, and the critical-line profile sigma = N - alpha, kappa < -(1 + beta)
+ARRAY_KERNELS = {1: KernelParams(1, 0.5, 0.0), 2: KernelParams(2, 1.0, 0.5),
+                 3: KernelParams(3, 1.0, 0.0), 5: KernelParams(5, 2.5, -0.5)}
+
+
+@pytest.mark.parametrize("radii", [[3.0, 0.0, 1.0, 0.25, 1.0], [2.0]], ids=["mixed", "one"])
+@pytest.mark.parametrize("profile", ["ball", "fast", "critical"])
+@pytest.mark.parametrize("N", sorted(ARRAY_KERNELS))
+def test_array_call_matches_scalar_calls(N, profile, radii):
+    """One array call runs every radius as a group of one sweep; each radius gets the
+    panels of its own scalar call.  The mixed radii hold r = 0, the ball's edge r = 1
+    (a mark) twice, and are unsorted."""
+    k = ARRAY_KERNELS[N]
+    f = {"ball": ball_profile(1.0), "fast": power_profile(N + 1.5, 0.5, A=4.0),
+         "critical": power_profile(N - k.alpha, -(1.0 + k.beta) - 0.5, A=4.0)}[profile]
+    res = convolve_radial(k, f, np.array(radii))
+    singles = [convolve_radial(k, f, r) for r in radii]
+    assert res.value.shape == res.error_estimate.shape == (len(radii),) and not res.divergent
+    for v, e, one in zip(res.value, res.error_estimate, singles):
+        assert type(one.value) is float and type(one.error_estimate) is float
+        assert math.isclose(v, one.value, rel_tol=1e-14), (v, one.value)
+        assert math.isclose(e, one.error_estimate, rel_tol=1e-6), (e, one.error_estimate)
+    assert res.evaluations == sum(one.evaluations for one in singles)
+
+
+def test_array_call_keeps_the_shape_of_r_and_reports_divergence_once():
+    grid = np.array([[0.5, 2.0], [10.0, 1e3]])
+    res = convolve_radial(NEWTONIAN, ball_profile(1.0), grid)
+    assert res.value.shape == grid.shape
+    assert np.allclose(res.value[grid >= 1.0], 4.0 * math.pi / 3.0 / grid[grid >= 1.0], rtol=1e-12)
+    slow = convolve_radial(NEWTONIAN, power_profile(1.5, 0.0), np.array([1.0, 2.0, 3.0]))
+    assert slow.divergent and slow.evaluations == 0
+    assert slow.value.shape == (3,) and np.all(np.isinf(slow.value)) and np.all(np.isinf(slow.error_estimate))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_array_radii_are_checked_one_by_one():
+    """A bad entry raises NonpositiveRadius naming it; the float-range check on the
+    tail probe 2 s_max applies to each radius; an empty array gives empty arrays."""
+    f = power_profile(4.0, 0.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(NonpositiveRadius, match=repr(bad)):
+            convolve_radial(NEWTONIAN, f, np.array([1.0, bad, 2.0]))
+    with pytest.raises(NonpositiveRadius, match="1e\\+305"):
+        convolve_radial(NEWTONIAN, f, np.array([2.0, 1e305]))
+    res = convolve_radial(NEWTONIAN, f, np.array([2.0, 8e304]))
+    assert np.all(np.isfinite(res.value))
+    assert math.isclose(res.value[1], 4.0 * math.pi / (30.0 * 8e304), rel_tol=1e-6)
+    for g in (f, ball_profile(1.0)):
+        empty = convolve_radial(NEWTONIAN, g, np.array([]))
+        assert empty.value.shape == empty.error_estimate.shape == (0,) and empty.evaluations == 0
