@@ -49,10 +49,11 @@ panel chain bisects towards u = 0: m = max(1, ceil(4/(1+e))) for e >= 0 (4 at
 the log cusp, 1 from e = 3 on), and m = k/(1+e) for e < 0, with the least
 integer k that makes m an integer or at least 4 (k = 1 at e = -1/2 or -3/4).
 Their offsets h u^m reach the angular rule exactly: as e nears -1 much of the
-value lies at |s - r| far below the spacing of floats around r.  The innermost
-slab |s - r| < 1e-40 h is added as one rectangle, exact in the limit where the
-integrand in u tends to a constant (k = 1); where k > 1, 1 + e > 1/4 and the
-slab holds under 1e-10 of the c1 term.
+value lies at |s - r| far below the spacing of floats around r.  Inside the
+sweep u is floored at 1e-40^(1/m), so no offset falls below 1e-40 h: the
+stretch |s - r| < 1e-40 h takes the integrand's value there, exact in the limit
+where the integrand in u tends to a constant (k = 1); where k > 1, 1 + e > 1/4
+and the stretch holds under 1e-10 of the c1 term.
 """
 
 from __future__ import annotations
@@ -325,11 +326,11 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
     One sweep in t = log R / x on (0, 1], x = log s, one group per R, that never forms
     s: log(A+s) = x + log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the
     integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
-    with m = -1/(1+beta+kappa), at least 1/4 so that _CUSP_SLAB^(1/m) stays a normal
-    float.  The octave marks 2^-10..1 keep the A e^-x correction, which lives near
-    t = 1, out of that graded segment.  Off the line, gap < 0, the integrand lives
-    within a few 1/(|gap| L) below t = 1; the marks follow that scale, and the
-    segment [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
+    with m = -1/(1+beta+kappa), which makes it a constant in u.  The octave marks
+    2^-10..1 keep the A e^-x correction, which lives near t = 1, out of that graded
+    segment.  Off the line, gap < 0, the integrand lives within a few 1/(|gap| L)
+    below t = 1; the marks follow that scale, and the segment
+    [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
     L, gap, beta = np.array([math.log(x) for x in np.ravel(R)]), kernel.N - kernel.alpha - sigma, kernel.beta
 
     def integrand(t: np.ndarray, _, group: np.ndarray) -> np.ndarray:
@@ -339,7 +340,7 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
             return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (log_r / t ** 2)
 
     if gap == 0.0:
-        grading, marks = max(0.25, -1.0 / (1.0 + beta + kappa)), [[0.0, *2.0 ** np.arange(-10.0, 1.0)]] * len(L)
+        grading, marks = -1.0 / (1.0 + beta + kappa), [[0.0, *2.0 ** np.arange(-10.0, 1.0)]] * len(L)
     else:
         # in y = 1/t - 1 the integrand decays like e^(-y/d), d = 1/(|gap| L): marks at
         # y = d 2^j up to 32 d and the octaves y = 2^k - 1 below that take one round
@@ -385,9 +386,9 @@ _GW[1:14:2] = np.concatenate((_WG, [0.41795918367346939], _WG[::-1]))
 _KG, _EPS, _FLOAT_MAX = _KW - _GW, np.finfo(float).eps, np.finfo(float).max
 
 
-# Inside |s - cusp| < _CUSP_SLAB |h| the graded integrand is its limit to
-# O(_CUSP_SLAB^-mu); outside, the sweep evaluates it at the exact offsets.
-_CUSP_SLAB = 1e-40
+# Graded offsets stop at _CUSP_FLOOR |h|: below it the integrand in u is its
+# limit to O(_CUSP_FLOOR^-mu), and an offset never underflows to 0.
+_CUSP_FLOOR = 1e-40
 
 
 def _integrate_marks(
@@ -404,7 +405,8 @@ def _integrate_marks(
     k components of them (shape (k, len(s))) that share the panels.  With grading
     m != 1, the segments that end at their group's cusp run in u, s = cusp -+ h u^m and
     delta = -+ h u^m, which turns a factor |s - cusp|^mu, mu = 1/m - 1, into a limit
-    g(0) in u.  The sweep covers u in [u_f, 1], u_f = _CUSP_SLAB^(1/m), and adds u_f g(u_f).
+    g(0) in u.  The sweep covers u in [0, 1] with u floored at u_f = _CUSP_FLOOR^(1/m), so
+    no offset falls below _CUSP_FLOOR |h|, and it holds g(u_f) on u < u_f.
 
     Each round evaluates the 15 nodes of every new panel in one call.  Panel errors
     follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
@@ -421,8 +423,8 @@ def _integrate_marks(
     c = np.full(groups, cusp, dtype=float)[group]
     # h != 0 marks a graded segment, run in u
     h = np.where(b == c, a - b, np.where(a == c, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
-    u_f = _CUSP_SLAB ** (1.0 / grading)
-    lo, hi, seg = np.where(h != 0.0, u_f, a), np.where(h != 0.0, 1.0, b), np.arange(len(a))
+    u_f = _CUSP_FLOOR ** (1.0 / grading)
+    lo, hi, seg = np.where(h != 0.0, 0.0, a), np.where(h != 0.0, 1.0, b), np.arange(len(a))
 
     def g(x, h, seg):
         # the integrand's components in each row's own variable, at node coordinates x
@@ -430,7 +432,7 @@ def _integrate_marks(
         s, delta, jac = x, x - cusp, 1.0
         if grading != 1.0 and (graded := h != 0.0).any():
             # x ** grading only on the graded rows: on the others x = s may overflow it
-            u, h_g = x[graded], h[graded, None]
+            u, h_g = np.maximum(x[graded], u_f), h[graded, None]
             delta[graded] = h_g * u ** grading
             s = np.where(graded[:, None], cusp + delta, x)
             jac = np.ones_like(x)
@@ -459,17 +461,13 @@ def _integrate_marks(
         return np.bincount(owner, v, bins) if v.ndim == 1 else np.array([np.bincount(owner, row, bins) for row in v])
 
     val, err = panels(lo, hi, h, seg)
-    slab_seg = np.flatnonzero(h)
-    slab = u_f * g(np.full((len(slab_seg), 1), u_f), h[slab_seg], slab_seg)[..., 0] if len(slab_seg) else val[..., :0]
-    slab_total = summed(slab, group[slab_seg], groups)
-    evaluations = 15 * len(lo) + len(slab_seg)
+    evaluations = 15 * len(lo)
     while True:
         owner = group[seg]
-        target, err_sum = REL_TOL * np.abs(slab_total + summed(val, owner, groups)), summed(err, owner, groups)
+        target, err_sum = REL_TOL * np.abs(summed(val, owner, groups)), summed(err, owner, groups)
         done = (err_sum <= target).reshape(-1, groups).all(axis=0)
         if done.all():
-            values = summed(np.concatenate((val, slab), axis=-1), np.concatenate((seg, slab_seg)), len(a))
-            return np.atleast_2d(values), np.atleast_2d(summed(err, seg, len(a))), evaluations
+            return np.atleast_2d(summed(val, seg, len(a))), np.atleast_2d(summed(err, seg, len(a))), evaluations
         panel_count = np.bincount(owner, minlength=groups)
         split = (err > (target / panel_count)[..., owner]).reshape(-1, len(seg)).any(axis=0)
         if done.any():  # a converged group's panels stay as they are

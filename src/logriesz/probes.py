@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
 from .classifier import thm2_clause, thresholds
-from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
+from .convolution import RadialProfile, _integrate_marks, _times_shell, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
 
@@ -98,8 +98,8 @@ class TestFunctionSpec:
             raise ParameterError("k must be an integer >= 1")
         if not self.delta > 1.0:
             raise ParameterError("delta must exceed 1")
-        if not self.R > 0.0:
-            raise ParameterError("scale R must be positive")
+        if not 0.0 < self.R < np.inf:
+            raise ParameterError("scale R must be positive and finite")
 
     @property
     def delta_power_valid(self) -> bool:
@@ -113,30 +113,27 @@ def test_function_bound(spec: TestFunctionSpec, lam: float,
 
     phi = psi(|x|/R)^k.  The maximum runs over grid points with phi >= 1e-6;
     inside the plateau the quantity vanishes identically, so the default
-    grid concentrates on the annulus [R, 2R].
+    grid concentrates on the annulus [R, 2R].  In t = r/R, D(phi^2) = lap_t / R^2 and
+    D2(phi^2) = bilap_t / R^4; a C past the float range raises ParameterError.
     """
     R = spec.R
-    if grid is None:
-        grid = np.concatenate([
-            np.linspace(0.05 * R, 0.999 * R, 64),
-            np.linspace(R, 2.0 * R, 2049),
-        ])
-    r = np.asarray(grid, dtype=float)
-    t = r / R
+    t = (np.concatenate([np.linspace(0.05, 0.999, 64), np.linspace(1.0, 2.0, 2049)]) if grid is None
+         else np.asarray(grid, dtype=float) / R)
     phi = spec.psi.pow_deriv(t, spec.k, 0)
-    mask = (r > 0.0) & (phi >= 1e-6)
+    mask = (t > 0.0) & (phi >= 1e-6)
     if not np.any(mask):
         return 0.0
-    r = r[mask]
-    t = t[mask]
-    phi = phi[mask]
-    g = [spec.psi.pow_deriv(t, 2 * spec.k, m) / R ** m for m in range(5)]
-    lap = g[2] + (N - 1.0) * g[1] / r
-    bilap = (g[4] + 2.0 * (N - 1.0) * g[3] / r
-             + (N - 1.0) * (N - 3.0) * g[2] / r ** 2
-             - (N - 1.0) * (N - 3.0) * g[1] / r ** 3)
-    quantity = np.abs(bilap - lam * lap) * R ** 2 / phi
-    return float(np.max(quantity))
+    t, phi = t[mask], phi[mask]
+    d = [spec.psi.pow_deriv(t, 2 * spec.k, m) for m in range(5)]
+    lap = d[2] + (N - 1.0) * d[1] / t
+    bilap = (d[4] + 2.0 * (N - 1.0) * d[3] / t
+             + (N - 1.0) * (N - 3.0) * d[2] / t ** 2
+             - (N - 1.0) * (N - 3.0) * d[1] / t ** 3)
+    with np.errstate(over="ignore"):  # a C past the float range is caught below
+        constant = float(np.max(np.abs(bilap / R / R - lam * lap) / phi))
+    if not np.isfinite(constant):
+        raise ParameterError(f"test-function constant at R = {R!r} exceeds the float range")
+    return constant
 
 
 @dataclass(frozen=True)
@@ -147,12 +144,14 @@ class HarnackMass:
 
 
 def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMass:
-    """Mass of u^p over the ball of radius R and its ratio to R^N."""
-    if R <= 0.0 or p <= 0.0:
-        raise ParameterError("harnack_mass needs R > 0 and p > 0")
+    """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep
+    whose second component (s/R)^(N-1) u^p / R forms no power of R."""
+    if not (0.0 < R < np.inf and p > 0.0):
+        raise ParameterError("harnack_mass needs finite R > 0 and p > 0")
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
-        return u.evaluate(s) ** p * s ** (N - 1)
+        up = u.evaluate(s) ** p
+        return np.stack((_times_shell(up, s, N), (s / R) ** (N - 1) * up / R))
 
     # break at the support edge and decades so every segment is smooth
     marks = {0.0, R}
@@ -164,8 +163,8 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
         d *= 10.0
     # a non-finite integrand raises QuadratureFailure
     segments, _, _ = _integrate_marks(integrand, [sorted(marks)])
-    mass = unit_sphere_area(N) * float(segments.sum())
-    return HarnackMass(mass=mass, ratio=mass / R ** N, R=R)
+    mass, ratio = unit_sphere_area(N) * segments.sum(axis=1)
+    return HarnackMass(mass=float(mass), ratio=float(ratio), R=R)
 
 
 @dataclass(frozen=True)

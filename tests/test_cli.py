@@ -304,6 +304,23 @@ class TestProbeCommand:
         assert code == 0
         assert math.isclose(env["result"]["mass"], 4.0 * math.pi / 3.0, rel_tol=1e-8)
 
+    @pytest.mark.parametrize("R", ["1e-200", "1e-120", "1e120", "1e200"])
+    def test_harnack_at_extreme_radii(self, capsys, R):
+        code, env, _ = run_json(capsys, [
+            "probe", "--kind", "harnack", "--N", "3", "--profile", "ball:1",
+            "--p", "2", "--R", R,
+        ])
+        assert code == 0
+        # the mass underflows for the small R, the ratio for the large
+        ball = 4.0 * math.pi / 3.0
+        mass, ratio = (0.0, ball) if float(R) < 1.0 else (ball, 0.0)
+        assert math.isclose(env["result"]["mass"], mass) and math.isclose(env["result"]["ratio"], ratio)
+
+    def test_testfn_past_the_float_range_is_invalid(self, capsys):
+        code, _, err = run(capsys, ["probe", "--kind", "testfn", "--N", "5", "--R", "1e-160"])
+        assert code == 2
+        assert "1e-160" in err
+
     def test_certificate_with_csv(self, capsys, tmp_path):
         out_file = tmp_path / "cert.csv"
         code, env, _ = run_json(capsys, [

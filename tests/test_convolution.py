@@ -588,6 +588,9 @@ def _tail_oracle(N, alpha, beta, sigma, kappa, A, R):
     # the potential's tails: beta = 0, R = 1e9 sqrt(A)
     (3, 1.0, 0.0, 2.5, 0.3, math.sqrt(10.0), 1e9 * math.sqrt(10.0)),
     (5, 3.0, 0.0, 2.0, -1.5, 10.0, 1e9 * math.sqrt(10.0)),
+    # critical line with 1 + beta + kappa < -4: grading m = -1/(1+beta+kappa) below 1/4
+    (3, 1.0, 0.0, 2.0, -5.5, 10.0, 1e4),
+    (3, 1.0, 0.0, 2.0, -11.0, 10.0, 1e6),
 ])
 def test_tail_integral_matches_mpmath(N, alpha, beta, sigma, kappa, A, R):
     value, estimate = convolution._tail_integral_1d(KernelParams(N, alpha, beta), sigma, kappa, A, R)
@@ -614,10 +617,38 @@ def test_constant_kernel_ball_volume_in_high_dimension(N):
 
 @pytest.mark.parametrize("N", [10, 20, 50])
 def test_newtonian_potential_at_the_ball_edge_in_high_dimension(N):
-    """At r = 1 the cusp slab reaches offsets |s - r| ~ 1e-40, where t^(2-N)
-    overflows for N >= 10; the angular rule forms the product in logs there."""
+    """At r = 1 the outer integrand of the alpha = N - 2 kernel has a cusp at the
+    ball's edge s = 1, graded on both sides, with the profile's jump on it."""
     res = convolve_radial(KernelParams(N, N - 2.0, 0.0), ball_profile(1.0), 1.0)
     assert math.isclose(res.value, unit_sphere_area(N) / N, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("N", [10, 20, 50])
+def test_newtonian_angular_factor_next_to_the_diagonal(N):
+    """At |s - r| = 1e-12, t^(2-N) overflows on the first panels from N = 28 on, so
+    at N = 50 the angular rule forms K tau sin(theta)^(N-3) in logs; the mean value
+    property gives |S^(N-1)| / |S^(N-2)| max(r, s)^(2-N)."""
+    s = np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    got = angular_factor(N, 1.0, s, KernelParams(N, N - 2.0, 0.0))
+    exact = unit_sphere_area(N) / unit_sphere_area(N - 1) * np.maximum(1.0, s) ** (2.0 - N)
+    assert np.allclose(got, exact, rtol=1e-13, atol=0.0), got / exact - 1.0
+
+
+def test_graded_cusp_offsets_stay_on_the_sweep(monkeypatch):
+    """Every node of a graded outer sweep lies on a G7-K15 panel, so the evaluations
+    are 15 per panel, and the offsets |s - r| stay where the panels put them: with
+    grading m = 2 here, the least is about 1e-5 r, nowhere near the 1e-40 h floor."""
+    offsets = []
+    angular = convolution.angular_factor
+
+    def spy(N, r, s, kernel):
+        offsets.append(np.min(np.abs(s.delta) / r))
+        return angular(N, r, s, kernel)
+
+    monkeypatch.setattr(convolution, "angular_factor", spy)
+    res = convolve_radial(KernelParams(3, 1.0, 0.5), power_profile(4.2, -0.5, 5.0), 3.0)
+    assert min(offsets) >= 1e-6, min(offsets)
+    assert res.evaluations % 15 == 0, res.evaluations
 
 
 def _log_cusp_oracle(r):

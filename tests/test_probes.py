@@ -15,6 +15,7 @@ from logriesz import (
     HypothesisViolated,
     ParameterError,
     RadialProfile,
+    ball_profile,
     divergence_certificate,
     harnack_mass,
     lower_bound_chain,
@@ -98,6 +99,20 @@ class TestFunctionBound:
         assert math.isclose(annulus_bound(spec, 5.0), 886.1142, rel_tol=1e-5)
         assert math.isclose(annulus_bound(spec, 10.0), 1473.0009, rel_tol=1e-5)
 
+    def test_constant_forms_no_power_of_R(self):
+        """C(R) = max |bilap_t / R^2 - lam lap_t| / phi in t = r/R: flat for large R,
+        R^-2 times a fixed number for small R, with no R^m to overflow."""
+        def bound(R):
+            return annulus_bound(FunctionSpec(k=5, delta=2.0, R=R), 0.3, N=5)
+
+        assert math.isclose(bound(10.0), 705.2167133574136, rel_tol=1e-13)
+        assert math.isclose(bound(1e80), bound(1e150), rel_tol=1e-13)
+        assert math.isclose(bound(1e-100) * 1e-200, bound(1e-50) * 1e-100, rel_tol=1e-12)
+
+    def test_constant_past_the_float_range_is_rejected(self):
+        with pytest.raises(ParameterError, match="R = 1e-160"):
+            annulus_bound(FunctionSpec(k=5, delta=2.0, R=1e-160), 0.3, N=5)
+
     def test_doubling_lambda_at_most_doubles(self):
         spec = FunctionSpec(k=5, delta=2.0, R=10.0)
         c1 = annulus_bound(spec, 5.0)
@@ -128,6 +143,20 @@ def _truncated_newton_profile():
 
 
 class TestHarnackMass:
+    @pytest.mark.parametrize("R", [1e-200, 1e-120, 1e120, 1e200])
+    def test_ball_mass_and_ratio_at_extreme_radii(self, R):
+        """Mass 4 pi/3 min(R, 1)^3 and ratio 4 pi/3 min(1, R^-3), or 0.0 where
+        they underflow; no R^N is formed to overflow."""
+        h = harnack_mass(ball_profile(1.0), 2.0, R)
+        for got, exact in ((h.mass, min(R, 1.0) ** 3), (h.ratio, min(1.0, 1.0 / R) ** 3)):
+            assert math.isclose(got, 4.0 * math.pi / 3.0 * exact, rel_tol=1e-12), (got, exact)
+
+    def test_infinite_radius_rejected(self):
+        with pytest.raises(ParameterError):
+            harnack_mass(_ones_profile(), 1.0, math.inf)
+        with pytest.raises(ParameterError):
+            FunctionSpec(k=5, delta=2.0, R=math.inf)
+
     def test_constant_profile_volume_ratio(self):
         for R in (1.0, 10.0, 250.0):
             h = harnack_mass(_ones_profile(), 2.0, R)
