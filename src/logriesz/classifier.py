@@ -129,6 +129,17 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
                           note="p < 1 with unbounded non-radial u is unresolved")
 
 
+def combined_mass_clause(p: float, s: float, beta: float, t2: float) -> str | None:
+    """Thm2(iv) or Thm2(v), the clauses of the combined mass of u^(p+q) with s = p + q, or None."""
+    if not _ge(p, 1.0):
+        return None
+    if _lt(s, t2):
+        return "Thm2(iv)"
+    if approx_eq(s, t2) and _gt(beta, 1.0 / s - 1.0):
+        return "Thm2(v)"
+    return None
+
+
 def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """First matching nonexistence clause (ii)-(ix), or None; assumes N >= 3."""
     t1, tn, t2 = thresholds(N, alpha)
@@ -140,10 +151,8 @@ def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | 
         return "Thm2(ii)"
     if a_le_2 and approx_eq(p, t1) and _ge(beta, -1.0):
         return "Thm2(iii)"
-    if _ge(p, 1.0) and _lt(s, t2):
-        return "Thm2(iv)"
-    if _ge(p, 1.0) and approx_eq(s, t2) and _gt(beta, 1.0 / s - 1.0):
-        return "Thm2(v)"
+    if clause := combined_mass_clause(p, s, beta, t2):
+        return clause
     if a_lt_2 and _gt(q, 1.0) and _lt(q, t1):
         return "Thm2(vi)"
     if a_lt_2 and approx_eq(q, t1) and _gt(beta, 1.0 / q - 1.0):

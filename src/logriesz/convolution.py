@@ -637,9 +637,12 @@ def ball_profile(r0: float) -> RadialProfile:
 
 
 def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
-    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with A > 1."""
+    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with A > 1 and f(0) above the smallest normal float."""
     if A <= 1.0:
         raise ParameterError("power profiles need A > 1 so the log factor stays positive")
+    # f(0) in logs: a profile that underflows there would read as 0 at every radius
+    if -sigma * math.log(A) + kappa * math.log(math.log(A)) < math.log(np.finfo(float).tiny):
+        raise ParameterError(f"power profile underflows at s = 0 for A = {A!r}")
 
     spec = AsymptoticSpec(-sigma, kappa)
 

@@ -10,6 +10,7 @@ exists, evaluated on a growing sequence of radii).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
-from .classifier import thm2_clause, thresholds
+from .classifier import combined_mass_clause, thm2_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, _times_shell, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
@@ -29,57 +30,35 @@ class BumpProfile:
     The decay piece is the degree-9 smootherstep 126x^5 - 420x^6 + 540x^7
     - 315x^8 + 70x^9 whose first four derivatives vanish at both joints,
     so every positive integer power of the bump stays C^4.  Derivatives of
-    powers are assembled from the base piece via the chain rule: expanding
+    powers come from the Taylor coefficients d^(k)/k! of the decay piece at
+    each point, raised to the power by truncated products: expanding
     (bump)^power into one monomial-basis polynomial is catastrophically
-    ill-conditioned (degree 9*power coefficients cancel to O(1) values),
-    while the base piece itself evaluates to near machine accuracy.
+    ill-conditioned (degree 9*power coefficients cancel to O(1) values).
+    The decay piece itself is accurate to near machine precision in
+    absolute terms only: next to t = 2 its value cancels to far below its
+    rounding error (at t = 2 - 1e-6 power 10 reads 3.9e-137, not 1.0e-279).
     """
 
     def __init__(self) -> None:
         ramp = Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 126.0, -420.0, 540.0, -315.0, 70.0])
         decay = Polynomial([1.0]) - ramp
-        self._derivs = [decay]
-        for _ in range(4):
-            self._derivs.append(self._derivs[-1].deriv())
+        # Taylor coefficients d^(k)(x)/k! of the decay piece, k = 0..4
+        self._taylor = [decay.deriv(k) / math.factorial(k) for k in range(5)]
 
     def pow_deriv(self, t, power: int = 1, order: int = 0):
         """d^order/dt^order of (bump)^power, vectorized over t >= 0."""
         if int(power) != power or power < 1 or order < 0 or order > 4:
             raise ParameterError("power must be an integer >= 1 and 0 <= order <= 4")
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inner = t < 1.0
-        if order == 0:
-            out[inner] = 1.0
+        out = np.where(t < 1.0, 1.0, 0.0) if order == 0 else np.zeros_like(t)
         mid = (t >= 1.0) & (t <= 2.0)
         if np.any(mid):
-            x = t[mid] - 1.0
-            d = [poly(x) for poly in self._derivs[:order + 1]]
-            n = float(power)
-
-            def term(coeff: float, exp: float, factor):
-                # skip zero coefficients so 0 * d0^(negative) never evaluates
-                if coeff == 0.0:
-                    return 0.0
-                return coeff * d[0] ** exp * factor
-
-            if order == 0:
-                val = d[0] ** n
-            elif order == 1:
-                val = term(n, n - 1, d[1])
-            elif order == 2:
-                val = (term(n * (n - 1), n - 2, d[1] ** 2)
-                       + term(n, n - 1, d[2]))
-            elif order == 3:
-                val = (term(n * (n - 1) * (n - 2), n - 3, d[1] ** 3)
-                       + term(3 * n * (n - 1), n - 2, d[1] * d[2])
-                       + term(n, n - 1, d[3]))
-            else:
-                val = (term(n * (n - 1) * (n - 2) * (n - 3), n - 4, d[1] ** 4)
-                       + term(6 * n * (n - 1) * (n - 2), n - 3, d[1] ** 2 * d[2])
-                       + term(n * (n - 1), n - 2, 3.0 * d[2] ** 2 + 4.0 * d[1] * d[3])
-                       + term(n, n - 1, d[4]))
-            out[mid] = val
+            base = [poly(t[mid] - 1.0) for poly in self._taylor[:order + 1]]
+            coeffs = base
+            for _ in range(int(power) - 1):
+                # truncated Cauchy product: Taylor coefficients of the next power
+                coeffs = [sum(coeffs[j] * base[k - j] for j in range(k + 1)) for k in range(order + 1)]
+            out[mid] = math.factorial(order) * coeffs[order]
         return out if out.ndim else float(out)
 
     def value(self, t):
@@ -203,20 +182,14 @@ def _theta_or_mid(theta: float | None, lo: float, hi: float, label: str) -> floa
     return theta
 
 
-def _certificate_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
-    """Clause attribution for certificate purposes.
-
-    The combined-mass quantity (sum of exponents against the doubled radius)
-    is the master estimate of the argument, so its two clauses are preferred
-    whenever several apply; the classifier keeps statement order instead.
-    """
-    s = p + q
-    t2 = thresholds(N, alpha)[2]
-    if p >= 1.0 and s < t2 and not approx_eq(s, t2):
-        return "Thm2(iv)"
-    if p >= 1.0 and approx_eq(s, t2) and beta > 1.0 / s - 1.0:
-        return "Thm2(v)"
-    return thm2_clause(N, p, q, alpha, beta)
+# Series rows by clause tag; the exponent x is p, q or s = p + q and c scales log(1 + c R).
+# A power row (m, x, c) reads R^a log(1 + c R)^beta with a = mN - alpha - (N-2) x; a log
+# row (shift, x, c) reads log(1 + c R)^b with b = beta + shift when b > 0, and otherwise
+# log(R)^(b + (x-1) theta) with theta in the window (-b/(x-1), 1 + b).  Thm2(iii) is
+# written out in divergence_certificate.
+_POWER_ROWS = {"Thm2(ii)": (1, "p", 1.0), "Thm2(iv)": (2, "s", 4.0), "Thm2(vi)": (1, "q", 1.0)}
+_LOG_ROWS = {"Thm2(v)": (0.0, "s", 4.0), "Thm2(vii)": (0.0, "q", 1.0),
+             "Thm2(viii)": (1.0, "q", 1.0), "Thm2(ix)": (1.0, "q", 1.0)}
 
 
 def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float,
@@ -224,6 +197,9 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
                            R_list: Sequence[float] | None = None) -> CertificateSeries:
     """Evaluate the divergence quantity of the matching nonexistence clause.
 
+    The combined-mass quantity (sum of exponents against the doubled radius)
+    is the master estimate of the argument, so its clauses Thm2(iv)/(v) are
+    preferred whenever they apply; otherwise the clause is thm2_clause's.
     theta is consulted only by the clauses whose proofs run through a
     log-exponent window, and is validated against that window when given.
     `unbounded` reports the asymptotic verdict of the series formula;
@@ -237,7 +213,8 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
         raise ParameterError("exponents p, q must be positive")
     if N <= 2:
         raise HypothesisViolated("certificates are defined for N >= 3")
-    clause = _certificate_clause(N, p, q, alpha, beta)
+    clause = (combined_mass_clause(p, p + q, beta, thresholds(N, alpha)[2])
+              or thm2_clause(N, p, q, alpha, beta))
     if clause is None:
         raise HypothesisViolated("parameters match no nonexistence clause")
     if R_list is None:
@@ -246,12 +223,13 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     if R.size < 2 or np.any(np.diff(R) <= 0.0):
         raise ParameterError("R_list must be increasing with at least 2 entries")
 
-    s = p + q
+    x = {"p": p, "q": q, "s": p + q}
     t_used = None
     log_r = np.log(R)
-    if clause == "Thm2(ii)":
-        a = N - alpha - (N - 2.0) * p
-        log_values = a * log_r + beta * np.log(np.log1p(R))
+    if clause in _POWER_ROWS:
+        m, key, c = _POWER_ROWS[clause]
+        a = m * N - alpha - (N - 2.0) * x[key]
+        log_values = a * log_r + beta * np.log(np.log1p(c * R))
         unbounded = a > 0.0
     elif clause == "Thm2(iii)":
         if approx_eq(beta, -1.0):
@@ -261,39 +239,15 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
         else:
             log_values = (1.0 + beta) * np.log(np.log1p(R))
         unbounded = beta >= -1.0
-    elif clause == "Thm2(iv)":
-        a = 2.0 * N - alpha - (N - 2.0) * s
-        log_values = a * log_r + beta * np.log(np.log1p(4.0 * R))
-        unbounded = a > 0.0
-    elif clause == "Thm2(v)":
-        if beta > 0.0:
-            log_values = beta * np.log(np.log1p(4.0 * R))
-            e = beta
+    else:
+        shift, key, c = _LOG_ROWS[clause]
+        b = beta + shift
+        if b > 0.0:
+            log_values = b * np.log(np.log1p(c * R))
+            e = b
         else:
-            t_used = _theta_or_mid(theta, -beta / (s - 1.0), 1.0 + beta, clause)
-            e = beta + (s - 1.0) * t_used
-            log_values = e * np.log(log_r)
-        unbounded = e > 0.0
-    elif clause == "Thm2(vi)":
-        a = N - alpha - (N - 2.0) * q
-        log_values = a * log_r + beta * np.log(np.log1p(R))
-        unbounded = a > 0.0
-    elif clause == "Thm2(vii)":
-        if beta > 0.0:
-            log_values = beta * np.log(np.log1p(R))
-            e = beta
-        else:
-            t_used = _theta_or_mid(theta, -beta / (q - 1.0), 1.0 + beta, clause)
-            e = beta + (q - 1.0) * t_used
-            log_values = e * np.log(log_r)
-        unbounded = e > 0.0
-    else:  # Thm2(viii) or Thm2(ix)
-        if beta > -1.0:
-            log_values = (1.0 + beta) * np.log(np.log1p(R))
-            e = 1.0 + beta
-        else:
-            t_used = _theta_or_mid(theta, (-1.0 - beta) / (q - 1.0), 2.0 + beta, clause)
-            e = 1.0 + beta + (q - 1.0) * t_used
+            t_used = _theta_or_mid(theta, (-shift - beta) / (x[key] - 1.0), (1.0 + shift) + beta, clause)
+            e = b + (x[key] - 1.0) * t_used
             log_values = e * np.log(log_r)
         unbounded = e > 0.0
 

@@ -70,6 +70,13 @@ class TestAnsatzParams:
         with pytest.raises(ParameterError):
             AnsatzParams(N=3, gamma=2.5, tau=0.0, A=2.5)
 
+    def test_rejects_a_source_that_underflows_at_the_origin(self):
+        """v(0) = A^(-gamma/2) (log(A)/2)^tau = 1e-375 would make u read 0, not
+        asinh(1e-125); v(0) = 1e-300 is still accepted."""
+        with pytest.raises(ParameterError, match="A = 1e\\+250"):
+            AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e250)
+        assert source_eval(AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e200), 0.0) == pytest.approx(1e-300, rel=1e-13)
+
 
 def test_w_eval_closed_values():
     p = AnsatzParams(N=3, gamma=2.5, tau=0.0, A=10.0)
@@ -694,10 +701,10 @@ class TestChooseCaseParams:
             choose_case_params("9z", 3, 1.0, 0.0, 2.0, 2.0)
 
 
-def test_certificate_runs_two_convolution_sweeps(monkeypatch):
+def test_certificate_runs_one_convolution_sweep(monkeypatch):
     """A work counter that no timer noise moves: one case-2 certificate makes one
-    array convolve_radial call per row set (grid, then extension), so two outer
-    sweeps and two tail sweeps, plus the table's layer cake and its tail.  Every
+    array convolve_radial call for the grid and its extension together, so one
+    outer sweep and one tail sweep, plus the table's layer cake and its tail.  Every
     evaluation lies on a G7-K15 panel (no separate node at the cusp)."""
     calls, sweeps = [], []
     convolve, sweep = ansatz.convolve_radial, convolution._integrate_marks
@@ -715,6 +722,6 @@ def test_certificate_runs_two_convolution_sweeps(monkeypatch):
     monkeypatch.setattr(convolution, "_integrate_marks", counted_sweep)
     case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
     assert verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0).passed
-    assert len(calls) == 2
-    assert len(sweeps) <= 8, sweeps
+    assert len(calls) == 1
+    assert len(sweeps) <= 4, sweeps
     assert sum(calls) == 34_860

@@ -251,6 +251,18 @@ def test_classifier_imports_only_the_decision_layer():
     assert "logriesz" not in absolute
 
 
+def test_classifier_imports_nothing_outside_the_standard_library():
+    """Besides kernel and errors, every import of classifier.py is from the standard
+    library: numpy-backed helpers such as the certificate series live in probes.py."""
+    with open(classifier.__file__) as fh:
+        tree = ast.parse(fh.read())
+    absolute = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names
+
+
 def test_decision_commands_run_without_scipy(tmp_path):
     """In a fresh process the README classify, table and ball-profile convolve,
     a power-profile convolve with its analytic tail, lambda_star and

@@ -196,6 +196,14 @@ class TestConvolveCommand:
         assert "invalid parameters" in err
 
 
+    def test_underflowing_profile_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "power:2:-1.5:1e200", "--radii", "1:100:3",
+        ])
+        assert code == 2
+        assert "A = 1e+200" in err
+
     def test_non_finite_radius_exit_two(self, capsys):
         code, _, err = run(capsys, [
             "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
@@ -253,6 +261,11 @@ class TestAnsatzCommand:
         code, _, err = run(capsys, ["ansatz", "--N", "3", "--gamma", "5", "--tau", "0"])
         assert code == 2
         assert "invalid parameters" in err
+
+    def test_underflowing_source_exit_two(self, capsys):
+        code, _, err = run(capsys, ["ansatz", "--N", "3", "--gamma", "3", "--tau", "0", "--A", "1e250"])
+        assert code == 2
+        assert "A = 1e+250" in err
 
 
 class TestVerifyCommand:

@@ -487,6 +487,14 @@ def test_power_profile_requires_wide_scale():
         power_profile(3.0, 0.0, A=0.5)
 
 
+def test_power_profile_that_underflows_at_the_origin_is_rejected():
+    """f(0) = A^-sigma log(A)^kappa below the smallest normal float would read as 0
+    everywhere, and so would its potential; f(0) = 1e-300 is still accepted."""
+    with pytest.raises(ParameterError, match="A = 1e\\+200"):
+        power_profile(2.0, -1.5, A=1e200)
+    assert power_profile(2.0, 0.0, A=1e150).evaluate(0.0) == pytest.approx(1e-300, rel=1e-13)
+
+
 def test_log_endpoint_kernel_far_field():
     """alpha = N: values shrink to 1e-15, far below any absolute tolerance.
 

@@ -4,9 +4,10 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logriesz import (
@@ -19,8 +20,10 @@ from logriesz import (
     divergence_certificate,
     harnack_mass,
     lower_bound_chain,
+    thm2_clause,
     write_certificate_csv,
 )
+from logriesz.classifier import combined_mass_clause, thresholds
 from logriesz import test_function_bound as annulus_bound
 from logriesz import TestFunctionSpec as FunctionSpec
 
@@ -51,6 +54,24 @@ class TestBumpProfile:
             for order in (1, 2, 3):
                 fd = (psi.pow_deriv(t + h, 3, order - 1) - psi.pow_deriv(t - h, 3, order - 1)) / (2 * h)
                 assert math.isclose(fd, psi.pow_deriv(t, 3, order), rel_tol=1e-5, abs_tol=1e-6)
+
+    def test_powers_match_mpmath(self):
+        """Absolute error against mpmath's derivatives of the power of the decay piece
+        1 - (126x^5 - 420x^6 + 540x^7 - 315x^8 + 70x^9), x = t - 1, within 1e-12 of
+        the largest |value| over [1, 2], for powers 1-20 and orders 0-4."""
+        psi = BumpProfile()
+        t = np.linspace(1.0, 2.0, 21)
+
+        def decay(x):
+            return 1 - (126 * x ** 5 - 420 * x ** 6 + 540 * x ** 7 - 315 * x ** 8 + 70 * x ** 9)
+
+        with mpmath.workdps(40):
+            for power in range(1, 21):
+                for order in range(5):
+                    exact = np.array([float(mpmath.diff(lambda x: decay(x) ** power, mpmath.mpf(s) - 1, order))
+                                      for s in t])
+                    err = np.max(np.abs(psi.pow_deriv(t, power, order) - exact))
+                    assert err <= 1e-12 * np.max(np.abs(exact)), (power, order, err)
 
     def test_parameter_validation(self):
         psi = BumpProfile()
@@ -281,6 +302,87 @@ class TestDivergenceCertificate:
         assert series.strictly_increasing
         assert series.unbounded
         assert series.growth_ratio > 1.0
+
+
+# log1p(c R) and log R ratios between the ends of the default radii 1e2..1e8
+_LOG1P_1 = math.log1p(1e8) / math.log1p(1e2)
+_LOG1P_4 = math.log1p(4e8) / math.log1p(4e2)
+_LOG_R = math.log(1e8) / math.log(1e2)
+
+
+class TestCertificateClosedForms:
+    """growth_ratio = value(1e8) / value(1e2) from each clause's series, with theta
+    at the midpoint of its window where the log exponent b = beta (+1) is <= 0."""
+
+    @pytest.mark.parametrize("args, clause, theta, ratio", [
+        # power rows R^a log(1 + c R)^beta, a = mN - alpha - (N-2) x
+        ((3, 1.5, 5.0, 0.0, 0.5), "Thm2(ii)", None, 1e9 * _LOG1P_1 ** 0.5),
+        ((3, 2.0, 2.0, 0.0, 0.5), "Thm2(iv)", None, 1e12 * _LOG1P_4 ** 0.5),
+        ((3, 0.5, 2.0, 0.0, 0.5), "Thm2(vi)", None, 1e6 * _LOG1P_1 ** 0.5),
+        # log(1 + R)^(1 + beta), and log log(1 + R) at beta = -1
+        ((3, 2.0, 4.0, 1.0, 0.5), "Thm2(iii)", None, _LOG1P_1 ** 1.5),
+        ((3, 2.0, 4.0, 1.0, -1.0), "Thm2(iii)", None,
+         math.log(math.log1p(1e8)) / math.log(math.log1p(1e2))),
+        # log rows: log(1 + c R)^b for b > 0, else log(R)^(b + (x-1) theta)
+        ((3, 3.0, 3.0, 0.0, -0.5), "Thm2(v)", 0.3, _LOG_R ** 1.0),
+        ((3, 0.5, 3.0, 0.0, 0.5), "Thm2(vii)", None, _LOG1P_1 ** 0.5),
+        ((3, 0.5, 3.0, 0.0, -0.5), "Thm2(vii)", 0.375, _LOG_R ** 0.25),
+        ((3, 3.0, 2.0, 1.0, -0.9), "Thm2(viii)", None, _LOG1P_1 ** 0.1),
+        ((3, 3.0, 2.0, 1.0, -1.2), "Thm2(viii)", 0.5, _LOG_R ** 0.3),
+        ((3, 2.0, 3.0, 1.0, -1.2), "Thm2(ix)", 0.45, _LOG_R ** 0.7),
+    ])
+    def test_growth_ratio(self, args, clause, theta, ratio):
+        s = divergence_certificate(*args)
+        assert s.clause == clause
+        assert s.theta == (None if theta is None else pytest.approx(theta, rel=1e-14))
+        assert math.isclose(s.growth_ratio, ratio, rel_tol=1e-12), (s.growth_ratio, ratio)
+        assert s.unbounded and s.strictly_increasing
+
+
+class TestCertificateFollowsTheClassifier:
+    """The certificate's clause is Thm2(iv)/(v) exactly when the classifier's
+    combined_mass_clause holds, with its tolerant comparisons, and otherwise
+    thm2_clause's answer."""
+
+    def test_p_within_tolerance_of_one_is_one(self):
+        args = (3, 1.0 - 1e-13, 1.0, 0.0, 0.0)
+        assert thm2_clause(*args) == "Thm2(ii)"
+        s = divergence_certificate(*args)
+        assert s.clause == "Thm2(iv)"
+        # R^(6 - (p + q)) over six decades
+        assert math.isclose(s.growth_ratio, 1e24, rel_tol=1e-9)
+
+    def test_beta_within_tolerance_of_the_window_edge_fails_thm2_v(self):
+        args = (3, 3.0, 3.0, 0.0, 1.0 / 6.0 - 1.0 + 1e-15)
+        assert thm2_clause(*args) == "Thm2(iii)"
+        s = divergence_certificate(*args)
+        assert s.clause == "Thm2(iii)" and s.theta is None
+        assert math.isclose(s.growth_ratio, _LOG1P_1 ** (1.0 / 6.0 + 1e-15), rel_tol=1e-12)
+        assert math.isclose(s.growth_ratio, 1.2595, rel_tol=1e-4)
+
+    @given(
+        N=st.sampled_from((3, 4, 5, 7)),
+        alpha=st.sampled_from((0.0, 0.5, 1.0, 2.0)) | st.floats(0.0, 2.9),
+        p=st.sampled_from(("1", "t1", "tn")) | st.floats(0.3, 6.0),
+        q=st.sampled_from(("1", "t1", "tn", "t2 - p")) | st.floats(0.3, 6.0),
+        beta=st.sampled_from(("1/s - 1", "1/q - 1", "-1", "-2 + 1/q")) | st.floats(-2.5, 2.5),
+        nudge=st.sampled_from((-1e-13, 0.0, 1e-13)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_clause_matches_the_classifier(self, N, alpha, p, q, beta, nudge):
+        t1, tn, t2 = thresholds(N, alpha)
+        p = {"1": 1.0, "t1": t1, "tn": tn}.get(p, p) * (1.0 + nudge)
+        q = {"1": 1.0, "t1": t1, "tn": tn, "t2 - p": t2 - p}.get(q, q) * (1.0 - nudge)
+        s = p + q
+        beta = {"1/s - 1": 1.0 / s - 1.0, "1/q - 1": 1.0 / q - 1.0, "-1": -1.0,
+                "-2 + 1/q": -2.0 + 1.0 / q}.get(beta, beta) + nudge
+        assume(q > 0.0 and beta > alpha - N)
+        expected = combined_mass_clause(p, s, beta, t2) or thm2_clause(N, p, q, alpha, beta)
+        if expected is None:
+            with pytest.raises(HypothesisViolated, match="no nonexistence clause"):
+                divergence_certificate(N, p, q, alpha, beta)
+        else:
+            assert divergence_certificate(N, p, q, alpha, beta).clause == expected
 
 
 class TestLowerBoundChain:
