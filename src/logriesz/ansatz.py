@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,7 +57,7 @@ class AnsatzParams:
     A: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 3:
+        if not isinstance(self.N, numbers.Integral) or self.N < 3:
             raise InvalidDimension("ansatz family needs integer N >= 3")
         if not (2.0 < self.gamma <= self.N):
             raise ParameterError(f"gamma must lie in (2, N], got {self.gamma}")
@@ -64,10 +65,6 @@ class AnsatzParams:
             raise ParameterError(f"tau must lie in (-1, 1), got {self.tau}")
         if not (self.A > math.e):
             raise ParameterError(f"A must exceed e so log(w) > 1/2 everywhere, got {self.A}")
-        # v(0) in logs: a source that underflows there would give u = 0 at every radius
-        log_v0 = -0.5 * self.gamma * math.log(self.A) + self.tau * math.log(0.5 * math.log(self.A))
-        if log_v0 < math.log(np.finfo(float).tiny):
-            raise ParameterError(f"the source underflows at r = 0 for A = {self.A!r}")
 
 
 def w_eval(params: AnsatzParams, r):
@@ -75,11 +72,16 @@ def w_eval(params: AnsatzParams, r):
     return np.sqrt(params.A + r * r)[()]
 
 
-def source_eval(params: AnsatzParams, r):
-    """v(r) = w^(-gamma) log(w)^tau; log(w) > 1/2 since A > e."""
+def _log_source(params: AnsatzParams, r):
+    """log v(r) = -gamma log(w) + tau log(log(w)); log(w) > 1/2 since A > e."""
     r = np.asarray(r, dtype=float)
-    lw = 0.5 * np.log(params.A + r * r)
-    return (np.exp(-0.5 * params.gamma * np.log(params.A + r * r)) * lw ** params.tau)[()]
+    log_w = 0.5 * np.log(params.A + r * r)
+    return (-params.gamma * log_w + params.tau * np.log(log_w))[()]
+
+
+def source_eval(params: AnsatzParams, r):
+    """v(r) = w^(-gamma) log(w)^tau, the exp of _log_source."""
+    return np.exp(_log_source(params, r))
 
 
 def source_profile(params: AnsatzParams) -> RadialProfile:
@@ -88,6 +90,7 @@ def source_profile(params: AnsatzParams) -> RadialProfile:
         infinity_spec=AsymptoticSpec(-params.gamma, params.tau),
         scale=math.sqrt(params.A),
         positive_mass_near_zero=True,
+        log_evaluate=lambda s: _log_source(params, s),
     )
 
 
@@ -96,43 +99,34 @@ def u_eval(params: AnsatzParams, r: float) -> float:
     return newtonian_potential_radial(params.N, source_profile(params), r)
 
 
-def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
-    """Lap^2(u) - lam*Lap(u) at radius r (vectorized), from the display above."""
+def _drift_over_source(params: AnsatzParams, r):
+    """-Lap(v)/v at radius r (vectorized): the display above at lam = 0 divided by
+    w^(-gamma) L^tau term by term, so no power of w is formed to underflow."""
     N, g, tau, A = params.N, params.gamma, params.tau, params.A
     r = np.asarray(r, dtype=float)
     w2 = A + r * r
     L = 0.5 * np.log(w2)
+    return (g * (N - g - 2.0) + tau * (2.0 * g + 2.0 - N) / L
+            + (A * g * (g + 2.0) - A * tau * (2.0 * g + 2.0) / L + tau * (1.0 - tau) * (r * r) / L ** 2) / w2) / w2
 
-    def w_pow(e):
-        return np.exp(-0.5 * e * np.log(w2))
 
-    out = (
-        g * (N - g - 2.0) * w_pow(g + 2.0) * L ** tau
-        + tau * (2.0 * g + 2.0 - N) * w_pow(g + 2.0) * L ** (tau - 1.0)
-        + A * g * (g + 2.0) * w_pow(g + 4.0) * L ** tau
-        - A * tau * (2.0 * g + 2.0) * w_pow(g + 4.0) * L ** (tau - 1.0)
-        + tau * (1.0 - tau) * (r * r) * w_pow(g + 4.0) * L ** (tau - 2.0)
-        + lam * w_pow(g) * L ** tau
-    )
-    return out[()]
+def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
+    """Lap^2(u) - lam*Lap(u) at radius r (vectorized), from the display above."""
+    return source_eval(params, r) * (_drift_over_source(params, r) + lam)
 
 
 def lambda_star(params: AnsatzParams) -> float:
     """Smallest lam with -Lap(v) + (lam/2) v >= 0 everywhere.
 
     Equals 2 sup_r Lap(v)/v clipped at 0: the best of 401 grid radii up to
-    r = 1e8, then three zoom rounds of 401 points in x = log(sqrt(A) + r)
-    between the neighbours of the current best.
+    r = max(1e8, 1e4 sqrt(A)), then three zoom rounds of 401 points in
+    x = log(sqrt(A) + r) between the neighbours of the current best.
     """
     root_a = math.sqrt(params.A)
-
-    def h(r):
-        return -2.0 * biharmonic_closed_form(params, 0.0, r) / source_eval(params, r)
-
-    r = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, 1e8, 400)))
+    r = np.concatenate(([0.0], np.geomspace(1e-4 * root_a, max(1e8, 1e4 * root_a), 400)))
     best = 0.0
     for _ in range(4):
-        vals = h(r)
+        vals = -2.0 * _drift_over_source(params, r)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         x = np.log(root_a + r[[max(i - 1, 0), min(i + 1, len(r) - 1)]])
@@ -216,9 +210,10 @@ class PotentialTable:
     """The potential u on [0, r_max], read from its layer cake.
 
     One _layer_cake sweep gives M_i = int_0^(r_i) s^(N-1) v ds and T_i = int_(r_i)^inf s v ds
-    at 481 nodes r_i, 0 and 480 radii geometric up to r_max; for r in [r_i, r_(i+1)),
+    at 481 nodes r_i, 0 and 480 radii geometric from 1e-3 min(sqrt(A), r_max) to r_max; for r in [r_i, r_(i+1)),
         (N-2) u(r) = r^(2-N) [M_i + int_(r_i)^r s^(N-1) v ds] + T_i - int_(r_i)^r s v ds,
-    both integrals on one 4-point Gauss-Legendre panel over source_eval.  error_estimate
+    both integrals on one 4-point Gauss-Legendre panel, each weighted value one exp of logs
+    (far out v is below the float range where h s v is not).  error_estimate
     is the sweep's largest relative error bound at the nodes plus the largest relative
     difference, at each node r_(i+1), between the read from r_i (the widest panel used)
     and the sweep's value.  Radii outside [0, r_max] raise ParameterError.
@@ -228,7 +223,7 @@ class PotentialTable:
         self.params = params
         self.r_max = float(r_max)
         N = params.N
-        self._nodes = np.concatenate(([0.0], np.geomspace(1e-3 * math.sqrt(params.A), self.r_max, 480)))
+        self._nodes = np.concatenate(([0.0], np.geomspace(1e-3 * min(math.sqrt(params.A), self.r_max), self.r_max, 480)))
         # r_i^(2-N) M_i (0 at r_0 = 0) and T_i
         self._inner, self._beyond, err, _ = _layer_cake(N, source_profile(params), self._nodes)
         u = (self._inner + self._beyond) / (N - 2)
@@ -244,9 +239,11 @@ class PotentialTable:
         # at r = 0 only T_0 is left: r_i = h = 0 there, so any finite divisor does
         r_safe = np.where(r > 0.0, r, 1.0)
         s = r_i + h * _GL4_U[:, None]
-        v = source_eval(self.params, s)
-        inner = (r_i / r_safe) ** (N - 2) * self._inner[i] + h * (_GL4_W @ ((s / r_safe) ** (N - 1) * v)) * r
-        return (inner + self._beyond[i] - h * (_GL4_W @ (s * v))) / (N - 2)
+        with np.errstate(divide="ignore"):  # log h = -inf at r = r_i makes both panels 0
+            log_hv = _log_source(self.params, s) + np.log(h)
+            inner, beyond = _GL4_W @ np.exp(np.stack((log_hv + (N - 1) * np.log(s / r_safe) + np.log(r),
+                                                      log_hv + np.log(s))))
+        return ((r_i / r_safe) ** (N - 2) * self._inner[i] + inner + self._beyond[i] - beyond) / (N - 2)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -327,20 +324,24 @@ def verify_supersolution(
     r_out = float(grid.max())
     ext = np.geomspace(r_out * 1.09, 2.0 * r_out, 8)
 
-    # convolve_radial's outermost tail probe, 2 s_max at r = 2 r_out, lands on r_max
-    table = PotentialTable(params, r_max=max(4.0 * TRUNCATION_FACTOR * r_out, 1e6))
+    # convolve_radial's outermost tail probe, 2 s_max at r = 2 r_out, lands on r_max or below
+    table = PotentialTable(params, r_max=4.0 * TRUNCATION_FACTOR * max(r_out, math.sqrt(A)))
 
     powered = RadialProfile(
         evaluate=lambda s: table(s) ** p,
         infinity_spec=_powered_spec(params, kernel, p),
         scale=math.sqrt(A),
         positive_mass_near_zero=True,
+        log_evaluate=lambda s: p * np.log(table(s)),
     )
 
     # grid and extension in one convolve_radial call; each radius is its own group of the sweep
     radii = np.concatenate((grid, ext))
+    drift = biharmonic_closed_form(params, lam, radii)
+    if (low := ~(drift > 0.0)).any():
+        raise ParameterError(f"the drift side underflows to 0 at r = {float(radii[low][0])!r} for A = {A!r}")
     reaction = convolve_radial(kernel, powered, radii).value * table(radii) ** q
-    rows = list(zip(radii.tolist(), biharmonic_closed_form(params, lam, radii).tolist(), reaction.tolist()))
+    rows = list(zip(radii.tolist(), drift.tolist(), reaction.tolist()))
     ratios = [rhs / lhs for _, lhs, rhs in rows]
     s_main = max(ratios[:len(grid)])
     s_final = max(ratios)

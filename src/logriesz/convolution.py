@@ -32,6 +32,10 @@ Both integrands are positive, so every radius keeps the relative accuracy of
 its segments; an octave is short enough for one G7-K15 panel to reach
 roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
 
+Every integrand that multiplies a profile f by powers of s or r is one exp of
+a sum of logs, log f (RadialProfile.log_values) among them: far out f may lie
+below the float range where its product with s^(N-1) does not.
+
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s) (at
@@ -97,7 +101,9 @@ POTENTIAL_REACH = 1e9
 class RadialProfile:
     """Nonnegative radial profile with declared endpoint behavior.
 
-    evaluate must accept scalars and numpy arrays.  infinity_spec declares
+    evaluate must accept scalars and numpy arrays.  log_evaluate, if given, returns log f
+    at an array s (-inf where f is 0), also where f leaves the float range; the quadratures
+    read f through log_values, which falls back on log(evaluate(s)).  infinity_spec declares
     the power-log decay shape in the (A + r)-form with A = scale; divergence
     detection and tail completion trust it, so it must match the actual
     decay.  positive_mass_near_zero opts the profile into lower bounds that
@@ -109,6 +115,14 @@ class RadialProfile:
     scale: float = 1.0
     support_radius: float | None = None
     positive_mass_near_zero: bool = False
+    log_evaluate: Callable | None = None
+
+    def log_values(self, s: np.ndarray) -> np.ndarray:
+        """log f at an array s: log_evaluate(s), or else log(evaluate(s))."""
+        if self.log_evaluate is not None:
+            return self.log_evaluate(s)
+        with np.errstate(divide="ignore"):
+            return np.log(self.evaluate(s))
 
 
 @dataclass(frozen=True)
@@ -283,18 +297,6 @@ def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
     t = t1 * y
     g = (np.log1p(t) / t) ** beta * ((1.0 - t / (2.0 * r)) * (1.0 + t / (2.0 * r))) ** ((N - 3) / 2.0)
     return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g))
-
-
-def _times_shell(fs: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
-    """fs s^(N-1), formed in logs where s^(N-1) overflows (0 there where fs is 0)."""
-    with np.errstate(over="ignore"):
-        shell = s ** (N - 1)
-    far = np.isinf(shell)
-    out = fs * np.where(far, 0.0, shell)
-    if far.any():
-        with np.errstate(divide="ignore"):
-            out[far] = np.exp(np.log(fs[far]) + (N - 1) * np.log(s[far]))
-    return out
 
 
 def _tail_gap(kernel: KernelParams, sigma: float, kappa: float) -> float | None:
@@ -520,8 +522,8 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
 
     def integrand(s: np.ndarray, delta: np.ndarray, group: np.ndarray) -> np.ndarray:
         if N == 1:
-            return f.evaluate(s) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, flat[group] + s))
-        return _times_shell(f.evaluate(s), s, N) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
+            return np.exp(f.log_values(s)) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, flat[group] + s))
+        return np.exp(f.log_values(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
 
     # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);
     # the least grading m that turns each term into an integer power of u or u^3 or higher
@@ -539,13 +541,10 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
 
 def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic tail past s_max, and its error bound, at every radius of the 1-d array r: f's
-    ratio to its declared shape at (1, 1.5, 2) s_max times _tail_integral_1d (0 if not > 0)."""
+    ratio to its declared shape at (1, 1.5, 2) s_max (in logs) times _tail_integral_1d (0 if not > 0)."""
     spec, A = f.infinity_spec, f.scale
     probes = s_max[:, None] * np.array([1.0, 1.5, 2.0])
-    shape = spec.shape(probes, A)
-    fv = np.asarray(f.evaluate(probes.ravel()), dtype=float).reshape(probes.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(shape > 0.0, fv / shape, 0.0)
+    ratios = np.exp(f.log_values(probes.ravel()).reshape(probes.shape) - spec.log_shape(probes, A))
     c = np.sort(ratios, axis=1)[:, 1]  # the median
     tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
     if (live := c > 0.0).any():
@@ -581,13 +580,9 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
     marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
-        fs = f.evaluate(s)
-        # M is read at the radii only: past the largest, s^(N-1) f gets weight 0
-        # and s^(N-1), which may overflow there, is never formed
-        inner = s <= r_top
-        mass = np.zeros_like(fs)
-        mass[inner] = _times_shell(fs[inner], s[inner], N)
-        return np.stack((mass, fs * s))
+        log_f, log_s = f.log_values(s), np.log(s)
+        # M is read at the radii only: past the largest, s^(N-1) f gets log weight -inf, so never overflows
+        return np.exp(np.stack((log_f + np.where(s <= r_top, (N - 1) * log_s, -math.inf), log_f + log_s)))
 
     (m_seg, t_seg), (m_err, t_err), evaluations = _integrate_marks(integrand, [marks])
     # int_{s_end}^inf s f ds and its error: the Newton convolution's tail at r = 0,
@@ -637,24 +632,17 @@ def ball_profile(r0: float) -> RadialProfile:
 
 
 def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
-    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with A > 1 and f(0) above the smallest normal float."""
+    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with A > 1, evaluated in logs."""
     if A <= 1.0:
         raise ParameterError("power profiles need A > 1 so the log factor stays positive")
-    # f(0) in logs: a profile that underflows there would read as 0 at every radius
-    if -sigma * math.log(A) + kappa * math.log(math.log(A)) < math.log(np.finfo(float).tiny):
-        raise ParameterError(f"power profile underflows at s = 0 for A = {A!r}")
 
     spec = AsymptoticSpec(-sigma, kappa)
 
-    def evaluate(s):
-        return spec.shape(np.asarray(s, dtype=float), A)[()]
+    def log_evaluate(s):
+        return spec.log_shape(np.asarray(s, dtype=float), A)[()]
 
-    return RadialProfile(
-        evaluate=evaluate,
-        infinity_spec=spec,
-        scale=A,
-        positive_mass_near_zero=True,
-    )
+    return RadialProfile(evaluate=lambda s: np.exp(log_evaluate(s)), infinity_spec=spec, scale=A,
+                         positive_mass_near_zero=True, log_evaluate=log_evaluate)
 
 
 def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[float]) -> list[tuple[float, ConvolutionResult]]:

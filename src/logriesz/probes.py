@@ -19,7 +19,7 @@ from numpy.polynomial import Polynomial
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
 from .classifier import combined_mass_clause, thm2_clause, thresholds
-from .convolution import RadialProfile, _integrate_marks, _times_shell, convolve_radial, unit_sphere_area
+from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
 
@@ -45,12 +45,14 @@ class BumpProfile:
         # Taylor coefficients d^(k)(x)/k! of the decay piece, k = 0..4
         self._taylor = [decay.deriv(k) / math.factorial(k) for k in range(5)]
 
-    def pow_deriv(self, t, power: int = 1, order: int = 0):
-        """d^order/dt^order of (bump)^power, vectorized over t >= 0."""
+    def pow_derivs(self, t, power: int = 1, order: int = 0) -> np.ndarray:
+        """d^k/dt^k of (bump)^power for every k = 0..order, stacked along a new first
+        axis, from one pass of truncated products; vectorized over t >= 0."""
         if int(power) != power or power < 1 or order < 0 or order > 4:
             raise ParameterError("power must be an integer >= 1 and 0 <= order <= 4")
         t = np.asarray(t, dtype=float)
-        out = np.where(t < 1.0, 1.0, 0.0) if order == 0 else np.zeros_like(t)
+        out = np.zeros((order + 1,) + t.shape)
+        out[0] = np.where(t < 1.0, 1.0, 0.0)
         mid = (t >= 1.0) & (t <= 2.0)
         if np.any(mid):
             base = [poly(t[mid] - 1.0) for poly in self._taylor[:order + 1]]
@@ -58,7 +60,12 @@ class BumpProfile:
             for _ in range(int(power) - 1):
                 # truncated Cauchy product: Taylor coefficients of the next power
                 coeffs = [sum(coeffs[j] * base[k - j] for j in range(k + 1)) for k in range(order + 1)]
-            out[mid] = math.factorial(order) * coeffs[order]
+            out[:, mid] = [math.factorial(k) * c for k, c in enumerate(coeffs)]
+        return out
+
+    def pow_deriv(self, t, power: int = 1, order: int = 0):
+        """d^order/dt^order of (bump)^power, vectorized over t >= 0."""
+        out = self.pow_derivs(t, power, order)[order]
         return out if out.ndim else float(out)
 
     def value(self, t):
@@ -103,7 +110,7 @@ def test_function_bound(spec: TestFunctionSpec, lam: float,
     if not np.any(mask):
         return 0.0
     t, phi = t[mask], phi[mask]
-    d = [spec.psi.pow_deriv(t, 2 * spec.k, m) for m in range(5)]
+    d = spec.psi.pow_derivs(t, 2 * spec.k, 4)
     lap = d[2] + (N - 1.0) * d[1] / t
     bilap = (d[4] + 2.0 * (N - 1.0) * d[3] / t
              + (N - 1.0) * (N - 3.0) * d[2] / t ** 2
@@ -123,14 +130,14 @@ class HarnackMass:
 
 
 def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMass:
-    """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep
-    whose second component (s/R)^(N-1) u^p / R forms no power of R."""
+    """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep of
+    s^(N-1) u^p and (s/R)^(N-1) u^p / R, each one exp of logs that forms no power of R."""
     if not (0.0 < R < np.inf and p > 0.0):
         raise ParameterError("harnack_mass needs finite R > 0 and p > 0")
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
-        up = u.evaluate(s) ** p
-        return np.stack((_times_shell(up, s, N), (s / R) ** (N - 1) * up / R))
+        log_up, log_s = p * u.log_values(s), np.log(s)
+        return np.exp(np.stack((log_up + (N - 1) * log_s, log_up + (N - 1) * (log_s - math.log(R)) - math.log(R))))
 
     # break at the support edge and decades so every segment is smooth
     marks = {0.0, R}
@@ -310,31 +317,28 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
         raise ParameterError("p must be positive")
     grid = np.asarray(grid, dtype=float)
 
+    predicted = None
     if u0 is None:
-        sigma = p * (N - 2.0)
+        def log_u0(r):
+            return (2.0 - N) * np.log(np.maximum(1.0, r))
 
-        def powered(r):
-            return np.maximum(1.0, np.asarray(r, dtype=float)) ** (-sigma)
+        u0 = RadialProfile(evaluate=lambda r: np.exp(log_u0(r)), infinity_spec=AsymptoticSpec(2.0 - N, 0.0),
+                           positive_mass_near_zero=True, log_evaluate=log_u0)
+        predicted = AsymptoticSpec(N - alpha - p * (N - 2.0), beta)
 
-        f = RadialProfile(evaluate=powered, infinity_spec=AsymptoticSpec(-sigma, 0.0),
-                          positive_mass_near_zero=True)
-        predicted = AsymptoticSpec(N - alpha - sigma, beta)
-    else:
-        def powered(r, base=u0):
-            return np.asarray(base.evaluate(r), dtype=float) ** p
+    def log_powered(r):
+        return p * u0.log_values(np.asarray(r, dtype=float))
 
-        inf_spec = None
-        if u0.infinity_spec is not None:
-            inf_spec = AsymptoticSpec(p * u0.infinity_spec.power,
-                                      p * u0.infinity_spec.logpower)
-        f = RadialProfile(evaluate=powered, infinity_spec=inf_spec, scale=u0.scale,
-                          support_radius=u0.support_radius,
-                          positive_mass_near_zero=u0.positive_mass_near_zero)
+    spec = u0.infinity_spec
+    f = RadialProfile(evaluate=lambda r: np.exp(log_powered(r)),
+                      infinity_spec=None if spec is None else AsymptoticSpec(p * spec.power, p * spec.logpower),
+                      scale=u0.scale, support_radius=u0.support_radius,
+                      positive_mass_near_zero=u0.positive_mass_near_zero, log_evaluate=log_powered)
+    if predicted is None:
         try:
             predicted = lower_bound_prediction(kernel, f).spec
         except ParameterError:
-            # no claimable lower envelope (e.g. the zero profile): data only
-            predicted = None
+            pass  # no claimable lower envelope (e.g. the zero profile): data only
 
     res = convolve_radial(kernel, f, grid)
     fitted = None

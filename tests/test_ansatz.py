@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import mpmath as mp
 from scipy import integrate, optimize
 
 from logriesz import (
@@ -48,6 +49,8 @@ class TestAnsatzParams:
     def test_accepts_interior_values(self):
         AnsatzParams(N=3, gamma=2.5, tau=0.3, A=10.0)
         AnsatzParams(N=5, gamma=5.0, tau=-0.99, A=2.8)
+        # numpy integers are numbers.Integral
+        AnsatzParams(N=np.int64(3), gamma=2.5, tau=0.3, A=10.0)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(InvalidDimension):
@@ -70,12 +73,18 @@ class TestAnsatzParams:
         with pytest.raises(ParameterError):
             AnsatzParams(N=3, gamma=2.5, tau=0.0, A=2.5)
 
-    def test_rejects_a_source_that_underflows_at_the_origin(self):
-        """v(0) = A^(-gamma/2) (log(A)/2)^tau = 1e-375 would make u read 0, not
-        asinh(1e-125); v(0) = 1e-300 is still accepted."""
-        with pytest.raises(ParameterError, match="A = 1e\\+250"):
-            AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e250)
-        assert source_eval(AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e200), 0.0) == pytest.approx(1e-300, rel=1e-13)
+    def test_source_below_the_float_range_reads_in_logs(self):
+        """v(0) = A^(-gamma/2) (log(A)/2)^tau = 1e-375 is below the float range, but
+        the profile carries log v, so u(r) = asinh(r/sqrt(A))/r reads 1e-125 at r = 0
+        and asinh(1e-125) at r = 1, within its error_estimate."""
+        params = AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e250)
+        profile = source_profile(params)
+        assert source_eval(params, 0.0) == 0.0
+        assert profile.log_values(np.array([0.0]))[0] == pytest.approx(-375.0 * math.log(10.0), rel=1e-15)
+        res = newtonian_potential_radial(3, profile, [0.0, 1.0])
+        exact = np.array([1e-125, math.asinh(1e-125)])
+        assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+        assert np.all(res.error_estimate <= 1e-10 * exact)
 
 
 def test_w_eval_closed_values():
@@ -172,6 +181,13 @@ class TestLambdaStar:
         assert math.isclose(lambda_star(p3), 0.12, rel_tol=1e-4)
         p5 = AnsatzParams(N=5, gamma=5.0, tau=0.0, A=20.0)
         assert math.isclose(lambda_star(p5), 1.0 / 14.0, rel_tol=1e-4)
+
+    @pytest.mark.parametrize("A", [10.0, 1e16, 1e100, 1e200])
+    def test_log_free_endpoint_at_large_scale(self, A):
+        """(N, gamma, tau) = (3, 3, 0): the maximum 1.2/A of Lap(v)/v sits at r = 2 sqrt(A),
+        past r = 1e8 from A = 2.5e15 on, and the w^(-gamma-4) terms of Lap(v) underflow
+        from A ~ 1e62 on."""
+        assert math.isclose(lambda_star(AnsatzParams(N=3, gamma=3.0, tau=0.0, A=A)), 1.2 / A, rel_tol=1e-9)
 
     def test_nonincreasing_in_scale(self):
         vals = [lambda_star(AnsatzParams(N=3, gamma=3.0, tau=0.0, A=A)) for A in (10.0, 20.0, 40.0)]
@@ -567,6 +583,57 @@ def test_potential_table_reads_the_layer_cake(params, most):
     relerr = np.max(np.abs(table(radii) / exact - 1.0))
     assert relerr <= 1e-13
     assert relerr <= table.error_estimate <= most
+
+
+def _case2_potential(r: float) -> float:
+    """u(r) for (N, gamma, tau, A) = (3, 3, -0.875, 10) by mpmath at 30 digits:
+    u = M/r + T with T = int_(log w(r))^inf e^-x x^tau dx (x = log w, s ds = w dw)
+    and M = int_0^r s^2 v ds, in x = log s past s = 1."""
+    with mp.workdps(30):
+        A, tau = mp.mpf(10), mp.mpf(-0.875)
+        total = mp.quad(lambda x: mp.exp(-x) * x ** tau, [mp.log(mp.sqrt(A + mp.mpf(r) ** 2)), mp.inf])
+        if r == 0.0:
+            return float(total)
+
+        def shell(s):
+            w = mp.sqrt(A + s * s)
+            return s * s * w ** -3 * mp.log(w) ** tau
+
+        mass = mp.quad(shell, [0, min(mp.mpf(r), 1)])
+        if r > 1.0:
+            mass += mp.quad(lambda x: mp.exp(x) * shell(mp.exp(x)), mp.linspace(0, mp.log(r), 60))
+        return float(mass / r + total)
+
+
+def test_potential_table_reaches_past_the_source_float_range():
+    """Case 2's source v = w^-3 log(w)^-0.875 is subnormal from s ~ 6e106 and 0.0 from
+    1.5e107; read in logs, the table to r_max = 4e126 builds, and its error_estimate
+    covers the error against mpmath from r = 0 to r_max."""
+    table = PotentialTable(AnsatzParams(3, 3.0, -0.875, 10.0), 4e126)
+    assert table.error_estimate <= 1e-5
+    for r in (0.0, 1.0, 1e5, 1e40, 1e107, 4e126):
+        exact = _case2_potential(r)
+        assert abs(table(r) / exact - 1.0) <= table.error_estimate, r
+
+
+def test_potential_of_a_source_that_is_subnormal_far_out():
+    """At A = 1e200 the source w^-3 is subnormal past s ~ 1e103, where s^2 v is not;
+    in logs u(1) matches asinh(1e-100) within its error_estimate (it read 1.24e-8 off
+    against an estimate of 7.1e-9 in floats)."""
+    res = newtonian_potential_radial(3, source_profile(AnsatzParams(3, 3.0, 0.0, 1e200)), [1.0])
+    exact = math.asinh(1e-100)
+    assert abs(res.value[0] - exact) <= res.error_estimate[0] <= 1e-10 * exact
+
+
+def test_potential_table_nodes_ascend_below_the_scale():
+    """For r_max below 1e-3 sqrt(A) the nodes start at 1e-3 r_max, so the reads
+    match asinh(r/sqrt(A))/r on [0, r_max]."""
+    params = AnsatzParams(3, 3.0, 0.0, 1e6)
+    table = PotentialTable(params, r_max=0.1)
+    assert np.all(np.diff(table._nodes) > 0.0)
+    radii = np.array([0.0, 1e-6, 1e-3, 0.05, 0.1])
+    exact = np.where(radii > 0.0, np.arcsinh(radii / 1e3) / np.where(radii > 0.0, radii, 1.0), 1e-3)
+    assert np.max(np.abs(table(radii) / exact - 1.0)) <= max(table.error_estimate, 1e-14)
 
 
 def test_potential_table_refuses_radii_past_r_max():

@@ -196,13 +196,16 @@ class TestConvolveCommand:
         assert "invalid parameters" in err
 
 
-    def test_underflowing_profile_exit_two(self, capsys):
-        code, _, err = run(capsys, [
+    def test_profile_below_the_float_range_exit_zero(self, capsys):
+        """(A + r)^-2 log(A + r)^-1.5 at A = 1e200 is below the float range at these
+        radii; read in logs, the Newton kernel gives 4 pi times its potential, 0.0931."""
+        code, env, _ = run_json(capsys, [
             "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
             "--profile", "power:2:-1.5:1e200", "--radii", "1:100:3",
         ])
-        assert code == 2
-        assert "A = 1e+200" in err
+        assert code == 0
+        for row in env["result"]["rows"]:
+            assert math.isclose(row["value"], 4.0 * math.pi * 0.0930972595999533, rel_tol=1e-9)
 
     def test_non_finite_radius_exit_two(self, capsys):
         code, _, err = run(capsys, [
@@ -262,10 +265,11 @@ class TestAnsatzCommand:
         assert code == 2
         assert "invalid parameters" in err
 
-    def test_underflowing_source_exit_two(self, capsys):
-        code, _, err = run(capsys, ["ansatz", "--N", "3", "--gamma", "3", "--tau", "0", "--A", "1e250"])
-        assert code == 2
-        assert "A = 1e+250" in err
+    def test_source_below_the_float_range_exit_zero(self, capsys):
+        """v(0) = 1e-375: the threshold 2N / (A (N + 2)) is still read off Lap(v)/v."""
+        code, env, _ = run_json(capsys, ["ansatz", "--N", "3", "--gamma", "3", "--tau", "0", "--A", "1e250"])
+        assert code == 0
+        assert math.isclose(env["result"]["lambda_star"], 1.2e-250, rel_tol=1e-9)
 
 
 class TestVerifyCommand:
@@ -279,6 +283,26 @@ class TestVerifyCommand:
         assert env["result"]["stable"] is True
         assert 0.0 < env["result"]["S"] < 1e4
         assert env["result"]["lambda"] > env["result"]["lambda_star"]
+
+    def test_large_scale_table_covers_the_tail_probes(self, capsys):
+        """At A = 1e20 convolve_radial's tail probes reach 2e3 sqrt(A) = 2e13, past
+        4e3 r_out = 4e9: the table is sized by max(r_out, sqrt(A))."""
+        code, env, _ = run_json(capsys, [
+            "verify", "--case", "2", "--N", "3", "--alpha", "1", "--beta", "-1.5",
+            "--p", "2", "--q", "4", "--A", "1e20",
+        ])
+        assert code == 0
+        assert env["result"]["pass"] is True
+        assert env["result"]["stable"] is True
+        assert math.isfinite(env["result"]["S"]) and env["result"]["S"] > 0.0
+
+    def test_drift_side_below_the_float_range_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "verify", "--case", "2", "--N", "3", "--alpha", "1", "--beta", "-1.5",
+            "--p", "2", "--q", "4", "--A", "1e200",
+        ])
+        assert code == 2
+        assert "A = 1e+200" in err
 
     def test_wrong_exponents_exit_two(self, capsys):
         code, _, err = run(capsys, [

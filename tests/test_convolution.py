@@ -487,12 +487,31 @@ def test_power_profile_requires_wide_scale():
         power_profile(3.0, 0.0, A=0.5)
 
 
-def test_power_profile_that_underflows_at_the_origin_is_rejected():
-    """f(0) = A^-sigma log(A)^kappa below the smallest normal float would read as 0
-    everywhere, and so would its potential; f(0) = 1e-300 is still accepted."""
-    with pytest.raises(ParameterError, match="A = 1e\\+200"):
-        power_profile(2.0, -1.5, A=1e200)
+def test_power_profile_below_the_float_range_reads_in_logs():
+    """f(0) = A^-sigma log(A)^kappa = 1e-400 log(1e200)^-1.5 is below the float range;
+    log_values carries it, and evaluate is its exp (1e-300 at A = 1e150)."""
+    f = power_profile(2.0, -1.5, A=1e200)
+    log_a = 200.0 * math.log(10.0)
+    expected = -2.0 * log_a - 1.5 * math.log(log_a)
+    assert f.log_values(np.array([0.0]))[0] == pytest.approx(expected, rel=1e-15)
+    assert f.evaluate(0.0) == 0.0
     assert power_profile(2.0, 0.0, A=1e150).evaluate(0.0) == pytest.approx(1e-300, rel=1e-13)
+
+
+def test_potential_of_a_profile_below_the_float_range():
+    """power_profile(2, -1.5, A=1e200) is below the float range for s < 1e200, where
+    s f is not: its potential at r = 1 is int_(log(A+1))^inf (1 - A e^-x) x^-1.5 dx
+    (x = log(A + s); the mass inside r = 1 is 1e-400), 0.0931 by mpmath, and
+    convolve_radial with the Newton kernel gives 4 pi times it."""
+    with mp.workdps(30):
+        big = mp.mpf(10) ** 200
+        exact = float(mp.quad(lambda x: (1 - big * mp.exp(-x)) * x ** -1.5,
+                              [mp.log(big + 1), mp.log(big) + 1, mp.log(big) + 10, mp.inf]))
+    f = power_profile(2.0, -1.5, A=1e200)
+    res = newtonian_potential_radial(3, f, [1.0])
+    assert abs(res.value[0] - exact) <= res.error_estimate[0] <= 1e-10 * exact
+    conv = convolve_radial(KernelParams(3, 1.0, 0.0), f, 1.0)
+    assert abs(conv.value - 4.0 * math.pi * exact) <= conv.error_estimate <= 1e-7 * conv.value
 
 
 def test_log_endpoint_kernel_far_field():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from logriesz import (
 
 def test_validate_accepts_admissible_ranges():
     validate(KernelParams(3, 1.0, 0.0))
+    # numpy integers are numbers.Integral
+    validate(KernelParams(np.int64(3), 1.0, 0.0))
     validate(KernelParams(3, 0.0, 2.5))
     validate(KernelParams(5, 5.0, 0.5))
     # beta may go negative as long as it stays above alpha - N

@@ -82,6 +82,17 @@ class TestBumpProfile:
         with pytest.raises(ParameterError):
             psi.pow_deriv(1.5, 2, 5)
 
+    def test_all_orders_from_one_pass(self):
+        """pow_derivs stacks orders 0..order; each row is pow_deriv's value bit for bit,
+        since order k of a truncated product reads only the coefficients up to k."""
+        psi = BumpProfile()
+        t = np.linspace(0.0, 3.0, 61)
+        for power in (1, 7, 20):
+            d = psi.pow_derivs(t, power, 4)
+            assert d.shape == (5,) + t.shape
+            for order in range(5):
+                assert np.array_equal(d[order], psi.pow_deriv(t, power, order))
+
     def test_vectorized_evaluation(self):
         psi = BumpProfile()
         t = np.array([0.5, 1.25, 1.75, 2.5])
