@@ -311,6 +311,9 @@ def verify_supersolution(
     move S by less than 10 percent.
     """
     validate(kernel)
+    grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e6, 59))) if grid is None else np.asarray(grid, dtype=float)
+    if not (grid.size and np.isfinite(grid).all() and grid.min() >= 0.0 and grid.max() > 0.0):
+        raise ParameterError(f"grid must hold finite radii r >= 0, at least one positive, got {grid.tolist()}")
     params = AnsatzParams(N=kernel.N, gamma=case.gamma, tau=case.tau, A=A)
     threshold = lambda_star(params)
     if lam is None:
@@ -318,9 +321,6 @@ def verify_supersolution(
     if lam <= threshold:
         raise HypothesisViolated(f"lambda must exceed the drift threshold {threshold}")
 
-    if grid is None:
-        grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e6, 59)))
-    grid = np.asarray(grid, dtype=float)
     r_out = float(grid.max())
     ext = np.geomspace(r_out * 1.09, 2.0 * r_out, 8)
 
@@ -338,6 +338,10 @@ def verify_supersolution(
     # grid and extension in one convolve_radial call; each radius is its own group of the sweep
     radii = np.concatenate((grid, ext))
     drift = biharmonic_closed_form(params, lam, radii)
+    # This refusal guards the reaction too: where the drift side leaves the float range, so
+    # does the reaction.  For T4-2 at A = 1e150, K * u^p at r = 0 reads 2.31e-306 (estimate
+    # 1.49e-306) where the profile scaled by e^600 gives 1.55e-295, because convolve_radial's
+    # sweep depends on the scale of f; for 1b at A = 1e200 the reaction (K * u^p) u^q is 0.0.
     if (low := ~(drift > 0.0)).any():
         raise ParameterError(f"the drift side underflows to 0 at r = {float(radii[low][0])!r} for A = {A!r}")
     reaction = convolve_radial(kernel, powered, radii).value * table(radii) ** q

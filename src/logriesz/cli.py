@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import __version__
 from .ansatz import (
     AnsatzParams,
     lambda_star,
@@ -55,8 +56,6 @@ from .probes import (
     test_function_bound,
     write_certificate_csv,
 )
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -131,7 +130,7 @@ def _flatten(obj, prefix: str, lines: list[str]) -> None:
 
 
 def emit(command: str, inputs: dict, result, fmt: str) -> dict:
-    env = {"command": command, "inputs": inputs, "result": result, "version": VERSION}
+    env = {"command": command, "inputs": inputs, "result": result, "version": __version__}
     if fmt == "json":
         print(json.dumps(env, indent=2))
     else:
@@ -284,7 +283,7 @@ def cmd_table(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"command": "table", "inputs": inputs, "result": result,
-                       "version": VERSION}, fh, indent=2)
+                       "version": __version__}, fh, indent=2)
     return EXIT_OK
 
 

@@ -62,11 +62,9 @@ and the stretch holds under 1e-10 of the c1 term.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -368,8 +366,7 @@ def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
     anchor = max(f.scale, 1.0)
     m = anchor / 100.0
     while m < s_max:
-        if m > 0.0:
-            marks.add(m)
+        marks.add(m)
         m *= 10.0
     return sorted(marks)
 
@@ -653,10 +650,9 @@ def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[flo
             for i, (r, v, e) in enumerate(zip(radii, res.value, res.error_estimate))]
 
 
-def write_convolution_csv(out, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
+def write_convolution_csv(path, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
     """Write convolution_rows output as r,value,error_estimate (17 significant digits)."""
-    path = isinstance(out, (str, bytes, os.PathLike))
-    with open(out, "w", newline="") if path else contextlib.nullcontext(out) as handle:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["r", "value", "error_estimate"])
         for r, res in rows:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
-from .classifier import combined_mass_clause, thm2_clause, thresholds
+from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
@@ -223,6 +223,11 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     clause = (combined_mass_clause(p, p + q, beta, thresholds(N, alpha)[2])
               or thm2_clause(N, p, q, alpha, beta))
     if clause is None:
+        # the only-if corollary is a verdict without a series of its own
+        tag = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta)).clause
+        if tag.startswith("Cor1.5"):
+            raise HypothesisViolated(f"{tag}: no divergence series is implemented for this clause; "
+                                     "it matches no nonexistence clause of Thm2")
         raise HypothesisViolated("parameters match no nonexistence clause")
     if R_list is None:
         R_list = np.geomspace(1e2, 1e8, 25)

@@ -719,6 +719,34 @@ class TestVerifySupersolution:
             verify_supersolution(case, kernel, 0.5, 0.5, grid=[0.0, 1.0, 10.0, 100.0])
 
 
+    @pytest.mark.parametrize("grid", [
+        [],
+        [0.0],
+        [0.0, 1.0, -1.0],
+        [0.0, 1.0, math.inf],
+        [0.0, 1.0, math.nan],
+    ], ids=["empty", "no-positive-radius", "negative", "inf", "nan"])
+    def test_bad_grid_refused_by_name(self, grid, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work done before the grid was checked")
+
+        monkeypatch.setattr(ansatz, "lambda_star", no_work)
+        case = choose_case_params("2", 3, 1.0, -1.5, 2.0, 4.0)
+        with pytest.raises(ParameterError, match="grid must hold finite radii"):
+            verify_supersolution(case, KernelParams(3, 1.0, -1.5), 2.0, 4.0, grid=grid)
+
+    @pytest.mark.parametrize("case_id, N, alpha, beta, p, q, A", [
+        ("T4-2", 3, 3.0, 1.0, 4.0, 1.0, 1e150),
+        ("1b", 3, 1.0, 0.0, 4.0, 3.0, 1e200),
+    ])
+    def test_drift_below_the_float_range_refused(self, case_id, N, alpha, beta, p, q, A):
+        """Past the float range the reaction is wrong too (T4-2) or 0 (1b), so the
+        drift side's refusal is what keeps these certificates from passing."""
+        case = choose_case_params(case_id, N, alpha, beta, p, q)
+        with pytest.raises(ParameterError, match="drift side underflows to 0 at r = 0.0"):
+            verify_supersolution(case, KernelParams(N, alpha, beta), p, q, A=A)
+
+
 class TestChooseCaseParams:
     # the nine catalogued constructions on admissible exponents
     CATALOG = [

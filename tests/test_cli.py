@@ -386,6 +386,16 @@ class TestProbeCommand:
         ])
         assert code == 2
         assert "no nonexistence clause" in err
+        assert "Cor1.5" not in err
+
+    @pytest.mark.parametrize("argv, tag", [
+        ("--N 3 --p 3.07 --q 1 --alpha 1.98 --beta 1.11", "Cor1.5(ii)"),
+        ("--N 5 --p 4.89 --q 1 --alpha 1.95 --beta -2.91", "Cor1.5(i)"),
+    ])
+    def test_certificate_corollary_verdict_exit_two(self, capsys, argv, tag):
+        code, _, err = run(capsys, ["probe", "--kind", "certificate", *argv.split()])
+        assert code == 2
+        assert f"HypothesisViolated: {tag}: no divergence series" in err
 
 
 class TestTableCommand:

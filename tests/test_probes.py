@@ -15,8 +15,11 @@ from logriesz import (
     BumpProfile,
     HypothesisViolated,
     ParameterError,
+    ProblemParams,
     RadialProfile,
+    Side,
     ball_profile,
+    classify_pplus,
     divergence_certificate,
     harnack_mass,
     lower_bound_chain,
@@ -268,6 +271,16 @@ class TestDivergenceCertificate:
         with pytest.raises(HypothesisViolated):
             divergence_certificate(3, 4.0, 2.0, 1.0, -1.5)
 
+    @pytest.mark.parametrize("args, tag", [
+        ((3, 3.07, 1.0, 1.98, 1.11), "Cor1.5(ii)"),
+        ((5, 4.89, 1.0, 1.95, -2.91), "Cor1.5(i)"),
+    ])
+    def test_corollary_verdict_is_named_in_the_refusal(self, args, tag):
+        assert classify_pplus(ProblemParams(Side.PPLUS, *args)).clause == tag
+        with pytest.raises(HypothesisViolated) as err:
+            divergence_certificate(*args)
+        assert str(err.value).startswith(f"{tag}: no divergence series")
+
     def test_low_dimension_rejected(self):
         with pytest.raises(HypothesisViolated):
             divergence_certificate(2, 2.0, 2.0, 1.0, 0.0)
@@ -390,8 +403,10 @@ class TestCertificateFollowsTheClassifier:
         assume(q > 0.0 and beta > alpha - N)
         expected = combined_mass_clause(p, s, beta, t2) or thm2_clause(N, p, q, alpha, beta)
         if expected is None:
-            with pytest.raises(HypothesisViolated, match="no nonexistence clause"):
+            tag = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta)).clause
+            with pytest.raises(HypothesisViolated, match="no nonexistence clause") as err:
                 divergence_certificate(N, p, q, alpha, beta)
+            assert str(err.value).startswith("Cor1.5") == tag.startswith("Cor1.5")
         else:
             assert divergence_certificate(N, p, q, alpha, beta).clause == expected
 
