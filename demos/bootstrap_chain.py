@@ -35,7 +35,7 @@ for R in (10.0, 100.0, 1000.0):
 
 # p-mass of the truncated Newtonian floor over growing balls
 floor = RadialProfile(
-    evaluate=lambda s: np.minimum(1.0, 1.0 / np.maximum(s, 1e-300)),
+    lambda s: -np.log(np.maximum(s, 1.0)),
     infinity_spec=AsymptoticSpec(-1.0, 0.0),
     scale=1.0,
     positive_mass_near_zero=True,

@@ -63,8 +63,8 @@ class AnsatzParams:
             raise ParameterError(f"gamma must lie in (2, N], got {self.gamma}")
         if not (-1.0 < self.tau < 1.0):
             raise ParameterError(f"tau must lie in (-1, 1), got {self.tau}")
-        if not (self.A > math.e):
-            raise ParameterError(f"A must exceed e so log(w) > 1/2 everywhere, got {self.A}")
+        if not (math.e < self.A < math.inf):
+            raise ParameterError(f"A must be finite and exceed e so log(w) > 1/2 everywhere, got {self.A}")
 
 
 def w_eval(params: AnsatzParams, r):
@@ -86,11 +86,10 @@ def source_eval(params: AnsatzParams, r):
 
 def source_profile(params: AnsatzParams) -> RadialProfile:
     return RadialProfile(
-        evaluate=lambda s: source_eval(params, s),
+        lambda s: _log_source(params, s),
         infinity_spec=AsymptoticSpec(-params.gamma, params.tau),
         scale=math.sqrt(params.A),
         positive_mass_near_zero=True,
-        log_evaluate=lambda s: _log_source(params, s),
     )
 
 
@@ -328,11 +327,10 @@ def verify_supersolution(
     table = PotentialTable(params, r_max=4.0 * TRUNCATION_FACTOR * max(r_out, math.sqrt(A)))
 
     powered = RadialProfile(
-        evaluate=lambda s: table(s) ** p,
+        lambda s: p * np.log(table(s)),
         infinity_spec=_powered_spec(params, kernel, p),
         scale=math.sqrt(A),
         positive_mass_near_zero=True,
-        log_evaluate=lambda s: p * np.log(table(s)),
     )
 
     # grid and extension in one convolve_radial call; each radius is its own group of the sweep

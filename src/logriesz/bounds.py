@@ -202,8 +202,8 @@ def check_bound(
     if bound.kind is BoundKind.DIVERGENT or bound.spec is None:
         raise OutOfHypothesis("cannot window-check a divergent prediction")
     lo, hi = window
-    if not (0.0 < lo < hi):
-        raise DegenerateSamples("window must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise DegenerateSamples(f"window must satisfy 0 < lo < hi < inf, got {window!r}")
     radii = np.geomspace(lo, hi, 8)
     res = convolve_radial(kernel, f, radii)
     if res.divergent:

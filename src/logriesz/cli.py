@@ -95,8 +95,8 @@ def parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ParameterError("--window expects start:stop")
     lo, hi = parse_number(parts[0]), parse_number(parts[1])
-    if lo <= 0.0 or hi <= lo:
-        raise ParameterError("--window needs 0 < start < stop")
+    if not 0.0 < lo < hi < np.inf:
+        raise ParameterError("--window needs finite 0 < start < stop")
     return lo, hi
 
 
@@ -129,10 +129,13 @@ def _flatten(obj, prefix: str, lines: list[str]) -> None:
         lines.append(f"{prefix} = {obj}")
 
 
-def emit(command: str, inputs: dict, result, fmt: str) -> dict:
+def emit(command: str, inputs: dict, result, fmt: str, text: str | None = None) -> dict:
+    """Print the envelope as JSON, or for --format text as text if given, else flattened."""
     env = {"command": command, "inputs": inputs, "result": result, "version": __version__}
     if fmt == "json":
         print(json.dumps(env, indent=2))
+    elif text is not None:
+        print(text)
     else:
         lines: list[str] = []
         _flatten(env, "", lines)
@@ -269,21 +272,15 @@ def cmd_table(args) -> int:
     records = emit_regime_table(args.N)
     result = {"records": [rec.to_dict() for rec in records],
               "all_match": all(rec.match for rec in records)}
-    inputs = {"N": args.N}
-    if args.format == "text":
-        for rec in records:
-            flag = "ok" if rec.match else "MISMATCH"
-            print(f"row {rec.row_id:2d} alpha={rec.alpha:<4g} p={rec.p:<8.5g} "
-                  f"q={rec.q:<8.5g} beta={rec.beta:<9.5g} "
-                  f"expect {rec.expected_verdict}/{rec.expected_clause} "
-                  f"got {rec.verdict}/{rec.clause} [{flag}]")
-        print(f"all_match = {result['all_match']}")
-    else:
-        emit("table", inputs, result, args.format)
+    rows = [f"row {rec.row_id:2d} alpha={rec.alpha:<4g} p={rec.p:<8.5g} "
+            f"q={rec.q:<8.5g} beta={rec.beta:<9.5g} "
+            f"expect {rec.expected_verdict}/{rec.expected_clause} "
+            f"got {rec.verdict}/{rec.clause} [{'ok' if rec.match else 'MISMATCH'}]" for rec in records]
+    rows.append(f"all_match = {result['all_match']}")
+    env = emit("table", {"N": args.N}, result, args.format, text="\n".join(rows))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"command": "table", "inputs": inputs, "result": result,
-                       "version": __version__}, fh, indent=2)
+            json.dump(env, fh, indent=2)
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ its segments; an octave is short enough for one G7-K15 panel to reach
 roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
 
 Every integrand that multiplies a profile f by powers of s or r is one exp of
-a sum of logs, log f (RadialProfile.log_values) among them: far out f may lie
+a sum of logs, log f (RadialProfile.log_evaluate) among them: far out f may lie
 below the float range where its product with s^(N-1) does not.
 
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
@@ -79,7 +79,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, _kernel_values, eval_kernel, validate
+from .kernel import AsymptoticSpec, KernelParams, _kernel_values, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -97,30 +97,25 @@ POTENTIAL_REACH = 1e9
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Nonnegative radial profile with declared endpoint behavior.
+    """Nonnegative radial profile with declared endpoint behavior, stated as its logarithm.
 
-    evaluate must accept scalars and numpy arrays.  log_evaluate, if given, returns log f
-    at an array s (-inf where f is 0), also where f leaves the float range; the quadratures
-    read f through log_values, which falls back on log(evaluate(s)).  infinity_spec declares
-    the power-log decay shape in the (A + r)-form with A = scale; divergence
-    detection and tail completion trust it, so it must match the actual
+    log_evaluate returns log f at a scalar or an array s (-inf where f is 0), also where f
+    leaves the float range; every quadrature reads f through it, and evaluate(s) is its exp.
+    infinity_spec declares the power-log decay shape in the (A + r)-form with A = scale;
+    divergence detection and tail completion trust it, so it must match the actual
     decay.  positive_mass_near_zero opts the profile into lower bounds that
     integrate over a neighborhood of 0.
     """
 
-    evaluate: Callable
+    log_evaluate: Callable
     infinity_spec: AsymptoticSpec | None = None
     scale: float = 1.0
     support_radius: float | None = None
     positive_mass_near_zero: bool = False
-    log_evaluate: Callable | None = None
 
-    def log_values(self, s: np.ndarray) -> np.ndarray:
-        """log f at an array s: log_evaluate(s), or else log(evaluate(s))."""
-        if self.log_evaluate is not None:
-            return self.log_evaluate(s)
-        with np.errstate(divide="ignore"):
-            return np.log(self.evaluate(s))
+    def evaluate(self, s):
+        """f at s, the exp of log_evaluate(s)."""
+        return np.exp(self.log_evaluate(s))
 
 
 @dataclass(frozen=True)
@@ -512,15 +507,17 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
         return result(flat, flat)
     with np.errstate(over="ignore"):
         s_max = np.full(flat.shape, float(f.support_radius)) if compact else TRUNCATION_FACTOR * np.maximum(flat, max(f.scale, 1.0))
-    if not compact and (far := ~(s_max <= _FLOAT_MAX / 2.0)).any():
-        raise NonpositiveRadius(f"radius {float(flat[far][0])!r} puts the tail probe 2 s_max past the float range")
+    if (far := ~(s_max <= _FLOAT_MAX / 2.0)).any():
+        raise NonpositiveRadius(f"support radius {f.support_radius!r} lies past half the float range" if compact else
+                                f"radius {float(flat[far][0])!r} puts the tail probe 2 s_max past the float range")
 
     prefactor = unit_sphere_area(N - 1) if N >= 2 else 1.0
 
     def integrand(s: np.ndarray, delta: np.ndarray, group: np.ndarray) -> np.ndarray:
         if N == 1:
-            return np.exp(f.log_values(s)) * (eval_kernel(kernel, np.abs(delta)) + eval_kernel(kernel, flat[group] + s))
-        return np.exp(f.log_values(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
+            k = _kernel_values(np.abs(delta), alpha, beta) + _kernel_values(flat[group] + s, alpha, beta)
+            return np.exp(f.log_evaluate(s)) * k
+        return np.exp(f.log_evaluate(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
 
     # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);
     # the least grading m that turns each term into an integer power of u or u^3 or higher
@@ -541,7 +538,7 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np
     ratio to its declared shape at (1, 1.5, 2) s_max (in logs) times _tail_integral_1d (0 if not > 0)."""
     spec, A = f.infinity_spec, f.scale
     probes = s_max[:, None] * np.array([1.0, 1.5, 2.0])
-    ratios = np.exp(f.log_values(probes.ravel()).reshape(probes.shape) - spec.log_shape(probes, A))
+    ratios = np.exp(f.log_evaluate(probes.ravel()).reshape(probes.shape) - spec.log_shape(probes, A))
     c = np.sort(ratios, axis=1)[:, 1]  # the median
     tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
     if (live := c > 0.0).any():
@@ -577,7 +574,7 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
     marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
-        log_f, log_s = f.log_values(s), np.log(s)
+        log_f, log_s = f.log_evaluate(s), np.log(s)
         # M is read at the radii only: past the largest, s^(N-1) f gets log weight -inf, so never overflows
         return np.exp(np.stack((log_f + np.where(s <= r_top, (N - 1) * log_s, -math.inf), log_f + log_s)))
 
@@ -612,34 +609,30 @@ def newtonian_potential_radial(N: int, f: RadialProfile, r):
 
 
 def ball_profile(r0: float) -> RadialProfile:
-    """Indicator of the ball of radius r0."""
-    if r0 <= 0.0:
-        raise NonpositiveRadius("ball radius must be positive")
+    """Indicator of the ball of radius r0: log f is 0 inside and -inf outside."""
+    if not 0.0 < r0 < math.inf:
+        raise NonpositiveRadius(f"ball radius must be positive and finite, got {r0!r}")
 
-    def evaluate(s):
-        return np.where(np.asarray(s, dtype=float) <= r0, 1.0, 0.0)[()]
+    def log_evaluate(s):
+        return np.where(np.asarray(s, dtype=float) <= r0, 0.0, -math.inf)[()]
 
-    return RadialProfile(
-        evaluate=evaluate,
-        infinity_spec=None,
-        scale=1.0,
-        support_radius=r0,
-        positive_mass_near_zero=True,
-    )
+    return RadialProfile(log_evaluate, support_radius=r0, positive_mass_near_zero=True)
 
 
 def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
-    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with A > 1, evaluated in logs."""
-    if A <= 1.0:
-        raise ParameterError("power profiles need A > 1 so the log factor stays positive")
+    """f(r) = (A + r)^(-sigma) * log(A + r)^kappa with finite sigma, kappa and 1 < A < inf,
+    evaluated in logs."""
+    if not 1.0 < A < math.inf:
+        raise ParameterError(f"power profiles need finite A > 1 so the log factor stays positive, got A = {A!r}")
+    if not (math.isfinite(sigma) and math.isfinite(kappa)):
+        raise ParameterError(f"power profiles need finite sigma and kappa, got {sigma!r}, {kappa!r}")
 
     spec = AsymptoticSpec(-sigma, kappa)
 
     def log_evaluate(s):
         return spec.log_shape(np.asarray(s, dtype=float), A)[()]
 
-    return RadialProfile(evaluate=lambda s: np.exp(log_evaluate(s)), infinity_spec=spec, scale=A,
-                         positive_mass_near_zero=True, log_evaluate=log_evaluate)
+    return RadialProfile(log_evaluate, infinity_spec=spec, scale=A, positive_mass_near_zero=True)
 
 
 def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[float]) -> list[tuple[float, ConvolutionResult]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +48,8 @@ class BumpProfile:
     def pow_derivs(self, t, power: int = 1, order: int = 0) -> np.ndarray:
         """d^k/dt^k of (bump)^power for every k = 0..order, stacked along a new first
         axis, from one pass of truncated products; vectorized over t >= 0."""
-        if int(power) != power or power < 1 or order < 0 or order > 4:
-            raise ParameterError("power must be an integer >= 1 and 0 <= order <= 4")
+        if not (float(power).is_integer() and power >= 1 and float(order).is_integer() and 0 <= order <= 4):
+            raise ParameterError("power must be an integer >= 1 and order an integer in 0..4")
         t = np.asarray(t, dtype=float)
         out = np.zeros((order + 1,) + t.shape)
         out[0] = np.where(t < 1.0, 1.0, 0.0)
@@ -80,7 +80,7 @@ class TestFunctionSpec:
     psi: BumpProfile = field(default_factory=BumpProfile)
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k < 1:
+        if not (float(self.k).is_integer() and self.k >= 1):
             raise ParameterError("k must be an integer >= 1")
         if not self.delta > 1.0:
             raise ParameterError("delta must exceed 1")
@@ -136,7 +136,7 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
         raise ParameterError("harnack_mass needs finite R > 0 and p > 0")
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
-        log_up, log_s = p * u.log_values(s), np.log(s)
+        log_up, log_s = p * u.log_evaluate(s), np.log(s)
         return np.exp(np.stack((log_up + (N - 1) * log_s, log_up + (N - 1) * (log_s - math.log(R)) - math.log(R))))
 
     # break at the support edge and decades so every segment is smooth
@@ -241,32 +241,32 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     if clause in _POWER_ROWS:
         m, key, c = _POWER_ROWS[clause]
         a = m * N - alpha - (N - 2.0) * x[key]
-        log_values = a * log_r + beta * np.log(np.log1p(c * R))
+        log_series = a * log_r + beta * np.log(np.log1p(c * R))
         unbounded = a > 0.0
     elif clause == "Thm2(iii)":
         if approx_eq(beta, -1.0):
             if R[0] <= np.e - 1.0:
                 raise ParameterError("the series log(log(1+R)) of Thm2(iii) needs R > e - 1")
-            log_values = np.log(np.log(np.log1p(R)))
+            log_series = np.log(np.log(np.log1p(R)))
         else:
-            log_values = (1.0 + beta) * np.log(np.log1p(R))
+            log_series = (1.0 + beta) * np.log(np.log1p(R))
         unbounded = beta >= -1.0
     else:
         shift, key, c = _LOG_ROWS[clause]
         b = beta + shift
         if b > 0.0:
-            log_values = b * np.log(np.log1p(c * R))
+            log_series = b * np.log(np.log1p(c * R))
             e = b
         else:
             t_used = _theta_or_mid(theta, (-shift - beta) / (x[key] - 1.0), (1.0 + shift) + beta, clause)
             e = b + (x[key] - 1.0) * t_used
-            log_values = e * np.log(log_r)
+            log_series = e * np.log(log_r)
         unbounded = e > 0.0
 
-    increasing = bool(np.all(np.diff(log_values) > 0.0))
+    increasing = bool(np.all(np.diff(log_series) > 0.0))
     with np.errstate(over="ignore"):
-        values = np.exp(log_values)
-        ratio = float(np.exp(log_values[-1] - log_values[0]))
+        values = np.exp(log_series)
+        ratio = float(np.exp(log_series[-1] - log_series[0]))
     return CertificateSeries(clause=clause, radii=R, values=values, theta=t_used,
                              strictly_increasing=increasing, growth_ratio=ratio,
                              unbounded=bool(unbounded))
@@ -324,21 +324,13 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
 
     predicted = None
     if u0 is None:
-        def log_u0(r):
-            return (2.0 - N) * np.log(np.maximum(1.0, r))
-
-        u0 = RadialProfile(evaluate=lambda r: np.exp(log_u0(r)), infinity_spec=AsymptoticSpec(2.0 - N, 0.0),
-                           positive_mass_near_zero=True, log_evaluate=log_u0)
+        u0 = RadialProfile(lambda r: (2.0 - N) * np.log(np.maximum(1.0, r)), infinity_spec=AsymptoticSpec(2.0 - N, 0.0),
+                           positive_mass_near_zero=True)
         predicted = AsymptoticSpec(N - alpha - p * (N - 2.0), beta)
 
-    def log_powered(r):
-        return p * u0.log_values(np.asarray(r, dtype=float))
-
     spec = u0.infinity_spec
-    f = RadialProfile(evaluate=lambda r: np.exp(log_powered(r)),
-                      infinity_spec=None if spec is None else AsymptoticSpec(p * spec.power, p * spec.logpower),
-                      scale=u0.scale, support_radius=u0.support_radius,
-                      positive_mass_near_zero=u0.positive_mass_near_zero, log_evaluate=log_powered)
+    f = replace(u0, log_evaluate=lambda r: p * u0.log_evaluate(np.asarray(r, dtype=float)),
+                infinity_spec=None if spec is None else AsymptoticSpec(p * spec.power, p * spec.logpower))
     if predicted is None:
         try:
             predicted = lower_bound_prediction(kernel, f).spec

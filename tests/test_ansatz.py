@@ -73,6 +73,11 @@ class TestAnsatzParams:
         with pytest.raises(ParameterError):
             AnsatzParams(N=3, gamma=2.5, tau=0.0, A=2.5)
 
+    @pytest.mark.parametrize("A", [math.inf, math.nan])
+    def test_rejects_scale_that_is_not_finite(self, A):
+        with pytest.raises(ParameterError):
+            AnsatzParams(N=3, gamma=3.0, tau=0.0, A=A)
+
     def test_source_below_the_float_range_reads_in_logs(self):
         """v(0) = A^(-gamma/2) (log(A)/2)^tau = 1e-375 is below the float range, but
         the profile carries log v, so u(r) = asinh(r/sqrt(A))/r reads 1e-125 at r = 0
@@ -80,7 +85,7 @@ class TestAnsatzParams:
         params = AnsatzParams(N=3, gamma=3.0, tau=0.0, A=1e250)
         profile = source_profile(params)
         assert source_eval(params, 0.0) == 0.0
-        assert profile.log_values(np.array([0.0]))[0] == pytest.approx(-375.0 * math.log(10.0), rel=1e-15)
+        assert profile.log_evaluate(np.array([0.0]))[0] == pytest.approx(-375.0 * math.log(10.0), rel=1e-15)
         res = newtonian_potential_radial(3, profile, [0.0, 1.0])
         exact = np.array([1e-125, math.asinh(1e-125)])
         assert np.all(np.abs(res.value - exact) <= res.error_estimate)
@@ -349,7 +354,7 @@ def _powered_envelope(params, p):
 
     sigma = -e_pow * p
     return ev, RadialProfile(
-        evaluate=lambda s: ev(s) ** p,
+        lambda s: p * np.log(ev(s)),
         infinity_spec=AsymptoticSpec(-sigma, e_log * p),
         scale=math.sqrt(A),
         positive_mass_near_zero=True,
@@ -367,7 +372,7 @@ def test_rhs_envelope_matches_measured_shape(label, N, alpha, beta, gamma, tau, 
     sigma = -powered.infinity_spec.power
     if abs(sigma - (N - alpha)) < 1e-9:
         powered = RadialProfile(
-            evaluate=powered.evaluate,
+            powered.log_evaluate,
             infinity_spec=AsymptoticSpec(-(N - alpha), powered.infinity_spec.logpower),
             scale=powered.scale,
             positive_mass_near_zero=True,
@@ -393,7 +398,7 @@ def test_rhs_envelope_on_a_rounded_critical_line():
     assert convolve_radial(kernel, declared, 10.0).divergent
     spec = _powered_spec(params, kernel, p)
     assert spec == AsymptoticSpec(-(N - alpha), 0.0)
-    powered = RadialProfile(evaluate=declared.evaluate, infinity_spec=spec,
+    powered = RadialProfile(declared.log_evaluate, infinity_spec=spec,
                             scale=declared.scale, positive_mass_near_zero=True)
     for r in (0.0, 10.0, 1e4):
         assert math.isfinite(convolve_radial(kernel, powered, r).value)

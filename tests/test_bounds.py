@@ -71,7 +71,7 @@ class TestLowerBoundPrediction:
 
     def test_requires_some_declared_structure(self):
         silent = RadialProfile(
-            evaluate=lambda s: math.exp(-s),
+            lambda s: -s,
             support_radius=5.0,
             positive_mass_near_zero=False,
         )
@@ -124,14 +124,14 @@ class TestUpperBoundPrediction:
         with pytest.raises(OutOfHypothesis):
             upper_bound_prediction(K310, power_profile(2.0, -1.0))
         narrow = RadialProfile(
-            evaluate=lambda s: (1.0 + s * s) ** -2.0,
+            lambda s: -2.0 * np.log1p(s * s),
             infinity_spec=AsymptoticSpec(-4.0, 0.0),
             scale=1.0,
         )
         with pytest.raises(OutOfHypothesis):
             upper_bound_prediction(K310, narrow)
         grower = RadialProfile(
-            evaluate=lambda s: 1.0 + s,
+            lambda s: np.log1p(s),
             infinity_spec=AsymptoticSpec(0.5, 0.0),
             scale=2.0,
         )
@@ -173,7 +173,7 @@ def test_upper_prediction_covers_every_admissible_tail(alpha, beta_off, sigma, k
     beta = alpha - 3.0 + beta_off
     k = KernelParams(3, alpha, beta)
     f = RadialProfile(
-        evaluate=lambda s: 1.0,
+        lambda s: 0.0,
         infinity_spec=AsymptoticSpec(-sigma, kappa),
         scale=4.0,
     )
@@ -268,6 +268,13 @@ class TestCheckBound:
         b = upper_bound_prediction(K310, f)
         with pytest.raises(DegenerateSamples):
             check_bound(K310, f, b, (1e5, 1e3))
+
+    @pytest.mark.parametrize("window", [(1e3, math.inf), (math.nan, 1e7), (1e3, math.nan), (math.inf, math.inf)])
+    def test_window_that_is_not_finite_rejected(self, window):
+        """Refused before np.geomspace would warn on it."""
+        f = power_profile(4.0, 0.0, A=10.0)
+        with pytest.raises(DegenerateSamples):
+            check_bound(K310, f, upper_bound_prediction(K310, f), window)
 
     def test_improved_lower_log_shows_up_in_fit(self):
         """For s^-N data under a beta = -1/2 kernel the measured log

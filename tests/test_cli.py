@@ -44,6 +44,9 @@ class TestParsers:
         assert parse_window("1e3:1e7") == (1e3, 1e7)
         with pytest.raises(ParameterError):
             parse_window("1e7:1e3")
+        for bad in ("1:inf", "nan:10", "1:nan", "inf:inf", "0:10"):
+            with pytest.raises(ParameterError):
+                parse_window(bad)
 
     def test_profiles(self):
         ball = parse_profile("ball:2", 3)
@@ -223,6 +226,17 @@ class TestConvolveCommand:
         assert code == 2
         assert "invalid parameters" in err
 
+    @pytest.mark.parametrize("profile", ["ball:inf", "ball:nan", "ball:1e308", "power:nan:0:10",
+                                         "power:4:nan:10", "power:inf:0:10", "power:4:0:inf"])
+    def test_profile_parameter_that_is_not_finite_exit_two(self, capsys, profile):
+        """A typed ParameterError, exit 2; a RuntimeWarning would fail the test."""
+        code, out, err = run(capsys, [
+            "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", profile, "--radii", "1:10:3",
+        ])
+        assert code == 2 and out == ""
+        assert "invalid parameters" in err
+
     def test_non_integer_count_exit_two(self, capsys):
         code, _, err = run(capsys, [
             "convolve", "--N", "3", "--alpha", "1", "--beta", "0",
@@ -249,6 +263,15 @@ class TestAsymptoticsCommand:
         assert len(lines) == 9
 
 
+    def test_window_that_is_not_finite_exit_two(self, capsys):
+        code, _, err = run(capsys, [
+            "asymptotics", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "power:3:0:1.05", "--window", "1:inf",
+        ])
+        assert code == 2
+        assert "invalid parameters" in err
+
+
 class TestAnsatzCommand:
     def test_threshold_and_decay(self, capsys):
         code, env, _ = run_json(capsys, [
@@ -262,6 +285,11 @@ class TestAnsatzCommand:
 
     def test_invalid_gamma_exit_two(self, capsys):
         code, _, err = run(capsys, ["ansatz", "--N", "3", "--gamma", "5", "--tau", "0"])
+        assert code == 2
+        assert "invalid parameters" in err
+
+    def test_infinite_scale_exit_two(self, capsys):
+        code, _, err = run(capsys, ["ansatz", "--N", "3", "--gamma", "3", "--tau", "0", "--A", "inf"])
         assert code == 2
         assert "invalid parameters" in err
 
@@ -409,6 +437,17 @@ class TestTableCommand:
         assert len(env["result"]["records"]) == 151
         saved = json.loads(out_file.read_text())
         assert saved["result"] == env["result"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_out_file_is_the_printed_envelope(self, capsys, tmp_path, fmt):
+        """--out writes the JSON envelope that JSON mode prints, byte for byte, in both formats."""
+        out_file = tmp_path / "table.json"
+        code, out, _ = run(capsys, ["table", "--N", "3", "--out", str(out_file)])
+        assert code == 0
+        code, text, _ = run(capsys, ["table", "--N", "3", "--out", str(out_file), "--format", fmt])
+        assert code == 0
+        assert out_file.read_text() + "\n" == out
+        assert (text == out) == (fmt == "json")
 
     def test_text_table(self, capsys):
         code, out, _ = run(capsys, ["table", "--N", "3", "--format", "text"])

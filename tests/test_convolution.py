@@ -338,7 +338,7 @@ def test_non_finite_radius_rejected():
 
 def test_non_finite_integrand_raises_quadrature_failure():
     bad = RadialProfile(
-        evaluate=lambda s: np.where(np.asarray(s) < 0.5, 1.0, np.inf),
+        lambda s: np.where(np.asarray(s) < 0.5, 0.0, np.inf),
         support_radius=1.0,
     )
     with pytest.raises(QuadratureFailure):
@@ -393,7 +393,7 @@ def test_linearity_in_the_profile():
     r = 3.0
 
     combo = RadialProfile(
-        evaluate=lambda s: c * f.evaluate(s) + g.evaluate(s),
+        lambda s: np.logaddexp(math.log(c) + f.log_evaluate(s), g.log_evaluate(s)),
         infinity_spec=f.infinity_spec,
         scale=f.scale,
     )
@@ -410,14 +410,14 @@ def test_detect_divergence_cases():
     assert detect_divergence(KernelParams(3, 1.0, -0.5), power_profile(2.0, -0.5)) is True
     assert detect_divergence(KernelParams(3, 1.0, -0.5), power_profile(2.0, -0.6)) is False
 
-    bare = RadialProfile(evaluate=lambda s: 1.0 / (1.0 + s))
+    bare = RadialProfile(lambda s: -np.log1p(s))
     with pytest.raises(MissingAsymptoticSpec):
         detect_divergence(NEWTONIAN, bare)
 
 
 def test_divergent_convolution_flagged_not_computed():
     slow = RadialProfile(
-        evaluate=lambda s: 1.0 / (1.0 + s),
+        lambda s: -np.log1p(s),
         infinity_spec=AsymptoticSpec(-1.0, 0.0),
     )
     res = convolve_radial(NEWTONIAN, slow, 1.0)
@@ -487,13 +487,50 @@ def test_power_profile_requires_wide_scale():
         power_profile(3.0, 0.0, A=0.5)
 
 
+@pytest.mark.parametrize("r0", [math.inf, math.nan, -math.inf, 0.0])
+def test_ball_radius_must_be_positive_and_finite(r0):
+    with pytest.raises(NonpositiveRadius):
+        ball_profile(r0)
+
+
+def test_ball_support_past_half_the_float_range_is_refused():
+    """A support radius of 1e308 puts s_max past half the float range; the refusal names
+    the support, not a tail probe (a compact profile has none)."""
+    with pytest.raises(NonpositiveRadius, match="support radius") as info:
+        convolve_radial(NEWTONIAN, ball_profile(1e308), np.array([1.0, 10.0]))
+    assert "tail probe" not in str(info.value)
+
+
+@pytest.mark.parametrize("sigma,kappa,A", [(math.nan, 0.0, 10.0), (4.0, math.nan, 10.0), (math.inf, 0.0, 10.0),
+                                           (4.0, -math.inf, 10.0), (4.0, 0.0, math.inf), (4.0, 0.0, math.nan)])
+def test_power_profile_needs_finite_parameters(sigma, kappa, A):
+    with pytest.raises(ParameterError):
+        power_profile(sigma, kappa, A)
+
+
+def test_ball_profile_reads_one_inside_and_zero_outside():
+    """log f is 0 and -inf, so evaluate is exactly 1.0 up to r0 and 0.0 past it."""
+    f = ball_profile(1.0)
+    s = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0])
+    assert f.evaluate(s).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert f.evaluate(1.0) == 1.0 and f.evaluate(1.5) == 0.0
+
+
+def test_profile_is_stated_by_its_logarithm_only():
+    """log_evaluate is the one callable field; evaluate is its exp, not a field."""
+    with pytest.raises(TypeError):
+        RadialProfile(evaluate=lambda s: 1.0)
+    f = RadialProfile(lambda s: -np.log1p(s))
+    assert math.isclose(f.evaluate(3.0), 0.25, rel_tol=1e-15)
+
+
 def test_power_profile_below_the_float_range_reads_in_logs():
     """f(0) = A^-sigma log(A)^kappa = 1e-400 log(1e200)^-1.5 is below the float range;
-    log_values carries it, and evaluate is its exp (1e-300 at A = 1e150)."""
+    log_evaluate carries it, and evaluate is its exp (1e-300 at A = 1e150)."""
     f = power_profile(2.0, -1.5, A=1e200)
     log_a = 200.0 * math.log(10.0)
     expected = -2.0 * log_a - 1.5 * math.log(log_a)
-    assert f.log_values(np.array([0.0]))[0] == pytest.approx(expected, rel=1e-15)
+    assert f.log_evaluate(np.array([0.0]))[0] == pytest.approx(expected, rel=1e-15)
     assert f.evaluate(0.0) == 0.0
     assert power_profile(2.0, 0.0, A=1e150).evaluate(0.0) == pytest.approx(1e-300, rel=1e-13)
 

@@ -14,18 +14,21 @@ from logriesz import (
     AsymptoticSpec,
     BumpProfile,
     HypothesisViolated,
+    KernelParams,
     ParameterError,
     ProblemParams,
     RadialProfile,
     Side,
     ball_profile,
     classify_pplus,
+    convolve_radial,
     divergence_certificate,
     harnack_mass,
     lower_bound_chain,
     thm2_clause,
     write_certificate_csv,
 )
+from logriesz import probes
 from logriesz.classifier import combined_mass_clause, thresholds
 from logriesz import test_function_bound as annulus_bound
 from logriesz import TestFunctionSpec as FunctionSpec
@@ -84,6 +87,13 @@ class TestBumpProfile:
             psi.pow_deriv(1.5, 1.5, 0)
         with pytest.raises(ParameterError):
             psi.pow_deriv(1.5, 2, 5)
+        with pytest.raises(ParameterError):
+            psi.pow_deriv(1.5, 2, 1.5)
+
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_power_that_is_not_finite_rejected(self, power):
+        with pytest.raises(ParameterError):
+            BumpProfile().pow_derivs(1.5, power, 0)
 
     def test_all_orders_from_one_pass(self):
         """pow_derivs stacks orders 0..order; each row is pow_deriv's value bit for bit,
@@ -121,6 +131,11 @@ class TestFunctionSpecValidation:
             FunctionSpec(k=5, delta=1.0, R=10.0)
         with pytest.raises(ParameterError):
             FunctionSpec(k=5, delta=2.0, R=0.0)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_k_that_is_not_finite(self, k):
+        with pytest.raises(ParameterError):
+            FunctionSpec(k=k, delta=2.0, R=10.0)
 
 
 class TestFunctionBound:
@@ -164,14 +179,14 @@ class TestFunctionBound:
 
 def _ones_profile():
     return RadialProfile(
-        evaluate=lambda s: np.ones_like(np.asarray(s, dtype=float))[()],
+        lambda s: np.zeros_like(np.asarray(s, dtype=float))[()],
         positive_mass_near_zero=True,
     )
 
 
 def _truncated_newton_profile():
     return RadialProfile(
-        evaluate=lambda s: np.maximum(1.0, np.asarray(s, dtype=float)) ** -1.0,
+        lambda s: -np.log(np.maximum(1.0, np.asarray(s, dtype=float))),
         infinity_spec=AsymptoticSpec(-1.0, 0.0),
         positive_mass_near_zero=True,
     )
@@ -437,13 +452,33 @@ class TestLowerBoundChain:
 
     def test_zero_seed_produces_zero_data(self):
         zero = RadialProfile(
-            evaluate=lambda r: np.zeros_like(np.asarray(r, dtype=float))[()],
+            lambda r: np.full_like(np.asarray(r, dtype=float), -np.inf)[()],
             support_radius=1.0,
         )
         c = lower_bound_chain(3, 1.0, 0.0, 2.0, self.GRID, u0=zero)
         assert c.predicted is None
         assert c.fitted is None
         assert np.max(np.abs(c.values)) == 0.0
+
+    def test_custom_compact_seed_keeps_its_declarations(self, monkeypatch):
+        """u0^p keeps u0's support_radius, scale and positive_mass_near_zero, and reads
+        p log u0; the chain's values are those of that profile's convolution."""
+        seen = []
+
+        def spy(kernel, f, r):
+            seen.append(f)
+            return convolve_radial(kernel, f, r)
+
+        monkeypatch.setattr(probes, "convolve_radial", spy)
+        u0 = RadialProfile(lambda r: -0.5 * np.asarray(r, dtype=float), scale=3.0, support_radius=2.0,
+                           positive_mass_near_zero=False)
+        c = lower_bound_chain(3, 1.0, 0.0, 2.0, self.GRID, u0=u0)
+        (f,) = seen
+        assert (f.support_radius, f.scale, f.positive_mass_near_zero) == (2.0, 3.0, False)
+        assert f.infinity_spec is None
+        s = np.array([0.0, 0.5, 1.5])
+        assert np.array_equal(f.log_evaluate(s), 2.0 * u0.log_evaluate(s))
+        assert np.array_equal(c.values, convolve_radial(KernelParams(3, 1.0, 0.0), f, self.GRID).value)
 
     def test_short_grid_skips_fit(self):
         c = lower_bound_chain(3, 1.0, 0.0, 3.0, [1.0, 10.0, 100.0])
