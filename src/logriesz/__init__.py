@@ -26,7 +26,7 @@ _EXPORTS = {
     "convolution": (
         "ConvolutionResult", "RadialProfile", "angular_factor", "ball_profile",
         "colatitude_total", "convolution_rows", "convolve_radial", "detect_divergence",
-        "newtonian_potential_radial", "power_profile", "unit_sphere_area",
+        "eval_kernel", "newtonian_potential_radial", "power_profile", "unit_sphere_area",
         "write_convolution_csv",
     ),
     "errors": (
@@ -36,8 +36,8 @@ _EXPORTS = {
         "ParameterError", "QuadratureFailure", "ScalingUndefined",
     ),
     "kernel": (
-        "AsymptoticSpec", "KernelParams", "Regime", "approx_eq", "eval_kernel",
-        "kernel_asymptotics", "validate",
+        "AsymptoticSpec", "KernelParams", "Regime", "approx_eq", "kernel_asymptotics",
+        "validate",
     ),
     "probes": (
         "BumpProfile", "CertificateSeries", "ChainResult", "HarnackMass",

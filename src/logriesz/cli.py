@@ -11,51 +11,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+# Each subcommand imports the modules it runs in its body: classify and table
+# load no numpy, and convolve none of the certificate modules.
 from . import __version__
-from .ansatz import (
-    AnsatzParams,
-    lambda_star,
-    source_profile,
-    u_upper_bound,
-    verify_supersolution,
-)
-from .bounds import check_bound, lower_bound_prediction, upper_bound_prediction
-from .classifier import (
-    ProblemParams,
-    Side,
-    UClass,
-    Verdict,
-    choose_case_params,
-    classify,
-    emit_regime_table,
-)
-from .convolution import (
-    RadialProfile,
-    ball_profile,
-    convolution_rows,
-    power_profile,
-    write_convolution_csv,
-)
-from .errors import (
-    DivergentIntegral,
-    LabError,
-    ParameterError,
-    QuadratureFailure,
-)
-from .kernel import AsymptoticSpec, KernelParams, validate
-from .probes import (
-    TestFunctionSpec,
-    divergence_certificate,
-    harnack_mass,
-    lower_bound_chain,
-    test_function_bound,
-    write_certificate_csv,
-)
+from .errors import DivergentIntegral, LabError, ParameterError, QuadratureFailure
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .convolution import RadialProfile
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -85,8 +54,10 @@ def parse_radii(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"--radii count must be an integer, got {parts[2]!r}") from exc
-    if not 0.0 < start < stop < np.inf or count < 2:
+    if not 0.0 < start < stop < math.inf or count < 2:
         raise ParameterError("--radii needs finite 0 < start < stop and count >= 2")
+    import numpy as np
+
     return np.geomspace(start, stop, count)
 
 
@@ -95,13 +66,15 @@ def parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ParameterError("--window expects start:stop")
     lo, hi = parse_number(parts[0]), parse_number(parts[1])
-    if not 0.0 < lo < hi < np.inf:
+    if not 0.0 < lo < hi < math.inf:
         raise ParameterError("--window needs finite 0 < start < stop")
     return lo, hi
 
 
 def parse_profile(text: str, N: int) -> RadialProfile:
     """ball:r0 | power:sigma:kappa:A | ansatz:gamma:tau:A"""
+    from .convolution import ball_profile, power_profile
+
     parts = text.split(":")
     name = parts[0]
     args = [parse_number(x) for x in parts[1:]]
@@ -110,6 +83,8 @@ def parse_profile(text: str, N: int) -> RadialProfile:
     if name == "power" and len(args) == 3:
         return power_profile(args[0], args[1], args[2])
     if name == "ansatz" and len(args) == 3:
+        from .ansatz import AnsatzParams, source_profile
+
         return source_profile(AnsatzParams(N=N, gamma=args[0], tau=args[1], A=args[2]))
     raise ParameterError(
         f"unknown profile {text!r}; use ball:r0, power:sigma:kappa:A or ansatz:gamma:tau:A")
@@ -154,6 +129,8 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_classify(args) -> int:
+    from .classifier import ProblemParams, Side, UClass, Verdict, classify
+
     params = ProblemParams(
         side=Side(args.side), N=args.N, p=args.p, q=args.q,
         alpha=args.alpha, beta=args.beta, u_class=UClass(args.u_class))
@@ -169,6 +146,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    from .convolution import convolution_rows, write_convolution_csv
+    from .kernel import KernelParams, validate
+
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
     validate(kernel)
     f = parse_profile(args.profile, args.N)
@@ -187,6 +167,9 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    from .bounds import check_bound, lower_bound_prediction, upper_bound_prediction
+    from .kernel import AsymptoticSpec, KernelParams, validate
+
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
     validate(kernel)
     f = parse_profile(args.profile, args.N)
@@ -211,6 +194,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_ansatz(args) -> int:
+    from .ansatz import AnsatzParams, lambda_star, u_upper_bound
+
     params = AnsatzParams(N=args.N, gamma=args.gamma, tau=args.tau, A=args.A)
     star = lambda_star(params)
     bound = u_upper_bound(params)
@@ -226,6 +211,10 @@ def cmd_ansatz(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .ansatz import verify_supersolution
+    from .classifier import choose_case_params
+    from .kernel import KernelParams, validate
+
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
     validate(kernel)
     case = choose_case_params(args.case, args.N, args.alpha, args.beta, args.p, args.q)
@@ -238,6 +227,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .probes import (TestFunctionSpec, divergence_certificate, harnack_mass, lower_bound_chain,
+                         test_function_bound, write_certificate_csv)
+
     if args.kind == "certificate":
         radii = parse_radii(args.radii) if args.radii else None
         series = divergence_certificate(args.N, args.p, args.q, args.alpha,
@@ -259,7 +251,7 @@ def cmd_probe(args) -> int:
         result = {"mass": hm.mass, "ratio": hm.ratio, "R": hm.R}
         inputs = {"N": args.N, "profile": args.profile, "p": args.p, "R": args.R}
     else:  # chain
-        radii = parse_radii(args.radii) if args.radii else np.geomspace(1.0, 1e6, 13)
+        radii = parse_radii(args.radii or "1:1e6:13")
         chain = lower_bound_chain(args.N, args.alpha, args.beta, args.p, radii)
         result = chain.to_dict()
         inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
@@ -269,6 +261,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .classifier import emit_regime_table
+
     records = emit_regime_table(args.N)
     result = {"records": [rec.to_dict() for rec in records],
               "all_match": all(rec.match for rec in records)}

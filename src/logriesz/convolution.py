@@ -79,7 +79,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, _kernel_values, validate
+from .kernel import AsymptoticSpec, KernelParams, validate
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -133,6 +133,29 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy import integrate
     return integrate
+
+
+def _kernel_values(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """K at an array t > 0 without checks.  For beta != 0 it is evaluated in logs:
+    t^-alpha underflows where log(1+t)^beta overflows, and their product is finite."""
+    if not beta:
+        return t ** -alpha
+    return np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t))
+
+
+def eval_kernel(params: KernelParams, t):
+    """Evaluate K at t > 0 (scalar or array).
+
+    log1p keeps the weight accurate for t near 0, where log(1+t) underflows
+    to t with naive log(1+t) evaluation in float arithmetic.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0.0):
+        raise NonpositiveRadius("kernel argument must be positive")
+    out = _kernel_values(t_arr, params.alpha, params.beta)
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return float(out)
+    return out
 
 
 # math.gamma(N / 2) overflows from N = 344 on.  Past _GAMMA_DIMENSION both
@@ -510,6 +533,15 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
     if (far := ~(s_max <= _FLOAT_MAX / 2.0)).any():
         raise NonpositiveRadius(f"support radius {f.support_radius!r} lies past half the float range" if compact else
                                 f"radius {float(flat[far][0])!r} puts the tail probe 2 s_max past the float range")
+    if compact:
+        # for f of order one up to the support radius R, the sweep forms s^(N-1) there and
+        # the value is of order |S^(N-1)| R^N K(R) (the ball's value at r = 0 is that over N - alpha)
+        R = float(f.support_radius)
+        log_weight = (N - 1) * math.log(R)
+        log_sphere = math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)  # finite for every N
+        log_value = log_weight + log_sphere + (1.0 - alpha) * math.log(R) + beta * math.log(math.log1p(R))
+        if max(log_weight, log_value) > math.log(_FLOAT_MAX):
+            raise NonpositiveRadius(f"support radius {R!r} puts the convolution past the float range")
 
     prefactor = unit_sphere_area(N - 1) if N >= 2 else 1.0
 

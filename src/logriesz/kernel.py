@@ -4,6 +4,10 @@ Admissible exponents keep K locally integrable in dimension N:
 0 <= alpha <= N and beta > alpha - N.  Near t = 0 the weight log(1+t)
 behaves like t, so K(t) ~ t^(beta-alpha); at infinity K(t) ~
 t^(-alpha) * log(t)^beta.
+
+This module imports no numpy, so the decision layer (classifier.py) that
+checks exponents here loads none; K is evaluated on arrays by
+convolution.eval_kernel, and AsymptoticSpec imports numpy when it evaluates.
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ import enum
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidAlpha, InvalidBeta, InvalidDimension, NonpositiveRadius
+from .errors import InvalidAlpha, InvalidBeta, InvalidDimension
 
 
 def approx_eq(a: float, b: float) -> bool:
@@ -42,11 +44,15 @@ class AsymptoticSpec:
     logpower: float
 
     def shape(self, r, A: float):
+        import numpy as np
+
         base = A + r
         return base ** self.power * np.log(base) ** self.logpower
 
     def log_shape(self, r, A: float):
         """log of shape(r, A) for A + r > 1, finite where the shape under- or overflows."""
+        import numpy as np
+
         log_base = np.log(A + r)
         return self.power * log_base + self.logpower * np.log(log_base)
 
@@ -76,29 +82,6 @@ def _validate_exponents(N, alpha: float, beta: float) -> None:
         raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
     if not (beta > alpha - N):
         raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N}, got {beta}")
-
-
-def _kernel_values(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """K at an array t > 0 without checks.  For beta != 0 it is evaluated in logs:
-    t^-alpha underflows where log(1+t)^beta overflows, and their product is finite."""
-    if not beta:
-        return t ** -alpha
-    return np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t))
-
-
-def eval_kernel(params: KernelParams, t):
-    """Evaluate K at t > 0 (scalar or array).
-
-    log1p keeps the weight accurate for t near 0, where log(1+t) underflows
-    to t with naive log(1+t) evaluation in float arithmetic.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise NonpositiveRadius("kernel argument must be positive")
-    out = _kernel_values(t_arr, params.alpha, params.beta)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def kernel_asymptotics(params: KernelParams, regime: Regime) -> AsymptoticSpec:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import logriesz
 from logriesz import ProblemParams, Side, UClass, classify
 from logriesz.cli import main, parse_number, parse_profile, parse_radii, parse_window
 from logriesz.errors import ParameterError
@@ -226,8 +230,9 @@ class TestConvolveCommand:
         assert code == 2
         assert "invalid parameters" in err
 
-    @pytest.mark.parametrize("profile", ["ball:inf", "ball:nan", "ball:1e308", "power:nan:0:10",
-                                         "power:4:nan:10", "power:inf:0:10", "power:4:0:inf"])
+    @pytest.mark.parametrize("profile", ["ball:inf", "ball:nan", "ball:1e308", "ball:1e154", "ball:1e200",
+                                         "ball:1e307", "power:nan:0:10", "power:4:nan:10", "power:inf:0:10",
+                                         "power:4:0:inf"])
     def test_profile_parameter_that_is_not_finite_exit_two(self, capsys, profile):
         """A typed ParameterError, exit 2; a RuntimeWarning would fail the test."""
         code, out, err = run(capsys, [
@@ -454,3 +459,51 @@ class TestTableCommand:
         assert code == 0
         assert "all_match = True" in out
         assert out.count("[ok]") == 125
+
+
+README_CLASSIFY = ["classify", "--side", "P+", "--N", "3", "--p", "2", "--q", "4", "--alpha", "1", "--beta", "-1.5"]
+
+
+def fresh_cli(argv, before="", after=""):
+    """main(argv) in a fresh interpreter, between the statements before and after; returns
+    the finished process."""
+    package_root = os.path.dirname(os.path.dirname(logriesz.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    script = f"import sys\n{before}\nfrom logriesz.cli import main\ncode = main(sys.argv[1:])\n{after}\nsys.exit(code)"
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+
+
+BLOCK_NUMPY = 'sys.modules["numpy"] = None'
+
+
+class TestImportsPerSubcommand:
+    """Each subcommand imports the modules it runs: the decision commands run where numpy
+    cannot be imported, and convolve loads none of the certificate modules."""
+
+    @pytest.mark.parametrize("argv", [README_CLASSIFY, README_CLASSIFY + ["--format", "text"],
+                                      ["table", "--N", "3"], ["table", "--N", "3", "--format", "text"]])
+    def test_decision_commands_run_with_numpy_blocked(self, argv):
+        blocked, plain = fresh_cli(argv, BLOCK_NUMPY), fresh_cli(argv)
+        assert (blocked.returncode, blocked.stderr) == (0, ""), blocked.stderr
+        assert blocked.stdout == plain.stdout and plain.returncode == 0
+
+    def test_invalid_alpha_exit_two_with_numpy_blocked(self):
+        argv = README_CLASSIFY[:-4] + ["--alpha", "5", "--beta", "0"]
+        proc = fresh_cli(argv, BLOCK_NUMPY)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "invalid parameters: InvalidAlpha" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+    def test_help_with_numpy_blocked(self, argv):
+        proc = fresh_cli(argv, BLOCK_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: logriesz")
+
+    def test_convolve_loads_no_certificate_module(self, tmp_path):
+        argv = ["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1",
+                "--radii", "1:1e3:7", "--out", str(tmp_path / "rows.csv")]
+        proc = fresh_cli(argv, after="print(' '.join(sorted(m for m in sys.modules if m.startswith('logriesz.'))), "
+                                       "file=sys.stderr)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["logriesz.cli", "logriesz.convolution", "logriesz.errors", "logriesz.kernel"]

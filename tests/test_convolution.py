@@ -501,6 +501,22 @@ def test_ball_support_past_half_the_float_range_is_refused():
     assert "tail probe" not in str(info.value)
 
 
+@pytest.mark.parametrize("r0", [1e154, 1e200, 1e307])
+def test_ball_whose_convolution_leaves_the_float_range_is_refused(r0):
+    """Near r = 0 the ball's convolution is about 2 pi r0^2, past the float range from
+    r0 ~ 5.3e153 on; the call refuses it by its support radius before the sweep, from
+    r0 ~ 3.8e153 on, where its estimate |S^2| r0^3 K(r0) = 4 pi r0^2 gets there, with no
+    RuntimeWarning (which the test configuration turns into an error)."""
+    with pytest.raises(NonpositiveRadius, match="support radius"):
+        convolve_radial(NEWTONIAN, ball_profile(r0), np.array([1.0, 3.0, 10.0]))
+
+
+def test_ball_just_inside_the_float_range_keeps_its_value():
+    """r0 = 1e153: (K * 1_B)(r) = 2 pi r0^2 - 2 pi r^2 / 3 for r <= r0, 6.28e306."""
+    res = convolve_radial(NEWTONIAN, ball_profile(1e153), 1.0)
+    assert math.isclose(res.value, 2.0 * math.pi * 1e306, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("sigma,kappa,A", [(math.nan, 0.0, 10.0), (4.0, math.nan, 10.0), (math.inf, 0.0, 10.0),
                                            (4.0, -math.inf, 10.0), (4.0, 0.0, math.inf), (4.0, 0.0, math.nan)])
 def test_power_profile_needs_finite_parameters(sigma, kappa, A):

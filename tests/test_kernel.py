@@ -1,6 +1,8 @@
 """Kernel evaluation and asymptotic exponent extraction."""
 
+import ast
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from logriesz import (
     kernel_asymptotics,
     validate,
 )
+from logriesz import kernel
 
 
 def test_validate_accepts_admissible_ranges():
@@ -147,3 +150,18 @@ def test_approx_eq_mixed_tolerance():
     assert not approx_eq(1.0, 1.0 + 5e-12)
     assert approx_eq(0.0, 5e-13)
     assert approx_eq(1e20, 1e20 * (1.0 + 1e-13))
+
+
+def test_kernel_imports_only_the_standard_library_and_errors():
+    """At module level kernel.py imports the standard library and .errors only, so
+    classifier.py, which imports it, loads no numpy; AsymptoticSpec's methods import
+    numpy in their bodies, when they evaluate."""
+    with open(kernel.__file__) as fh:
+        tree = ast.parse(fh.read())
+    package = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module.split(".")[0] for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert package == {"errors"}
+    assert absolute <= sys.stdlib_module_names, absolute - sys.stdlib_module_names
