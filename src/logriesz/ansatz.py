@@ -35,6 +35,7 @@ from .classifier import ExistenceCase, choose_case_params
 from .convolution import (
     TRUNCATION_FACTOR,
     RadialProfile,
+    _jacobi_rule,
     _layer_cake,
     convolve_radial,
     newtonian_potential_radial,
@@ -201,8 +202,7 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
 
 
 # 4-point Gauss-Legendre nodes and weights on [0, 1]
-_GL4_U, _GL4_W = np.polynomial.legendre.leggauss(4)
-_GL4_U, _GL4_W = 0.5 * (1.0 + _GL4_U), 0.5 * _GL4_W
+_GL4_U, _GL4_W = _jacobi_rule(0.0, 4)
 
 
 class PotentialTable:

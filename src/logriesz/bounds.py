@@ -135,14 +135,14 @@ def fit_asymptotics(samples: Sequence[tuple[float, float]], A: float = 1.0) -> F
     """Least squares of log v on {1, log(A+r), loglog(A+r)}.
 
     Exact (up to conditioning) on pure shapes c (A+r)^a log(A+r)^b.  Needs
-    at least 6 samples spanning 3 decades with positive values.
+    at least 6 samples spanning 3 decades, with finite positive radii and values.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 6:
         raise DegenerateSamples("need at least 6 (radius, value) samples")
     radii, values = arr[:, 0], arr[:, 1]
-    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise DegenerateSamples("sample values must be positive and finite")
+    if not np.all((arr > 0.0) & (arr < math.inf)):
+        raise DegenerateSamples("sample radii and values must be positive and finite")
     if radii.max() / radii.min() < 1e3:
         raise DegenerateSamples("sample radii must span at least 3 decades")
     logs = np.log(A + radii)

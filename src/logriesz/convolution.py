@@ -32,9 +32,10 @@ Both integrands are positive, so every radius keeps the relative accuracy of
 its segments; an octave is short enough for one G7-K15 panel to reach
 roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
 
-Every integrand that multiplies a profile f by powers of s or r is one exp of
-a sum of logs, log f (RadialProfile.log_evaluate) among them: far out f may lie
-below the float range where its product with s^(N-1) does not.
+Every integrand that multiplies a profile f by powers of s or r, and every
+node value of K, is one exp of a sum of logs, log f (RadialProfile.log_evaluate)
+and log K (_log_kernel) among them: far out f may lie below the float range
+where its product with s^(N-1) does not.
 
 angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
 angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
@@ -135,24 +136,22 @@ def __getattr__(name: str):
     return integrate
 
 
-def _kernel_values(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """K at an array t > 0 without checks.  For beta != 0 it is evaluated in logs:
-    t^-alpha underflows where log(1+t)^beta overflows, and their product is finite."""
-    if not beta:
-        return t ** -alpha
-    return np.exp(beta * np.log(np.log1p(t)) - alpha * np.log(t))
+def _log_kernel(t: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """log K at an array t > 0 without checks, finite where t^-alpha underflows or
+    log(1+t)^beta overflows.  One expression, so numpy reuses its temporaries."""
+    return beta * np.log(np.log1p(t)) - alpha * np.log(t) if beta else -alpha * np.log(t)
 
 
 def eval_kernel(params: KernelParams, t):
-    """Evaluate K at t > 0 (scalar or array).
+    """Evaluate K at finite t > 0 (scalar or array), the exp of its logarithm.
 
-    log1p keeps the weight accurate for t near 0, where log(1+t) underflows
-    to t with naive log(1+t) evaluation in float arithmetic.
+    log1p keeps log(1+t) accurate for t near 0, where 1 + t rounds away the
+    digits of t in float arithmetic.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise NonpositiveRadius("kernel argument must be positive")
-    out = _kernel_values(t_arr, params.alpha, params.beta)
+    if not np.all((t_arr > 0.0) & (t_arr < math.inf)):
+        raise NonpositiveRadius("kernel argument must be positive and finite")
+    out = np.exp(_log_kernel(t_arr, params.alpha, params.beta))
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
@@ -186,9 +185,19 @@ def colatitude_total(N: int) -> float:
     return math.prod(((n - 3) / (n - 2) for n in range(n0 + 2, N + 1, 2)), start=colatitude_total(n0))
 
 
+@lru_cache(maxsize=64)
+def _jacobi_rule(a: float, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi rule on [0, 1] for the weight y^a, a > -1 (Gauss-Legendre at a = 0),
+    by Golub-Welsch (scipy's roots_jacobi overflows in 2^(a+1) past a = 1000 and is less accurate)."""
+    k = np.arange(1.0, n)
+    diag = np.concatenate(([a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))))
+    off = 2.0 * k * (k + a) / ((2.0 * k + a) * np.sqrt((2.0 * k + a + 1.0) * (2.0 * k + a - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), v[0] ** 2 / (a + 1.0)
+
+
 # 16-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GL_U, _GL_W = 0.5 * (1.0 + _GL_X), 0.5 * _GL_W
+_GL_U, _GL_W = _jacobi_rule(0.0)
 # Panels span a ratio of t of at most 4 and at most _LOG_SPREAD e-folds of
 # log(1+t)^beta (16 nodes integrate e^(20 u) over [0, 1] to 2e-15).
 _LOG_RATIO = math.log(4.0)
@@ -196,17 +205,6 @@ _LOG_SPREAD = 12.0
 # Outer nodes per _angular slice: at 1.5-3 panels of 16 nodes each, its work arrays stay
 # near 1 MB.  Unsliced rounds of 10^4 nodes took 1.7-1.9 times as long (2 MiB L2 Xeon).
 _ANGULAR_BATCH = 2000
-
-
-@lru_cache(maxsize=64)
-def _jacobi_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Jacobi rule on [0, 1] for the weight y^a, a > -1, by Golub-Welsch
-    (scipy's roots_jacobi overflows in 2^(a+1) past a = 1000 and is less accurate)."""
-    k = np.arange(1.0, 16.0)
-    diag = np.concatenate(([a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))))
-    off = 2.0 * k * (k + a) / ((2.0 * k + a) * np.sqrt((2.0 * k + a + 1.0) * (2.0 * k + a - 1.0)))
-    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (a + 1.0)
 
 
 class _Offsets(NamedTuple):
@@ -245,15 +243,15 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a
     product of factors of at most 2, so no r s is formed to under- or
     overflow.  At s == r the geometric panels start at min(r, 1) and
-    _angular_origin_panel adds the rest.  Where K overflows at offsets next
-    to the cusp (alpha > 7 or so), K tau sin(theta)^(N-3) is formed in logs.
+    _angular_origin_panel adds the rest.  Each node value K(t) (t/M) sin(theta)^(N-3)
+    is one exp of logs: next to the cusp K alone may overflow where the product does not.
     Larger batches than _ANGULAR_BATCH nodes run in slices of that size.
     """
     if len(s) > _ANGULAR_BATCH:
         return np.concatenate([_angular(N, *(v[i:i + _ANGULAR_BATCH] for v in (r, s, delta)), alpha, beta)
                                for i in range(0, len(s), _ANGULAR_BATCH)])
     if not r.all():  # angular(0, s) = B_N K(s)
-        out, rest = colatitude_total(N) * _kernel_values(s, alpha, beta), r > 0.0
+        out, rest = colatitude_total(N) * np.exp(_log_kernel(s, alpha, beta)), r > 0.0
         out[rest] = _angular(N, r[rest], s[rest], delta[rest], alpha, beta)
         return out
     d, m, M, D = np.abs(delta), np.minimum(r, s), np.maximum(r, s), r + s
@@ -261,7 +259,7 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     t0 = np.where(diagonal, np.minimum(M, 1.0), d)
     spread = abs(beta) / _LOG_SPREAD
     least = max(1.0, math.ceil((N - 3) / 8.0))
-    span = np.log(M) - np.log(t0)
+    span = (log_M := np.log(M)) - np.log(t0)
     n = np.maximum(np.ceil(np.maximum(span / _LOG_RATIO,
                                       spread * (np.log(np.log1p(M)) - np.log(np.log1p(t0))))), least * ~diagonal)
     n_last = np.maximum(np.ceil(spread * (np.log(np.log1p(D)) - np.log(np.log1p(M)))), least)
@@ -271,7 +269,7 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(len(s)), counts)
     k = np.arange(len(owner)) - starts[owner]
-    d, m, M, D, t0, span, n, n_last = (v[owner] for v in (d, m, M, D, t0, span, n, n_last))
+    d, m, M, D, t0, span, n, n_last, log_M = (v[owner] for v in (d, m, M, D, t0, span, n, n_last, log_M))
     last, j = k >= n, n + n_last - 1 - k
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_ratio = span / n
@@ -284,15 +282,12 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
         squared = np.where(last, j == 0, (k == 0) & ~diagonal[owner])
         o = lo + h * np.where(squared, (_GL_U * _GL_U)[:, None], _GL_U[:, None])
         t = np.where(last, D, d) + o
-        tau = t / M
-        vals = _kernel_values(t, alpha, beta) * tau
+        # K(t) (t/M) sin(theta)^(N-3), with t K(t) the kernel of alpha - 1
+        log_vals = _log_kernel(t, alpha - 1.0, beta) - log_M
         if N != 3:
-            nu = o * (sign / (2.0 * m))
-            q = nu * (1.0 - nu) * (tau + d / M) * (tau + D / M)
-            vals *= q ** ((N - 3) / 2.0)
-            if (over := ~np.isfinite(vals)).any():
-                t_o = t[over]
-                vals[over] = np.exp(beta * np.log(np.log1p(t_o)) - alpha * np.log(t_o) + np.log(tau[over]) + (N - 3) / 2.0 * np.log(q[over]))
+            nu, tau = o * (sign / (2.0 * m)), t / M
+            log_vals += (N - 3) / 2.0 * np.log(nu * (1.0 - nu) * (tau + d / M) * (tau + D / M))
+        vals = np.exp(log_vals)
     panel = np.where(squared, (2.0 * _GL_U * _GL_W) @ vals, _GL_W @ vals) * (np.abs(h) / m)
     out = np.add.reduceat(panel, starts)
     if diagonal.any():
@@ -539,7 +534,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
         R = float(f.support_radius)
         log_weight = (N - 1) * math.log(R)
         log_sphere = math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)  # finite for every N
-        log_value = log_weight + log_sphere + (1.0 - alpha) * math.log(R) + beta * math.log(math.log1p(R))
+        log_value = log_weight + log_sphere + _log_kernel(R, alpha - 1.0, beta)
         if max(log_weight, log_value) > math.log(_FLOAT_MAX):
             raise NonpositiveRadius(f"support radius {R!r} puts the convolution past the float range")
 
@@ -547,8 +542,8 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
 
     def integrand(s: np.ndarray, delta: np.ndarray, group: np.ndarray) -> np.ndarray:
         if N == 1:
-            k = _kernel_values(np.abs(delta), alpha, beta) + _kernel_values(flat[group] + s, alpha, beta)
-            return np.exp(f.log_evaluate(s)) * k
+            log_f = f.log_evaluate(s)
+            return sum(np.exp(log_f + _log_kernel(t, alpha, beta)) for t in (np.abs(delta), flat[group] + s))
         return np.exp(f.log_evaluate(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
 
     # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);

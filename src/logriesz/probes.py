@@ -232,6 +232,8 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     if R_list is None:
         R_list = np.geomspace(1e2, 1e8, 25)
     R = np.asarray(R_list, dtype=float)
+    if not np.all((R > 0.0) & (R < math.inf)):
+        raise ParameterError(f"R_list radii must be positive and finite, got {R_list!r}")
     if R.size < 2 or np.any(np.diff(R) <= 0.0):
         raise ParameterError("R_list must be increasing with at least 2 entries")
 

@@ -224,6 +224,16 @@ class TestFitAsymptotics:
         with pytest.raises(DegenerateSamples):
             fit_asymptotics(samples)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius(self, radius, capfd):
+        """A NaN or inf radius is refused before the least-squares solve, which would
+        raise LinAlgError and print LAPACK complaints on stderr."""
+        samples = [(r, 1.0 / r) for r in np.geomspace(1e3, 1e7, 8)]
+        samples[2] = (radius, samples[2][1])
+        with pytest.raises(DegenerateSamples, match="radii"):
+            fit_asymptotics(samples)
+        assert capfd.readouterr().err == ""
+
     def test_rejects_radii_inside_log_knee(self):
         radii = np.geomspace(0.01, 100.0, 8)
         with pytest.raises(DegenerateSamples):

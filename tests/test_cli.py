@@ -501,9 +501,11 @@ class TestImportsPerSubcommand:
         assert proc.stdout.startswith("usage: logriesz")
 
     def test_convolve_loads_no_certificate_module(self, tmp_path):
+        """Nor numpy.polynomial: the Gauss rules come from convolution's own generator."""
         argv = ["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1",
                 "--radii", "1:1e3:7", "--out", str(tmp_path / "rows.csv")]
         proc = fresh_cli(argv, after="print(' '.join(sorted(m for m in sys.modules if m.startswith('logriesz.'))), "
-                                       "file=sys.stderr)")
+                                       "'numpy.polynomial' in sys.modules, file=sys.stderr)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.split() == ["logriesz.cli", "logriesz.convolution", "logriesz.errors", "logriesz.kernel"]
+        assert proc.stderr.split() == ["logriesz.cli", "logriesz.convolution", "logriesz.errors", "logriesz.kernel",
+                                       "False"]

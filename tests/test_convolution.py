@@ -517,6 +517,16 @@ def test_ball_just_inside_the_float_range_keeps_its_value():
     assert math.isclose(res.value, 2.0 * math.pi * 1e306, rel_tol=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=QuadratureFailure,
+                   reason="ROADMAP item 6 (CHANGES.md FOUND): the angular rule hands the sweep K(s) in "
+                          "floats, subnormal past s ~ 1e106 at alpha = 2.9, so the sweep cannot converge")
+def test_ball_whose_kernel_is_subnormal_at_the_edge_keeps_its_value():
+    """At r = 0, (K * 1_B)(0) = 4 pi int_0^R s^(2-alpha) ds = 4 pi R^0.1 / 0.1 for alpha = 2.9
+    and R = 1e110, well inside the float range; only K(s) near the edge is subnormal."""
+    res = convolve_radial(KernelParams(3, 2.9, 0.0), ball_profile(1e110), 0.0)
+    assert math.isclose(res.value, 4.0 * math.pi * 1e110 ** 0.1 / 0.1, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("sigma,kappa,A", [(math.nan, 0.0, 10.0), (4.0, math.nan, 10.0), (math.inf, 0.0, 10.0),
                                            (4.0, -math.inf, 10.0), (4.0, 0.0, math.inf), (4.0, 0.0, math.nan)])
 def test_power_profile_needs_finite_parameters(sigma, kappa, A):
@@ -705,9 +715,9 @@ def test_newtonian_potential_at_the_ball_edge_in_high_dimension(N):
 
 @pytest.mark.parametrize("N", [10, 20, 50])
 def test_newtonian_angular_factor_next_to_the_diagonal(N):
-    """At |s - r| = 1e-12, t^(2-N) overflows on the first panels from N = 28 on, so
-    at N = 50 the angular rule forms K tau sin(theta)^(N-3) in logs; the mean value
-    property gives |S^(N-1)| / |S^(N-2)| max(r, s)^(2-N)."""
+    """At |s - r| = 1e-12, t^(2-N) overflows on the first panels from N = 28 on, where
+    the node value K(t) (t/M) sin(theta)^(N-3) stays finite: every N forms it as one exp
+    of logs.  The mean value property gives |S^(N-1)| / |S^(N-2)| max(r, s)^(2-N)."""
     s = np.array([1.0 - 1e-12, 1.0 + 1e-12])
     got = angular_factor(N, 1.0, s, KernelParams(N, N - 2.0, 0.0))
     exact = unit_sphere_area(N) / unit_sphere_area(N - 1) * np.maximum(1.0, s) ** (2.0 - N)

@@ -78,6 +78,13 @@ def test_eval_kernel_rejects_nonpositive_radius():
         eval_kernel(k, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, [1.0, math.inf]])
+def test_eval_kernel_rejects_non_finite_radius(t):
+    """log K at t = inf is 0 * inf for alpha = 0 = beta: refused, not a NaN."""
+    with pytest.raises(NonpositiveRadius, match="finite"):
+        eval_kernel(KernelParams(3, 0.0, 0.0), t)
+
+
 def test_eval_kernel_returns_scalar_float():
     k = KernelParams(3, 1.0, 0.5)
     v = eval_kernel(k, 1.0)

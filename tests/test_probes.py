@@ -308,6 +308,13 @@ class TestDivergenceCertificate:
         with pytest.raises(ParameterError):
             divergence_certificate(3, 2.0, 2.0, 0.0, 0.0, R_list=[100.0, 50.0])
 
+    @pytest.mark.parametrize("R_list", [[0.0, 10.0], [-5.0, 10.0], [1e2, math.inf], [math.nan, 1.0]])
+    def test_radii_must_be_positive_and_finite(self, R_list):
+        """A zero, negative, infinite or NaN radius is refused by name, not read as a log
+        warning or a NaN series."""
+        with pytest.raises(ParameterError, match="positive and finite"):
+            divergence_certificate(3, 1.2, 0.5, 1.0, 0.0, R_list=R_list)
+
     def test_serialization_roundtrip(self):
         s = divergence_certificate(3, 2.0, 2.0, 0.0, 0.0)
         d = s.to_dict()
