@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     ScalingUndefined,
 )
-from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, approx_eq, validate
+from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, approx_eq
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,13 @@ class AnsatzParams:
 
 
 def w_eval(params: AnsatzParams, r):
-    r = np.asarray(r, dtype=float)
-    return np.sqrt(params.A + r * r)[()]
+    """w(r) = sqrt(A + r^2), formed as hypot(sqrt(A), r): finite where r^2 overflows."""
+    return np.hypot(math.sqrt(params.A), np.asarray(r, dtype=float))[()]
 
 
 def _log_source(params: AnsatzParams, r):
     """log v(r) = -gamma log(w) + tau log(log(w)); log(w) > 1/2 since A > e."""
-    r = np.asarray(r, dtype=float)
-    log_w = 0.5 * np.log(params.A + r * r)
+    log_w = np.log(w_eval(params, r))
     return (-params.gamma * log_w + params.tau * np.log(log_w))[()]
 
 
@@ -104,10 +103,12 @@ def _drift_over_source(params: AnsatzParams, r):
     w^(-gamma) L^tau term by term, so no power of w is formed to underflow."""
     N, g, tau, A = params.N, params.gamma, params.tau, params.A
     r = np.asarray(r, dtype=float)
-    w2 = A + r * r
-    L = 0.5 * np.log(w2)
+    w = w_eval(params, r)
+    L = np.log(w)
+    # w^2 overflows past r = 1.3e154, so each division by it is two by w and r^2/w^2 is (r/w)^2
     return (g * (N - g - 2.0) + tau * (2.0 * g + 2.0 - N) / L
-            + (A * g * (g + 2.0) - A * tau * (2.0 * g + 2.0) / L + tau * (1.0 - tau) * (r * r) / L ** 2) / w2) / w2
+            + A * (g * (g + 2.0) - tau * (2.0 * g + 2.0) / L) / w / w
+            + tau * (1.0 - tau) * (r / w) ** 2 / L ** 2) / w / w
 
 
 def biharmonic_closed_form(params: AnsatzParams, lam: float, r):
@@ -175,7 +176,6 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
     or p <= N/(N-2) (gamma = N); p = N/(gamma-2) with gamma < N, alpha > 0 and
     tau*p <= -1.
     """
-    validate(kernel)
     if kernel.N != params.N:
         raise HypothesisViolated("kernel and ansatz dimensions disagree")
     if p <= 0.0 or q <= 0.0:
@@ -309,7 +309,6 @@ def verify_supersolution(
     point.  Stability demands the grid extension to twice the outer radius
     move S by less than 10 percent.
     """
-    validate(kernel)
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e6, 59))) if grid is None else np.asarray(grid, dtype=float)
     if not (grid.size and np.isfinite(grid).all() and grid.min() >= 0.0 and grid.max() > 0.0):
         raise ParameterError(f"grid must hold finite radii r >= 0, at least one positive, got {grid.tolist()}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .convolution import RadialProfile, _tail_gap, convolve_radial
 from .errors import DegenerateSamples, MissingAsymptoticSpec, OutOfHypothesis
-from .kernel import AsymptoticSpec, KernelParams, validate
+from .kernel import AsymptoticSpec, KernelParams
 
 
 class BoundKind(enum.Enum):
@@ -74,7 +74,6 @@ class FitResult:
 
 def lower_bound_prediction(kernel: KernelParams, f: RadialProfile) -> PredictedBound:
     """Strongest applicable lower envelope for (K * f)(r) at large r."""
-    validate(kernel)
     N, alpha, beta = kernel.N, kernel.alpha, kernel.beta
     candidates: list[tuple[float, float]] = []
 
@@ -122,7 +121,6 @@ def _upper_ladder(kernel: KernelParams, sigma: float, kappa: float) -> tuple[Asy
 
 def upper_bound_prediction(kernel: KernelParams, f: RadialProfile) -> PredictedBound:
     """Sharp upper envelope for (K * f)(r), (A + r)-form with the profile's A."""
-    validate(kernel)
     if f.infinity_spec is None:
         raise MissingAsymptoticSpec("upper bounds need a declared tail shape")
     if f.scale <= 1.0:

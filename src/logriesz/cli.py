@@ -147,10 +147,9 @@ def cmd_classify(args) -> int:
 
 def cmd_convolve(args) -> int:
     from .convolution import convolution_rows, write_convolution_csv
-    from .kernel import KernelParams, validate
+    from .kernel import KernelParams
 
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
-    validate(kernel)
     f = parse_profile(args.profile, args.N)
     rows = convolution_rows(kernel, f, parse_radii(args.radii))
     if rows[0][1].divergent:  # at every radius or none
@@ -168,10 +167,9 @@ def cmd_convolve(args) -> int:
 
 def cmd_asymptotics(args) -> int:
     from .bounds import check_bound, lower_bound_prediction, upper_bound_prediction
-    from .kernel import AsymptoticSpec, KernelParams, validate
+    from .kernel import AsymptoticSpec, KernelParams
 
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
-    validate(kernel)
     f = parse_profile(args.profile, args.N)
     if args.kind == "lower":
         bound = lower_bound_prediction(kernel, f)
@@ -213,10 +211,9 @@ def cmd_ansatz(args) -> int:
 def cmd_verify(args) -> int:
     from .ansatz import verify_supersolution
     from .classifier import choose_case_params
-    from .kernel import KernelParams, validate
+    from .kernel import KernelParams
 
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
-    validate(kernel)
     case = choose_case_params(args.case, args.N, args.alpha, args.beta, args.p, args.q)
     report = verify_supersolution(case, kernel, args.p, args.q,
                                   lam=args.lam, A=args.A)

@@ -63,7 +63,6 @@ and the stretch holds under 1e-10 of the c1 term.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,7 +79,7 @@ from .errors import (
     ParameterError,
     QuadratureFailure,
 )
-from .kernel import AsymptoticSpec, KernelParams, validate
+from .kernel import AsymptoticSpec, KernelParams
 
 # Quadrature policy of every outer integral.
 REL_TOL = 1e-8
@@ -324,7 +323,6 @@ def detect_divergence(kernel: KernelParams, f: RadialProfile) -> bool:
     """Symbolic finiteness test from the declared tail shape: the convolution
     is infinite at every radius iff the mass integrand f(s) s^(N-1) K(s) fails
     to be integrable at infinity (_tail_gap)."""
-    validate(kernel)
     if f.support_radius is not None:
         return False
     if f.infinity_spec is None:
@@ -454,7 +452,7 @@ def _integrate_marks(
         if not np.all(np.isfinite(fx)):
             bad = ~np.isfinite(fx).reshape((-1,) + s.shape).all(axis=0)
             own = marks[group[seg[bad.any(axis=1)][0]]]
-            raise QuadratureFailure(f"non-finite integrand at s = {s[bad][0]!r} on [{own[0]}, {own[-1]}]")
+            raise QuadratureFailure(f"non-finite integrand at s = {float(s[bad][0])!r} on [{own[0]}, {own[-1]}]")
         return fx
 
     def panels(lo, hi, h, seg):
@@ -508,7 +506,6 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
     inf rather than raised; quadrature that cannot reach tolerance raises
     QuadratureFailure.
     """
-    validate(kernel)
     flat = (radii := np.asarray(r, dtype=float)).ravel()
     if (bad := flat[~((flat >= 0.0) & (flat < math.inf))]).size:
         raise NonpositiveRadius(f"evaluation radius must be finite and nonnegative, got {float(bad[0])!r}")
@@ -672,8 +669,7 @@ def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[flo
 
 def write_convolution_csv(path, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
     """Write convolution_rows output as r,value,error_estimate (17 significant digits)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "value", "error_estimate"])
+    with open(path, "w") as handle:
+        handle.write("r,value,error_estimate\n")
         for r, res in rows:
-            writer.writerow([format(r, ".17g"), format(res.value, ".17g"), format(res.error_estimate, ".17g")])
+            handle.write(f"{r:.17g},{res.value:.17g},{res.error_estimate:.17g}\n")

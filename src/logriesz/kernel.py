@@ -1,7 +1,9 @@
 """Log-weighted Riesz kernel: K(t) = t^(-alpha) * log(1+t)^beta.
 
 Admissible exponents keep K locally integrable in dimension N:
-0 <= alpha <= N and beta > alpha - N.  Near t = 0 the weight log(1+t)
+0 <= alpha <= N and beta > alpha - N.  KernelParams checks them where it is
+built, so an inadmissible kernel raises a ParameterError there (CLI exit 2)
+and no other function checks a kernel again.  Near t = 0 the weight log(1+t)
 behaves like t, so K(t) ~ t^(beta-alpha); at infinity K(t) ~
 t^(-alpha) * log(t)^beta.
 
@@ -64,13 +66,18 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelParams:
+    """Kernel exponents, checked where they are built: no function that takes one checks again."""
+
     N: int
     alpha: float
     beta: float
 
+    def __post_init__(self) -> None:
+        _validate_exponents(self.N, self.alpha, self.beta)
+
 
 def validate(params: KernelParams) -> None:
-    """Reject kernels that are not locally integrable in dimension N."""
+    """Reject kernels that are not locally integrable in dimension N (as building one does)."""
     _validate_exponents(params.N, params.alpha, params.beta)
 
 

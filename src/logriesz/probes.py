@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
 from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
-from .kernel import AsymptoticSpec, KernelParams, approx_eq, validate
+from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, approx_eq
+
+
+# Taylor coefficients d^(k)(x)/k!, k = 0..4, of the decay piece 1 - smootherstep (_DECAY holds its
+# coefficients of x^0..x^9), each a polynomial stated highest power first, as np.polyval reads it
+_DECAY = (1.0, 0.0, 0.0, 0.0, 0.0, -126.0, 420.0, -540.0, 315.0, -70.0)
+_DECAY_TAYLOR = [np.array([math.perm(j, k) * _DECAY[j] for j in range(9, k - 1, -1)]) / math.factorial(k)
+                 for k in range(5)]
 
 
 class BumpProfile:
@@ -39,12 +45,6 @@ class BumpProfile:
     rounding error (at t = 2 - 1e-6 power 10 reads 3.9e-137, not 1.0e-279).
     """
 
-    def __init__(self) -> None:
-        ramp = Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 126.0, -420.0, 540.0, -315.0, 70.0])
-        decay = Polynomial([1.0]) - ramp
-        # Taylor coefficients d^(k)(x)/k! of the decay piece, k = 0..4
-        self._taylor = [decay.deriv(k) / math.factorial(k) for k in range(5)]
-
     def pow_derivs(self, t, power: int = 1, order: int = 0) -> np.ndarray:
         """d^k/dt^k of (bump)^power for every k = 0..order, stacked along a new first
         axis, from one pass of truncated products; vectorized over t >= 0."""
@@ -55,7 +55,7 @@ class BumpProfile:
         out[0] = np.where(t < 1.0, 1.0, 0.0)
         mid = (t >= 1.0) & (t <= 2.0)
         if np.any(mid):
-            base = [poly(t[mid] - 1.0) for poly in self._taylor[:order + 1]]
+            base = [np.polyval(poly, t[mid] - 1.0) for poly in _DECAY_TAYLOR[:order + 1]]
             coeffs = base
             for _ in range(int(power) - 1):
                 # truncated Cauchy product: Taylor coefficients of the next power
@@ -77,7 +77,6 @@ class TestFunctionSpec:
     k: int
     delta: float
     R: float
-    psi: BumpProfile = field(default_factory=BumpProfile)
 
     def __post_init__(self) -> None:
         if not (float(self.k).is_integer() and self.k >= 1):
@@ -93,6 +92,9 @@ class TestFunctionSpec:
         return self.k > 4.0 / (self.delta - 1.0)
 
 
+_BUMP = BumpProfile()
+
+
 def test_function_bound(spec: TestFunctionSpec, lam: float,
                         grid: np.ndarray | None = None, N: int = 3) -> float:
     """Empirical constant C(R) = max |D2(phi^2) - lam*D(phi^2)| R^2 / phi.
@@ -105,12 +107,12 @@ def test_function_bound(spec: TestFunctionSpec, lam: float,
     R = spec.R
     t = (np.concatenate([np.linspace(0.05, 0.999, 64), np.linspace(1.0, 2.0, 2049)]) if grid is None
          else np.asarray(grid, dtype=float) / R)
-    phi = spec.psi.pow_deriv(t, spec.k, 0)
+    phi = _BUMP.pow_deriv(t, spec.k, 0)
     mask = (t > 0.0) & (phi >= 1e-6)
     if not np.any(mask):
         return 0.0
     t, phi = t[mask], phi[mask]
-    d = spec.psi.pow_derivs(t, 2 * spec.k, 4)
+    d = _BUMP.pow_derivs(t, 2 * spec.k, 4)
     lap = d[2] + (N - 1.0) * d[1] / t
     bilap = (d[4] + 2.0 * (N - 1.0) * d[3] / t
              + (N - 1.0) * (N - 3.0) * d[2] / t ** 2
@@ -215,7 +217,7 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     are read off the logarithms of the series, so they hold where a value
     exceeds the float range; such values (and such a ratio) are inf.
     """
-    validate(KernelParams(N=N, alpha=alpha, beta=beta))
+    _validate_exponents(N, alpha, beta)
     if p <= 0.0 or q <= 0.0:
         raise ParameterError("exponents p, q must be positive")
     if N <= 2:
@@ -319,7 +321,6 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
     if N < 3:
         raise ParameterError("the chain estimate needs N >= 3")
     kernel = KernelParams(N=N, alpha=alpha, beta=beta)
-    validate(kernel)
     if p <= 0.0:
         raise ParameterError("p must be positive")
     grid = np.asarray(grid, dtype=float)

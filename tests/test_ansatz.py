@@ -15,16 +15,20 @@ from logriesz import (
     EmptyParameterInterval,
     ExistenceCase,
     HypothesisViolated,
+    InvalidBeta,
     InvalidDimension,
     KernelParams,
     OutOfHypothesis,
     ParameterError,
     PotentialTable,
+    ProblemParams,
     RadialProfile,
     ScalingUndefined,
+    Side,
     approx_eq,
     biharmonic_closed_form,
     choose_case_params,
+    classify,
     convolve_radial,
     eval_kernel,
     fit_asymptotics,
@@ -96,6 +100,8 @@ def test_w_eval_closed_values():
     p = AnsatzParams(N=3, gamma=2.5, tau=0.0, A=10.0)
     assert math.isclose(w_eval(p, 0.0), math.sqrt(10.0), rel_tol=1e-15)
     assert math.isclose(w_eval(p, math.sqrt(6.0)), 4.0, rel_tol=1e-15)
+    # r^2 overflows here, w does not
+    assert w_eval(p, 1e200) == 1e200
 
 
 def test_source_eval_closed_values():
@@ -280,6 +286,15 @@ class TestRhsUpperBound:
         at = rhs_upper_bound(AnsatzParams(N=3, gamma=3.0, tau=0.0, A=10.0), k, 4.0, 1.0)
         assert math.isclose(at.spec.power, -4.0, abs_tol=1e-12)
         assert math.isclose(at.spec.logpower, 1.5, abs_tol=1e-12)
+
+    def test_snapped_saturated_kernel_refuses_nonpositive_beta(self):
+        """alpha within approx_eq of N snaps to N, where beta must exceed 0, so the snapped
+        kernel refuses beta = -5e-14, as classify refuses the same tuple."""
+        k = KernelParams(3, 3 - 1e-13, -5e-14)
+        with pytest.raises(InvalidBeta):
+            rhs_upper_bound(AnsatzParams(3, 3, 0, 10), k, 4, 1)
+        with pytest.raises(InvalidBeta):
+            classify(ProblemParams(Side.PPLUS, 3, 4.0, 1.0, k.alpha, k.beta))
 
     def test_dimension_mismatch(self):
         p = AnsatzParams(N=3, gamma=2.5, tau=0.0, A=10.0)
@@ -628,6 +643,18 @@ def test_potential_of_a_source_that_is_subnormal_far_out():
     res = newtonian_potential_radial(3, source_profile(AnsatzParams(3, 3.0, 0.0, 1e200)), [1.0])
     exact = math.asinh(1e-100)
     assert abs(res.value[0] - exact) <= res.error_estimate[0] <= 1e-10 * exact
+
+
+def test_potential_where_the_weight_squared_overflows():
+    """w = hypot(sqrt(A), r) stays finite where A + r^2 overflows (r > 1.3e154): for the
+    source w^-3 the potential is asinh(r/sqrt(A))/r, 1/sqrt(A) at r = 0, and a table whose
+    sweep runs past 1e154 builds without a RuntimeWarning."""
+    A = 1e300
+    res = newtonian_potential_radial(3, source_profile(AnsatzParams(3, 3, 0, A)), [0.0, 1e150])
+    exact = np.array([1.0 / math.sqrt(A), math.asinh(1e150 / math.sqrt(A)) / 1e150])
+    assert np.all(np.abs(res.value / exact - 1.0) <= 1e-12)
+    table = PotentialTable(AnsatzParams(3, 3, 0, 10), r_max=1e152)
+    assert abs(table(1e152) / (math.asinh(1e152 / math.sqrt(10.0)) / 1e152) - 1.0) <= table.error_estimate
 
 
 def test_potential_table_nodes_ascend_below_the_scale():

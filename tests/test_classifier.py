@@ -350,6 +350,21 @@ def test_only_the_integrate_hook_imports_scipy():
     assert found == {("convolution.py", "__getattr__")}
 
 
+def test_no_module_calls_validate():
+    """KernelParams checks its exponents where it is built, so no module of the package
+    calls kernel.validate, which stays exported for user code."""
+    package = os.path.dirname(classifier.__file__)
+    calls = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        calls += [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == []
+
+
 class TestRegimeTable:
     def test_dimension_three_catalog(self):
         records = emit_regime_table(3)

@@ -251,6 +251,18 @@ class TestConvolveCommand:
         assert "invalid parameters" in err
 
 
+def test_every_out_csv_ends_its_lines_with_lf(capsys, tmp_path):
+    """convolve, asymptotics and probe write their --out files with the same line ending."""
+    for argv in (["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1", "--radii", "1:1e3:7"],
+                 ["asymptotics", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "power:3:0:1.05",
+                  "--window", "1e3:1e7"],
+                 ["probe", "--kind", "certificate", "--N", "3", "--p", "2", "--q", "2", "--alpha", "0", "--beta", "0"]):
+        out_file = tmp_path / f"{argv[0]}.csv"
+        assert run(capsys, argv + ["--out", str(out_file)])[0] == 0
+        data = out_file.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, argv[0]
+
+
 class TestAsymptoticsCommand:
     def test_upper_envelope_report(self, capsys, tmp_path):
         out_file = tmp_path / "fit.csv"

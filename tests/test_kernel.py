@@ -1,6 +1,7 @@
 """Kernel evaluation and asymptotic exponent extraction."""
 
 import ast
+import dataclasses
 import math
 import sys
 
@@ -55,6 +56,20 @@ def test_validate_rejects_beta_at_or_below_floor():
     with pytest.raises(InvalidBeta) as err:
         validate(KernelParams(3, 0.0, -3.1))
     assert "beta must exceed alpha - N" in str(err.value)
+
+
+@pytest.mark.parametrize("args, error", [((0, 0, 0), InvalidDimension), ((3, 5.0, 0), InvalidAlpha),
+                                         ((3, 1.0, -2.0), InvalidBeta), ((3.5, 1, 0), InvalidDimension)])
+def test_inadmissible_kernel_raises_where_it_is_built(args, error):
+    """No KernelParams outside the admissible range exists, so eval_kernel, angular_factor
+    and every other function that takes one never see it."""
+    with pytest.raises(error):
+        KernelParams(*args)
+
+
+def test_replaced_kernel_is_checked_again():
+    with pytest.raises(InvalidAlpha):
+        dataclasses.replace(KernelParams(3, 1, 0), alpha=9.0)
 
 
 def test_eval_kernel_known_values():

@@ -29,6 +29,16 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_probes_loads_no_numpy_polynomial():
+    """The bump's Taylor polynomials are coefficient arrays evaluated by np.polyval."""
+    proc = _fresh("""
+        import sys
+        import logriesz.probes
+        assert "numpy.polynomial" not in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_each_public_name_is_its_modules_object():
     for module, names in logriesz._EXPORTS.items():
         owner = importlib.import_module(f"logriesz.{module}")

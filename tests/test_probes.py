@@ -120,6 +120,11 @@ class TestFunctionSpecValidation:
         spec = FunctionSpec(k=5, delta=2.0, R=10.0)
         assert spec.delta_power_valid
 
+    def test_is_its_three_numbers(self):
+        """The spec holds no bump of its own, so equal numbers make equal specs."""
+        assert FunctionSpec(5, 2.0, 10.0) == FunctionSpec(5, 2.0, 10.0)
+        assert repr(FunctionSpec(5, 2.0, 10.0)) == "TestFunctionSpec(k=5, delta=2.0, R=10.0)"
+
     def test_delta_power_threshold(self):
         assert not FunctionSpec(k=3, delta=2.0, R=10.0).delta_power_valid
         assert FunctionSpec(k=9, delta=1.5, R=10.0).delta_power_valid
