@@ -202,7 +202,7 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
 
 
 # 4-point Gauss-Legendre nodes and weights on [0, 1]
-_GL4_U, _GL4_W = _jacobi_rule(0.0, 4)
+_GL4_U, _GL4_W = _jacobi_rule(0.0, 0.0, 4)
 
 
 class PotentialTable:

@@ -37,12 +37,13 @@ node value of K, is one exp of a sum of logs, log f (RadialProfile.log_evaluate)
 and log K (_log_kernel) among them: far out f may lie below the float range
 where its product with s^(N-1) does not.
 
-angular_factor integrates in the distance t = |x - y| (Funk-Hecke):
-angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t sin(theta)^(N-3) dt, on
-16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s) (at
-least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs), with
-the endpoint factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made
-smooth by t = endpoint -+ h u^2; the panels of all s form one ragged batch.
+angular_factor serves the far field, min(r, s) < max(r, s)/4, on one 16-point Gauss-Gegenbauer
+panel in cos(theta) where the kernel is smooth enough (_angular).  Elsewhere it integrates in the
+distance t = |x - y| (Funk-Hecke): angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t
+sin(theta)^(N-3) dt, on 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s)
+(at least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs), with the endpoint
+factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made smooth by t = endpoint -+ h u^2;
+the panels of all s form one ragged batch.
 
 The cusp at s = r: there the t-integrand behaves like t^(N-2+beta-alpha), so
 angular(r, r) is finite only when beta > alpha - N + 1 (angular_factor
@@ -185,22 +186,27 @@ def colatitude_total(N: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(a: float, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Jacobi rule on [0, 1] for the weight y^a, a > -1 (Gauss-Legendre at a = 0),
-    by Golub-Welsch (scipy's roots_jacobi overflows in 2^(a+1) past a = 1000 and is less accurate)."""
-    k = np.arange(1.0, n)
-    diag = np.concatenate(([a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))))
-    off = 2.0 * k * (k + a) / ((2.0 * k + a) * np.sqrt((2.0 * k + a + 1.0) * (2.0 * k + a - 1.0)))
+def _jacobi_rule(a: float, b: float, n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi rule on [0, 1] for the weight y^a (1-y)^b, a, b > -1 (Gauss-Legendre at
+    a = b = 0), by Golub-Welsch (scipy's roots_jacobi overflows in 2^(a+b+1) past a = 1000 and is
+    less accurate).  The weights sum to 1: callers scale them by int_0^1 y^a (1-y)^b dy."""
+    k, c = np.arange(1.0, n), a + b
+    m = 2.0 * k + c
+    # (k + c) / (m - 1) is 1 at k = 1, also at c = -1 where both vanish
+    ratio = np.divide(k + c, m - 1.0, out=np.ones_like(k), where=k > 1.0)
+    diag = np.concatenate(([(a - b) / (c + 2.0)], (a - b) * c / (m * (m + 2.0))))
+    off = 2.0 / m * np.sqrt(k * (k + a) * (k + b) * ratio / (m + 1.0))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (a + 1.0)
+    return 0.5 * (1.0 + x), v[0] ** 2
 
 
 # 16-point Gauss-Legendre nodes and weights on [0, 1]
-_GL_U, _GL_W = _jacobi_rule(0.0)
+_GL_U, _GL_W = _jacobi_rule(0.0, 0.0)
 # Panels span a ratio of t of at most 4 and at most _LOG_SPREAD e-folds of
 # log(1+t)^beta (16 nodes integrate e^(20 u) over [0, 1] to 2e-15).
 _LOG_RATIO = math.log(4.0)
 _LOG_SPREAD = 12.0
+_FAR_RHO = 0.25  # min(r, s)/max(r, s) below which _angular's far-field panel may serve a node
 # Outer nodes per _angular slice: at 1.5-3 panels of 16 nodes each, its work arrays stay
 # near 1 MB.  Unsliced rounds of 10^4 nodes took 1.7-1.9 times as long (2 MiB L2 Xeon).
 _ANGULAR_BATCH = 2000
@@ -238,22 +244,35 @@ def angular_factor(N: int, r: float, s, kernel: KernelParams):
 def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """angular(r, s) at 1-d arrays r >= 0, s > 0 and the exact offsets delta = s - r.
 
-    With d = |delta|, D = r + s, M = max(r, s) and w = 2 min(r, s) = D - d,
-    sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a
-    product of factors of at most 2, so no r s is formed to under- or
-    overflow.  At s == r the geometric panels start at min(r, 1) and
-    _angular_origin_panel adds the rest.  Each node value K(t) (t/M) sin(theta)^(N-3)
+    Far field, rho = min(r, s)/M < _FAR_RHO = 1/4 with M = max(r, s): the integrand of angular =
+    int_{-1}^1 K(M sqrt((1-rho)^2 + 2 rho (1-x))) (1 - x^2)^((N-3)/2) dx is analytic up to
+    x = (1 + rho^2)/(2 rho), so n = 16 Gauss-Gegenbauer nodes err by O(rho^(2n)), rho0^32 = 5.4e-20,
+    once K's own variation is resolved: a node is admitted where t^alpha log(1+t)^|beta| varies by at
+    most _LOG_SPREAD e-folds over t in [M - m, M + m], m = rho M (always at r = 0, where t = s).
+    The other nodes take the chain: with d = |delta|, D = r + s and w = 2 min(r, s) = D - d,
+    sin(theta)^2 = 4 [(t - d)/w] [(D - t)/w] [(t + d)/2M] [(D + t)/2M], a product of factors of
+    at most 2, so no r s is formed to under- or overflow.  At s == r the geometric panels start at
+    min(r, 1) and _angular_origin_panel adds the rest.  Each node value K(t) (t/M) sin(theta)^(N-3)
     is one exp of logs: next to the cusp K alone may overflow where the product does not.
     Larger batches than _ANGULAR_BATCH nodes run in slices of that size.
     """
     if len(s) > _ANGULAR_BATCH:
         return np.concatenate([_angular(N, *(v[i:i + _ANGULAR_BATCH] for v in (r, s, delta)), alpha, beta)
                                for i in range(0, len(s), _ANGULAR_BATCH)])
-    if not r.all():  # angular(0, s) = B_N K(s)
-        out, rest = colatitude_total(N) * np.exp(_log_kernel(s, alpha, beta)), r > 0.0
-        out[rest] = _angular(N, r[rest], s[rest], delta[rest], alpha, beta)
+    m, M = np.minimum(r, s), np.maximum(r, s)
+    rho = np.minimum(m / M, _FAR_RHO)
+    efolds = _log_kernel(M * (1.0 + rho), -alpha, abs(beta)) - _log_kernel(M * (1.0 - rho), -alpha, abs(beta))
+    far, out = (rho < _FAR_RHO) & (efolds <= _LOG_SPREAD), np.empty(len(s))
+    # by the rule's symmetry y may stand for 1 - y: t^2 = M^2 ((1 - rho)^2 + 4 rho y)
+    y, w = _jacobi_rule((N - 3) / 2.0, (N - 3) / 2.0)
+    t = M[far] * np.sqrt((1.0 - rho[far]) ** 2 + 4.0 * rho[far] * y[:, None])
+    with np.errstate(over="ignore"):
+        out[far] = colatitude_total(N) * np.exp(np.log(w)[:, None] + _log_kernel(t, alpha, beta)).sum(axis=0)
+    if far.all():
         return out
-    d, m, M, D = np.abs(delta), np.minimum(r, s), np.maximum(r, s), r + s
+    near = ~far
+    r, s, delta, m, M = r[near], s[near], delta[near], m[near], M[near]
+    d, D = np.abs(delta), r + s
     diagonal = d == 0.0
     t0 = np.where(diagonal, np.minimum(M, 1.0), d)
     spread = abs(beta) / _LOG_SPREAD
@@ -288,10 +307,11 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
             log_vals += (N - 3) / 2.0 * np.log(nu * (1.0 - nu) * (tau + d / M) * (tau + D / M))
         vals = np.exp(log_vals)
     panel = np.where(squared, (2.0 * _GL_U * _GL_W) @ vals, _GL_W @ vals) * (np.abs(h) / m)
-    out = np.add.reduceat(panel, starts)
+    chain = np.add.reduceat(panel, starts)
     if diagonal.any():
         for r_d in np.unique(r[diagonal]):
-            out[diagonal & (r == r_d)] += _angular_origin_panel(N, float(r_d), alpha, beta)
+            chain[diagonal & (r == r_d)] += _angular_origin_panel(N, float(r_d), alpha, beta)
+    out[near] = chain
     return out
 
 
@@ -303,10 +323,10 @@ def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
     if a <= -1.0:
         return math.inf
     t1 = min(r, 1.0)
-    y, w = _jacobi_rule(a)
+    y, w = _jacobi_rule(a, 0.0)
     t = t1 * y
     g = (np.log1p(t) / t) ** beta * ((1.0 - t / (2.0 * r)) * (1.0 + t / (2.0 * r))) ** ((N - 3) / 2.0)
-    return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g))
+    return (t1 / r) ** (N - 1) * t1 ** (beta - alpha) * float(np.dot(w, g)) / (a + 1.0)
 
 
 def _tail_gap(kernel: KernelParams, sigma: float, kappa: float) -> float | None:

@@ -242,34 +242,110 @@ def test_angular_factor_matches_polynomial_weight_closed_form(N, alpha):
 def _angular_mpmath(N, alpha, beta, r, rel):
     """The t-integral in mpmath: in x = log(t - d) on [d, M], where the kernel's
     scale d and the factor (t - d)^((N-3)/2) become smooth, and in v = sqrt(D - t)
-    on [M, D], where (D - t)^((N-3)/2) becomes smooth."""
-    with mp.workdps(24):
+    on [M, D], where (D - t)^((N-3)/2) becomes smooth.  mp.quad stops on an absolute
+    error, so the integrand is scaled by its kernel part t K(t) at t = M."""
+    with mp.workdps(40):
         r, a, b, e = mp.mpf(r), mp.mpf(1 - alpha), mp.mpf(beta), mp.mpf(N - 3) / 2
         d, s = abs(r * rel), r + r * rel
         D, m = r + s, min(r, s)
         scale = 1 / (4 * r * r * s * s)
 
+        def log_tk(t):
+            return a * mp.log(t) + b * mp.log(mp.log1p(t))
+
+        c = log_tk(max(r, s))
+
         def g(t, od, oD):
             log_q = mp.log(od * (t + d) * oD * (D + t) * scale)
-            return mp.exp(a * mp.log(t) + b * mp.log(mp.log1p(t)) + e * log_q)
+            return mp.exp(log_tk(t) - c + e * log_q)
 
         cuts = [mp.log(d) - 4, mp.log(d) + 4] if d < m * mp.exp(-4) else []
         near = mp.quad(lambda x: g(d + mp.exp(x), mp.exp(x), 2 * m - mp.exp(x)) * mp.exp(x),
                        [-mp.inf] + cuts + [mp.log(m)])
         far = mp.quad(lambda v: g(D - v * v, 2 * m - v * v, v * v) * 2 * v, [0, mp.sqrt(m)])
-        return float((near + far) / (r * s))
+        return float((near + far) * mp.exp(c) / (r * s))
+
+
+# s - r = r rel with rho = min(r, s)/max(r, s) < 1/4, on both sides of the diagonal
+FAR_RELS = (-0.999, -0.76, 3.1, math.exp(7))
+# alpha near N, on FAR_RELS only: test_angular_factor_next_to_the_diagonal_at_alpha_near_N
+# records where the panel chain misses at these kernels
+ALPHA_NEAR_N = [(7, 6.9, 0.0, 30.0), (9, 8.5, 0.5, 30.0), (9, 8.8, -0.15, 30.0)]
 
 
 @pytest.mark.parametrize("N,alpha,beta,r", [
     (2, 1.2, 0.7, 0.7), (3, 1.6, -0.4, 30.0), (4, 3.1, 1.5, 0.7), (5, 4.3, -0.5, 30.0),
-    (6, 5.5, 0.9, 0.7), (2, 0.5, 0.0, 30.0), (4, 2.0, 0.0, 0.7), (6, 4.7, 0.0, 30.0),
+    (6, 5.5, 0.9, 0.7), (2, 0.5, 0.0, 30.0), (4, 2.0, 0.0, 0.7), (6, 4.7, 0.0, 30.0), *ALPHA_NEAR_N,
 ])
 def test_angular_factor_matches_mpmath(N, alpha, beta, r):
-    """Even N and beta != 0, where the weight is not a polynomial."""
+    """Even N and beta != 0, where the weight is not a polynomial; the far grid runs
+    the Gauss-Gegenbauer panel, also where t^-alpha falls below 1e-40."""
     k = KernelParams(N, alpha, beta)
-    for rel in (1e-30, 1e-6, 0.5, math.exp(7), -1e-30, -1e-3, -0.999):
+    near = () if (N, alpha, beta, r) in ALPHA_NEAR_N else (1e-30, 1e-6, 0.5, -1e-30, -1e-3)
+    for rel in near + FAR_RELS:
         exact = _angular_mpmath(N, alpha, beta, r, rel)
         assert math.isclose(_angular_at_offset(N, r, rel, k), exact, rel_tol=1e-12), (rel, exact)
+
+
+@pytest.mark.xfail(strict=True, reason="near-cusp panel chain (ROADMAP smaller findings, CHANGES.md FOUND): "
+                                       "at alpha near N it misses the oracle by 1.3e-12 and 1.1e-11")
+def test_angular_factor_next_to_the_diagonal_at_alpha_near_N():
+    """At r = 30, s - r = -0.03 the panel chain serves both kernels."""
+    for N, alpha, beta in ((7, 6.9, 0.0), (9, 8.8, -0.15)):
+        exact = _angular_mpmath(N, alpha, beta, 30.0, -1e-3)
+        got = _angular_at_offset(N, 30.0, -1e-3, KernelParams(N, alpha, beta))
+        assert math.isclose(got, exact, rel_tol=1e-12), (N, alpha, beta, got / exact - 1.0)
+
+
+def _angular_cos_mpmath(N, alpha, beta, M, rho):
+    """angular(M, rho M) = int_{-1}^1 K(M sqrt((1-rho)^2 + 2 rho (1-x))) (1-x^2)^((N-3)/2) dx in
+    mpmath, scaled by K(M) (mp.quad stops on an absolute error)."""
+    with mp.workdps(40):
+        M, rho, e = mp.mpf(M), mp.mpf(rho), mp.mpf(N - 3) / 2
+
+        def log_k(t):
+            return beta * mp.log(mp.log1p(t)) - alpha * mp.log(t)
+
+        c = log_k(M)
+
+        def f(x):
+            return mp.exp(log_k(M * mp.sqrt((1 - rho) ** 2 + 2 * rho * (1 - x))) - c + e * mp.log1p(-x * x))
+
+        return float(mp.quad(f, mp.linspace(-1, 1, 9)) * mp.exp(c))
+
+
+@pytest.mark.parametrize("N,alpha,beta,M,rho", [
+    (3, 1.0, 300.0, 0.7, 0.2), (3, 1.0, 600.0, 0.7, 0.1), (400, 399.0, 1.0, 1.5, 0.2),
+    (400, 399.0, 1.0, 1.5, 0.249), (60, 11.25, 591.0, 1e100, 0.249),
+])
+def test_far_field_panel_admits_only_kernels_it_resolves(N, alpha, beta, M, rho):
+    """rho < 1/4, but log K varies by 94-203 e-folds over t in [M - m, M + m] for the first
+    four, where one Gauss-Gegenbauer panel errs by 4.5e-7 to 6.6e-3, and by 7 for the last."""
+    got = angular_factor(N, M, rho * M, KernelParams(N, alpha, beta))
+    exact = _angular_cos_mpmath(N, alpha, beta, M, rho)
+    assert math.isclose(got, exact, rel_tol=1e-12), got / exact - 1.0
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.0, 0.0), (1.0, 1.0), (198.5, 198.5), (3.2, 0.0)])
+def test_jacobi_rule_is_exact_up_to_degree_2n_minus_1(a, b):
+    """The 16-point rule for y^a (1-y)^b on [0, 1] (a = b = (N-3)/2 for N = 2, 3, 5, 400,
+    and the origin panel's b = 0) against Beta-function ratios for every y^i (1-y)^j, i + j <= 31."""
+    y, w = convolution._jacobi_rule(a, b)
+    with mp.workdps(30):
+        for i in range(32):
+            for j in range(32 - i):
+                exact = mp.beta(a + i + 1, b + j + 1) / mp.beta(a + 1, b + 1)
+                assert math.isclose(float(np.dot(w, y ** i * (1.0 - y) ** j)), exact, rel_tol=1e-13), (i, j)
+
+
+@pytest.mark.parametrize("N", [2, 3, 9, 400])
+def test_far_field_weights_sum_to_the_colatitude_total(N):
+    """Mapped to x = 2y - 1, the weights integrate (1 - x^2)^((N-3)/2) = 2^(N-2) B((N-1)/2, (N-1)/2)."""
+    a = (N - 3) / 2.0
+    _, w = convolution._jacobi_rule(a, a)
+    with mp.workdps(30):
+        exact = mp.mpf(2) ** (N - 2) * mp.beta(a + 1, a + 1)
+    assert math.isclose(colatitude_total(N) * w.sum(), exact, rel_tol=1e-14)
 
 
 def _ball_riesz_closed_form(alpha, r):
