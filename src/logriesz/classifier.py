@@ -9,7 +9,7 @@ clause machine encodes the sharp exponent thresholds in terms of
     tN = N / (N - 2)             (Serrin-type threshold)
     t2 = (2N - alpha) / (N - 2)  (combined threshold for p + q)
 
-Critical equalities are tested with absolute tolerance 1e-12 so exact
+Critical equalities are tested to 1e-12 (kernel.approx_eq) so exact
 rational inputs land on their boundary rows.  The alpha = N family is
 routed through its dedicated sharp criterion before the generic clauses:
 the generic subcritical clauses textually cover part of that family and
@@ -91,6 +91,20 @@ class RegimeDecision:
         return json.dumps(self.to_dict())
 
 
+# Every decision without a construction is one of these shared frozen constants, keyed by
+# clause (the three uncharted notes by the case they leave open); only Exists builds one.
+_DECIDED: dict[str, RegimeDecision] = {
+    **{clause: RegimeDecision(Verdict.NOT_EXISTS, clause, note=NOT_EXISTS_NOTE) for clause in (
+        "Thm1(i) Thm1(ii) Thm1(iii) Thm2(i) Thm2(ii) Thm2(iii) Thm2(iv) Thm2(v) Thm2(vi) Thm2(vii) "
+        "Thm2(viii) Thm2(ix) Thm4 Cor1.5(i) Cor1.5(ii)").split()},
+    **{f"Table1-row{i}": RegimeDecision(Verdict.OPEN, f"Table1-row{i}", note="documented open case")
+       for i in range(1, 7)},
+    "uncharted": RegimeDecision(Verdict.OPEN, "uncharted"),
+    "uncharted P-": RegimeDecision(Verdict.OPEN, "uncharted", note="p < 1 with unbounded non-radial u is unresolved"),
+    "uncharted alpha = N": RegimeDecision(Verdict.OPEN, "uncharted", note="alpha = N with p < 1 is unresolved"),
+}
+
+
 def validate_problem(params: ProblemParams) -> None:
     # alpha within approx_eq of N is decided as alpha = N, whose kernel needs beta > 0
     at_n = params.beta <= 0.0 and approx_eq(params.alpha, float(params.N))
@@ -120,13 +134,12 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
         raise HypothesisViolated(
             "damped-side classification requires 0 < alpha < N")
     if _ge(params.p, 1.0):
-        return RegimeDecision(Verdict.NOT_EXISTS, "Thm1(i)", note=NOT_EXISTS_NOTE)
+        return _DECIDED["Thm1(i)"]
     if params.u_class is UClass.BOUNDED:
-        return RegimeDecision(Verdict.NOT_EXISTS, "Thm1(ii)", note=NOT_EXISTS_NOTE)
+        return _DECIDED["Thm1(ii)"]
     if params.u_class is UClass.RADIAL:
-        return RegimeDecision(Verdict.NOT_EXISTS, "Thm1(iii)", note=NOT_EXISTS_NOTE)
-    return RegimeDecision(Verdict.OPEN, "uncharted",
-                          note="p < 1 with unbounded non-radial u is unresolved")
+        return _DECIDED["Thm1(iii)"]
+    return _DECIDED["uncharted P-"]
 
 
 def combined_mass_clause(p: float, s: float, beta: float, t2: float) -> str | None:
@@ -140,12 +153,18 @@ def combined_mass_clause(p: float, s: float, beta: float, t2: float) -> str | No
     return None
 
 
+# Each clause body takes the tuple, s = p + q and (t1, tN, t2), which classify_pplus computes
+# once; the public *_clause functions compute them for one call.
+
 def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """First matching nonexistence clause (ii)-(ix), or None; assumes N >= 3."""
-    t1, tn, t2 = thresholds(N, alpha)
-    s = p + q
-    a_le_2 = alpha < 2.0 or approx_eq(alpha, 2.0)
-    a_lt_2 = _lt(alpha, 2.0)
+    return _thm2(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
+
+
+def _thm2(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+    at_2 = approx_eq(alpha, 2.0)
+    a_le_2 = alpha < 2.0 or at_2
+    a_lt_2 = alpha < 2.0 and not at_2
 
     if a_le_2 and _ge(p, 1.0) and _lt(p, t1):
         return "Thm2(ii)"
@@ -200,13 +219,12 @@ _THM3_CASES = ("2", "3", "4", "5", "6", "1b", "1a")
 _THM4_CASES = ("T4-1", "T4-2")
 
 
-def _first_case(case_ids: tuple[str, ...], N: int, p: float, q: float, alpha: float,
-                beta: float) -> tuple[str, str] | None:
+def _existence_case(N, p, q, alpha, beta, s, t1, tn, t2,
+                    case_ids=_THM3_CASES) -> tuple[str, str] | None:
     """(clause, case id) of the first case in case_ids whose hypothesis holds."""
-    args = (p, q, beta, p + q, *thresholds(N, alpha))
     for case_id in case_ids:
         clause, _, holds = _CASES[case_id]
-        if holds(*args):
+        if holds(p, q, beta, s, t1, tn, t2):
             return clause, case_id
     return None
 
@@ -281,15 +299,17 @@ def thm3_clause(N: int, p: float, q: float, alpha: float, beta: float) -> tuple[
 
     Assumes N >= 3 and 0 <= alpha < N.
     """
-    return _first_case(_THM3_CASES, N, p, q, alpha, beta)
+    return _existence_case(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
 
 
 def corollary_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """Only-if directions of the sharp characterizations for p, q >= 1, alpha < N."""
+    return _corollary(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
+
+
+def _corollary(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
     if not (_ge(p, 1.0) and _ge(q, 1.0)):
         return None
-    t1, _, t2 = thresholds(N, alpha)
-    s = p + q
     if _lt(beta, -2.0):
         if not (_ge(p, t1) and _ge(q, t1) and _ge(s, t2)):
             return "Cor1.5(i)"
@@ -302,21 +322,19 @@ def corollary_clause(N: int, p: float, q: float, alpha: float, beta: float) -> s
 
 def open_row(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """Documented open cells (six rows); None means uncharted territory."""
-    t1, tn, t2 = thresholds(N, alpha)
-    s = p + q
+    return _open_row(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
 
-    def in_closed(x, lo, hi):
-        return (_gt(x, lo) or approx_eq(x, lo)) and (_lt(x, hi) or approx_eq(x, hi))
 
-    if _gt(p, max(1.0, t1)) and _gt(q, t1) and approx_eq(s, t2) and in_closed(beta, -1.0, -1.0 + 1.0 / s):
+def _open_row(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+    if _gt(p, max(1.0, t1)) and _gt(q, t1) and approx_eq(s, t2) and _ge(beta, -1.0) and _ge(-1.0 + 1.0 / s, beta):
         return "Table1-row1"
-    if _ge(p, 1.0) and approx_eq(p, t1) and approx_eq(q, tn) and in_closed(beta, -2.0, -2.0 + 1.0 / q):
+    if _ge(p, 1.0) and approx_eq(p, t1) and approx_eq(q, tn) and _ge(beta, -2.0) and _ge(-2.0 + 1.0 / q, beta):
         return "Table1-row2"
-    if approx_eq(p, tn) and approx_eq(q, t1) and in_closed(beta, -2.0, -2.0 + 1.0 / q):
+    if approx_eq(p, tn) and approx_eq(q, t1) and _ge(beta, -2.0) and _ge(-2.0 + 1.0 / q, beta):
         return "Table1-row3"
-    if _gt(p, tn) and approx_eq(q, t1) and _gt(q, 1.0) and in_closed(beta, -1.0, -1.0 + 1.0 / q):
+    if _gt(p, tn) and approx_eq(q, t1) and _gt(q, 1.0) and _ge(beta, -1.0) and _ge(-1.0 + 1.0 / q, beta):
         return "Table1-row4"
-    if _gt(p, tn) and _ge(1.0, q) and approx_eq(s, t2) and in_closed(beta, alpha - N, -1.0 + 1.0 / s) and _gt(beta, alpha - N):
+    if _gt(p, tn) and _ge(1.0, q) and approx_eq(s, t2) and _gt(beta, alpha - N) and _ge(-1.0 + 1.0 / s, beta):
         return "Table1-row5"
     if _gt(p, tn) and _ge(1.0, q) and _gt(s, t2):
         return "Table1-row6"
@@ -331,36 +349,27 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
     N, p, q, alpha, beta = params.N, params.p, params.q, params.alpha, params.beta
 
     if N <= 2:
-        return RegimeDecision(Verdict.NOT_EXISTS, "Thm2(i)", note=NOT_EXISTS_NOTE)
+        return _DECIDED["Thm2(i)"]
+    args = (N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
 
     if approx_eq(alpha, float(N)):
-        hit = _first_case(_THM4_CASES, N, p, q, alpha, beta)
+        hit = _existence_case(*args, _THM4_CASES)
         if hit is not None:
             case = _construction(hit[1], N, alpha, beta, p, q)
             return RegimeDecision(Verdict.EXISTS, "Thm4", construction=case, note=EXISTS_NOTE)
-        if _ge(p, 1.0):
-            return RegimeDecision(Verdict.NOT_EXISTS, "Thm4", note=NOT_EXISTS_NOTE)
-        return RegimeDecision(Verdict.OPEN, "uncharted",
-                              note="alpha = N with p < 1 is unresolved")
+        return _DECIDED["Thm4" if _ge(p, 1.0) else "uncharted alpha = N"]
 
-    clause = thm2_clause(N, p, q, alpha, beta)
+    clause = _thm2(*args)
     if clause is not None:
-        return RegimeDecision(Verdict.NOT_EXISTS, clause, note=NOT_EXISTS_NOTE)
+        return _DECIDED[clause]
 
-    hit = thm3_clause(N, p, q, alpha, beta)
+    hit = _existence_case(*args)
     if hit is not None:
         clause, case_id = hit
         case = _construction(case_id, N, alpha, beta, p, q)
         return RegimeDecision(Verdict.EXISTS, clause, construction=case, note=EXISTS_NOTE)
 
-    clause = corollary_clause(N, p, q, alpha, beta)
-    if clause is not None:
-        return RegimeDecision(Verdict.NOT_EXISTS, clause, note=NOT_EXISTS_NOTE)
-
-    row = open_row(N, p, q, alpha, beta)
-    if row is not None:
-        return RegimeDecision(Verdict.OPEN, row, note="documented open case")
-    return RegimeDecision(Verdict.OPEN, "uncharted")
+    return _DECIDED[_corollary(*args) or _open_row(*args) or "uncharted"]
 
 
 def classify(params: ProblemParams) -> RegimeDecision:

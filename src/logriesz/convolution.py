@@ -236,6 +236,8 @@ def angular_factor(N: int, r: float, s, kernel: KernelParams):
     s_arr = np.asarray(s, dtype=float)
     if not (np.all((s_arr > 0.0) & (s_arr < math.inf)) and 0.0 <= r < math.inf):
         raise NonpositiveRadius("angular_factor needs finite s > 0 and r >= 0")
+    if not r + float(s_arr.max(initial=0.0)) < math.inf:
+        raise NonpositiveRadius(f"r + s lies past the float range (r = {r!r})")
     flat = s_arr.ravel()
     out = _angular(N, np.full(flat.shape, float(r)), flat, flat - r, kernel.alpha, kernel.beta).reshape(s_arr.shape)
     return float(out) if out.ndim == 0 else out

@@ -22,8 +22,10 @@ from .errors import InvalidAlpha, InvalidBeta, InvalidDimension
 
 
 def approx_eq(a: float, b: float) -> bool:
-    """Relative equality to 1e-12, for critical-exponent comparisons on user-supplied reals."""
-    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+    """Relative equality to 1e-12, for critical-exponent comparisons on user-supplied reals:
+    abs(a - b) <= 1e-12 max(1, |a|, |b|) bit for bit, as rounding 1e-12 x is monotone in x."""
+    d = abs(a - b)
+    return d <= 1e-12 or d <= 1e-12 * abs(a) or d <= 1e-12 * abs(b)
 
 
 def _ge(a: float, b: float) -> bool:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
-from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
+from .classifier import ProblemParams, Side, _thm2, classify_pplus, combined_mass_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, approx_eq
@@ -222,8 +222,8 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
         raise ParameterError("exponents p, q must be positive")
     if N <= 2:
         raise HypothesisViolated("certificates are defined for N >= 3")
-    clause = (combined_mass_clause(p, p + q, beta, thresholds(N, alpha)[2])
-              or thm2_clause(N, p, q, alpha, beta))
+    s, (t1, tn, t2) = p + q, thresholds(N, alpha)
+    clause = combined_mass_clause(p, s, beta, t2) or _thm2(N, p, q, alpha, beta, s, t1, tn, t2)
     if clause is None:
         # the only-if corollary is a verdict without a series of its own
         tag = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta)).clause
@@ -239,7 +239,7 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     if R.size < 2 or np.any(np.diff(R) <= 0.0):
         raise ParameterError("R_list must be increasing with at least 2 entries")
 
-    x = {"p": p, "q": q, "s": p + q}
+    x = {"p": p, "q": q, "s": s}
     t_used = None
     log_r = np.log(R)
     if clause in _POWER_ROWS:

@@ -1,11 +1,14 @@
 """Verdict logic for the damped and driven inequalities."""
 
 import ast
+import collections
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -397,3 +400,87 @@ class TestRegimeTable:
         assert len(records) == count
         blob = json.dumps([r.to_dict() for r in records])
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _golden_tuples(n, seed):
+    """The benchmark's classify mix: 70 % P+, every UClass, N = 3..6, about 10 % of tuples
+    exactly on t1, tN or t2 (p = t1, q = tN and the swap among them) and 5 % at alpha = N."""
+    rng = random.Random(seed)
+    tuples = []
+    for _ in range(n):
+        side = Side.PPLUS if rng.random() < 0.7 else Side.PMINUS
+        u_class = rng.choice(tuple(UClass))
+        N = rng.choice((3, 4, 5, 6))
+        p, q = (math.exp(rng.uniform(math.log(0.25), math.log(8.0))) for _ in range(2))
+        if rng.random() < 0.1:
+            alpha = rng.choice((0.5, 1.0, 1.5, 2.0))
+            t1, tn, t2 = (N - alpha) / (N - 2.0), N / (N - 2.0), (2.0 * N - alpha) / (N - 2.0)
+            pick = rng.randrange(7)
+            if pick < 6:
+                p, q = ((t1, q), (tn, q), (p, t1), (p, tn), (t1, tn), (tn, t1))[pick]
+            else:
+                p = rng.uniform(0.1, t2 - 0.1)
+                q = t2 - p
+            beta = rng.choice([b for b in (-2.5, -2.0, -1.5, -1.0, -0.5, 0.5) if b > alpha - N])
+        else:
+            if side is Side.PMINUS:
+                alpha = rng.uniform(0.05, N - 0.05)
+            elif rng.random() < 0.08:
+                alpha = float(N)
+            else:
+                alpha = rng.uniform(0.0, N)
+            beta = rng.uniform(max(alpha - N, -3.0) + 1e-3, 3.0)
+        tuples.append(ProblemParams(side, N, p, q, alpha, beta, u_class=u_class))
+    return tuples
+
+
+# (verdict, clause) counts of the 20,000 golden tuples
+GOLDEN_COUNTS = {
+    ("Exists", "Thm3(i)"): 4786, ("Exists", "Thm3(ii)"): 31, ("Exists", "Thm3(iii)"): 26,
+    ("Exists", "Thm3(iv)"): 13, ("Exists", "Thm3(v)"): 22, ("Exists", "Thm3(vi)"): 26,
+    ("Exists", "Thm4"): 570,
+    ("NotExists", "Cor1.5(ii)"): 3, ("NotExists", "Thm1(i)"): 3774, ("NotExists", "Thm1(ii)"): 755,
+    ("NotExists", "Thm1(iii)"): 740, ("NotExists", "Thm2(ii)"): 706, ("NotExists", "Thm2(iii)"): 223,
+    ("NotExists", "Thm2(iv)"): 1243, ("NotExists", "Thm2(v)"): 145, ("NotExists", "Thm2(vi)"): 454,
+    ("NotExists", "Thm2(vii)"): 25, ("NotExists", "Thm2(viii)"): 32, ("NotExists", "Thm2(ix)"): 2,
+    ("NotExists", "Thm4"): 48,
+    ("Open", "Table1-row1"): 9, ("Open", "Table1-row2"): 48, ("Open", "Table1-row3"): 53,
+    ("Open", "Table1-row4"): 34, ("Open", "Table1-row5"): 38, ("Open", "Table1-row6"): 1104,
+    ("Open", "uncharted"): 5090,
+}
+
+
+def test_classify_json_is_golden():
+    """Per-(verdict, clause) counts of 20,000 seeded tuples, so a clause that moves shows
+    by name, and one digest of their to_json() lines with the records of
+    emit_regime_table(3..6)."""
+    tuples = _golden_tuples(20_000, seed=11)
+    assert 0.04 < sum(t.alpha == t.N for t in tuples) / len(tuples) < 0.06
+    decisions = [classifier.classify(t) for t in tuples]
+    counts = collections.Counter((d.verdict.value, d.clause) for d in decisions)
+    assert dict(counts) == GOLDEN_COUNTS
+    lines = [d.to_json() for d in decisions]
+    lines += [json.dumps(r.to_dict()) for N in range(3, 7) for r in emit_regime_table(N)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c676324f9f6da5a0e64e17d888a5e62edeba45680e294b7454497dcd9a053e10"
+
+
+def test_decisions_without_a_construction_are_shared_and_frozen():
+    """Two tuples with the same NotExists or Open clause get the same object; it and an
+    Exists decision refuse assignment and still take dataclasses.replace."""
+    for a, b, clause in [((3, 1.0, 0.5, 2.5, 0.0), (3, 1.1, 0.6, 2.4, 0.5), "Thm2(iv)"),
+                         ((3, 4.0, 0.5, 2.0, -0.8), (3, 5.0, 0.7, 1.8, 0.0), "Table1-row6"),
+                         ((3, 0.5, 0.5, 0.0, -2.4), (3, 0.6, 0.4, 0.0, -2.0), "uncharted")]:
+        assert pplus(*a) is pplus(*b) and pplus(*a).clause == clause
+    damped = [classify_pminus(ProblemParams(Side.PMINUS, 3, p, 1.0, 1.0, 0.0)) for p in (0.5, 0.6)]
+    assert damped[0] is damped[1] and damped[0].clause == "uncharted"
+    exists, shared = pplus(3, 2.0, 4.0, 1.0, -1.5), pplus(3, 1.0, 0.5, 2.5, 0.0)
+    assert exists.verdict is Verdict.EXISTS and exists is not pplus(3, 2.0, 4.0, 1.0, -1.5)
+    for decision in (exists, shared):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.clause = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.construction = None
+        stripped = dataclasses.replace(decision, construction=None)
+        assert stripped.construction is None and stripped.clause == decision.clause
+    assert shared.clause == "Thm2(iv)" and shared.to_dict()["note"] == NOT_EXISTS_NOTE

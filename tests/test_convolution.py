@@ -412,6 +412,19 @@ def test_non_finite_radius_rejected():
             angular_factor(3, 1.0, r, NEWTONIAN)
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_angular_factor_rejects_r_plus_s_past_the_float_range(alpha, beta):
+    """Scalar and array s raise NonpositiveRadius, not an overflow warning, once r + s
+    leaves the float range; just inside it the value is finite."""
+    k = KernelParams(3, alpha, beta)
+    with pytest.raises(NonpositiveRadius, match="float range"):
+        angular_factor(3, 1.5e308, 3.3e307, k)
+    with pytest.raises(NonpositiveRadius, match="float range"):
+        angular_factor(3, 1.5e308, np.array([1.0, 3.3e307]), k)
+    assert math.isfinite(angular_factor(3, 1.5e308, 2.9e307, k))
+    assert np.all(np.isfinite(angular_factor(3, 1.5e308, np.array([1.0, 2.9e307]), k)))
+
+
 def test_non_finite_integrand_raises_quadrature_failure():
     bad = RadialProfile(
         lambda s: np.where(np.asarray(s) < 0.5, 0.0, np.inf),

@@ -174,6 +174,33 @@ def test_approx_eq_mixed_tolerance():
     assert approx_eq(1e20, 1e20 * (1.0 + 1e-13))
 
 
+def _approx_eq_max_form(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+BIG = 1.7976931348623157e308
+APPROX_EQ_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-12, -1e-12, 1.0, -1.0,
+                   BIG, -BIG, BIG * (1.0 - 2e-12), -1.79e308, math.inf, -math.inf, math.nan]
+
+
+def test_approx_eq_equals_the_max_form_on_edge_values():
+    """approx_eq is abs(a - b) <= 1e-12 max(1, |a|, |b|) bit for bit: at +-0, subnormals,
+    +-inf, NaN, next to +-BIG and on pairs within 3e-12 relative of each other."""
+    near = [x * (1.0 + e) for x in (1.0, -3.0, 1e300, BIG, -BIG / 2.0, 2.0 ** -1000, 1e-12)
+            for e in (-3e-12, -1.0000001e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1.0000001e-12, 3e-12)]
+    values = APPROX_EQ_EDGES + near
+    for a in values:
+        for b in values:
+            assert approx_eq(a, b) is _approx_eq_max_form(a, b), (a, b)
+
+
+@given(a=st.floats(), b=st.floats(), rel=st.floats(-3e-12, 3e-12))
+@settings(max_examples=3000, deadline=None)
+def test_approx_eq_equals_the_max_form(a, b, rel):
+    for x, y in ((a, b), (a, a * (1.0 + rel)), (a, a + rel), (b, b * (1.0 - rel))):
+        assert approx_eq(x, y) is _approx_eq_max_form(x, y), (x, y)
+
+
 def test_kernel_imports_only_the_standard_library_and_errors():
     """At module level kernel.py imports the standard library and .errors only, so
     classifier.py, which imports it, loads no numpy; AsymptoticSpec's methods import
