@@ -8,7 +8,7 @@ reports the growth ratio between the last and first entries.
 
 import numpy as np
 
-from logriesz import divergence_certificate, write_certificate_csv
+from logriesz import divergence_certificate
 
 # supercritical power clause: certificate grows like a power of R
 series = divergence_certificate(3, 2.0, 2.0, 0.0, 0.0)
@@ -18,8 +18,8 @@ print(f"  R from {series.radii[0]:g} to {series.radii[-1]:g} "
 print(f"  strictly increasing: {series.strictly_increasing}")
 print(f"  growth ratio       : {series.growth_ratio:.6g}")
 
-write_certificate_csv("certificate_power.csv", series)
-print("  wrote certificate_power.csv")
+print("  as a CSV file: logriesz probe --kind certificate --N 3 --p 2 --q 2 --alpha 0 --beta 0 "
+      "--out certificate_power.csv")
 print()
 
 # borderline clause: growth is only logarithmic, still unbounded

@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "convolution": (
         "ConvolutionResult", "RadialProfile", "angular_factor", "ball_profile",
-        "colatitude_total", "convolution_rows", "convolve_radial", "detect_divergence",
-        "eval_kernel", "newtonian_potential_radial", "power_profile", "unit_sphere_area",
-        "write_convolution_csv",
+        "colatitude_total", "convolve_radial", "detect_divergence", "eval_kernel",
+        "newtonian_potential_radial", "power_profile", "unit_sphere_area",
     ),
     "errors": (
         "DegenerateSamples", "DivergentIntegral", "EmptyParameterInterval",
@@ -42,7 +41,7 @@ _EXPORTS = {
     "probes": (
         "BumpProfile", "CertificateSeries", "ChainResult", "HarnackMass",
         "TestFunctionSpec", "divergence_certificate", "harnack_mass",
-        "lower_bound_chain", "test_function_bound", "write_certificate_csv",
+        "lower_bound_chain", "test_function_bound",
     ),
 }
 

@@ -20,7 +20,6 @@ the reaction term against.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from .errors import (
     ParameterError,
     ScalingUndefined,
 )
-from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, approx_eq
+from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, _validate_powers, approx_eq
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,7 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
     """
     if kernel.N != params.N:
         raise HypothesisViolated("kernel and ansatz dimensions disagree")
-    if p <= 0.0 or q <= 0.0:
-        raise ParameterError("exponents p, q must be positive")
+    _validate_powers(p, q)
     N, g, tau = params.N, params.gamma, params.tau
     p_high = N / (g - 2.0)
     gamma_is_n = approx_eq(g, float(N))
@@ -289,9 +287,6 @@ class VerificationReport:
             "margin_profile": [list(row) for row in self.margin_profile],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def verify_supersolution(
     case: ExistenceCase,
@@ -309,6 +304,8 @@ def verify_supersolution(
     point.  Stability demands the grid extension to twice the outer radius
     move S by less than 10 percent.
     """
+    if lam is not None and not math.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam!r}")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e6, 59))) if grid is None else np.asarray(grid, dtype=float)
     if not (grid.size and np.isfinite(grid).all() and grid.min() >= 0.0 and grid.max() > 0.0):
         raise ParameterError(f"grid must hold finite radii r >= 0, at least one positive, got {grid.tolist()}")

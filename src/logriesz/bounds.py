@@ -29,7 +29,6 @@ upper bounds, shapes in (A + r)-form
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -180,9 +179,6 @@ class BoundCheckReport:
             "margin": self.margin,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def check_bound(

@@ -19,12 +19,11 @@ would otherwise misattribute the governing result.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
-from .kernel import _ge, _gt, _lt, _validate_exponents, approx_eq
+from .kernel import _ge, _gt, _lt, _validate_exponents, _validate_powers, approx_eq
 
 
 class Side(enum.Enum):
@@ -58,6 +57,10 @@ class ProblemParams:
     beta: float
     u_class: UClass = UClass.GENERAL
 
+    def __post_init__(self) -> None:
+        # checked where it is built, so classify pays no p, q check per tuple
+        _validate_powers(self.p, self.q)
+
 
 @dataclass(frozen=True)
 class ExistenceCase:
@@ -87,9 +90,6 @@ class RegimeDecision:
             d["construction"] = None
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 # Every decision without a construction is one of these shared frozen constants, keyed by
 # clause (the three uncharted notes by the case they leave open); only Exists builds one.
@@ -109,8 +109,6 @@ def validate_problem(params: ProblemParams) -> None:
     # alpha within approx_eq of N is decided as alpha = N, whose kernel needs beta > 0
     at_n = params.beta <= 0.0 and approx_eq(params.alpha, float(params.N))
     _validate_exponents(params.N, float(params.N) if at_n else params.alpha, params.beta)
-    if params.p <= 0.0 or params.q <= 0.0:
-        raise ParameterError("exponents p, q must be positive")
 
 
 def _mid(lo: float, hi: float) -> float:
@@ -280,8 +278,7 @@ def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float
     if N < 3:
         raise InvalidDimension("constructions need N >= 3")
     _validate_exponents(N, alpha, beta)
-    if p <= 0.0 or q <= 0.0:
-        raise ParameterError("exponents p, q must be positive")
+    _validate_powers(p, q)
     if case_id in _THM3_CASES and approx_eq(alpha, float(N)):
         raise HypothesisViolated("cases 1a-6 need alpha < N; use T4-1 or T4-2")
     if case_id in _THM4_CASES and not approx_eq(alpha, float(N)):
@@ -302,12 +299,8 @@ def thm3_clause(N: int, p: float, q: float, alpha: float, beta: float) -> tuple[
     return _existence_case(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
 
 
-def corollary_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
-    """Only-if directions of the sharp characterizations for p, q >= 1, alpha < N."""
-    return _corollary(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
-
-
 def _corollary(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+    """Only-if directions of the sharp characterizations for p, q >= 1, alpha < N."""
     if not (_ge(p, 1.0) and _ge(q, 1.0)):
         return None
     if _lt(beta, -2.0):
@@ -320,12 +313,8 @@ def _corollary(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
     return None
 
 
-def open_row(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
-    """Documented open cells (six rows); None means uncharted territory."""
-    return _open_row(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
-
-
 def _open_row(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+    """Documented open cells (six rows); None means uncharted territory."""
     if _gt(p, max(1.0, t1)) and _gt(q, t1) and approx_eq(s, t2) and _ge(beta, -1.0) and _ge(-1.0 + 1.0 / s, beta):
         return "Table1-row1"
     if _ge(p, 1.0) and approx_eq(p, t1) and approx_eq(q, tn) and _ge(beta, -2.0) and _ge(-2.0 + 1.0 / q, beta):

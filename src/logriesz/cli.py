@@ -118,6 +118,15 @@ def emit(command: str, inputs: dict, result, fmt: str, text: str | None = None) 
     return env
 
 
+def write_csv(path: str, header: str, rows) -> None:
+    """The --out CSV: the header line, then one line per row with numbers printed to 17
+    significant digits and strings as they are, every line ended by LF."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -146,19 +155,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    from .convolution import convolution_rows, write_convolution_csv
+    from .convolution import convolve_radial
     from .kernel import KernelParams
 
     kernel = KernelParams(N=args.N, alpha=args.alpha, beta=args.beta)
     f = parse_profile(args.profile, args.N)
-    rows = convolution_rows(kernel, f, parse_radii(args.radii))
-    if rows[0][1].divergent:  # at every radius or none
+    radii = parse_radii(args.radii)
+    res = convolve_radial(kernel, f, radii)
+    if res.divergent:  # at every radius or none
         raise DivergentIntegral("convolution diverges: the source decays too slowly against "
-                                f"the kernel (slow-decay regime) at r={rows[0][0]}")
+                                f"the kernel (slow-decay regime) at r={float(radii[0])}")
+    rows = list(zip(radii.tolist(), res.value.tolist(), res.error_estimate.tolist()))
     if args.out:
-        write_convolution_csv(args.out, rows)
-    result = {"rows": [{"r": r, "value": res.value, "error_estimate": res.error_estimate}
-                       for r, res in rows]}
+        write_csv(args.out, "r,value,error_estimate", rows)
+    result = {"rows": [{"r": r, "value": v, "error_estimate": e} for r, v, e in rows]}
     inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
               "profile": args.profile, "radii": args.radii}
     emit("convolve", inputs, result, args.format)
@@ -178,13 +188,9 @@ def cmd_asymptotics(args) -> int:
     window = parse_window(args.window)
     report = check_bound(kernel, f, bound, window, case_id=args.case_id)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("r,value,predicted,fitted\n")
-            fit_spec = AsymptoticSpec(report.fitted.power_est, report.fitted.logpower_est)
-            for r, v in zip(report.radii, report.values):
-                pred = bound.shape(r)
-                fit = fit_spec.shape(r, bound.scale)
-                fh.write(f"{r:.17g},{v:.17g},{pred:.17g},{fit:.17g}\n")
+        fit_spec = AsymptoticSpec(report.fitted.power_est, report.fitted.logpower_est)
+        write_csv(args.out, "r,value,predicted,fitted",
+                  [(r, v, bound.shape(r), fit_spec.shape(r, bound.scale)) for r, v in zip(report.radii, report.values)])
     inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
               "profile": args.profile, "kind": args.kind, "window": args.window}
     emit("asymptotics", inputs, report.to_dict(), args.format)
@@ -224,15 +230,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    from .probes import (TestFunctionSpec, divergence_certificate, harnack_mass, lower_bound_chain,
-                         test_function_bound, write_certificate_csv)
+    from .probes import TestFunctionSpec, divergence_certificate, harnack_mass, lower_bound_chain, test_function_bound
 
     if args.kind == "certificate":
         radii = parse_radii(args.radii) if args.radii else None
         series = divergence_certificate(args.N, args.p, args.q, args.alpha,
                                         args.beta, theta=args.theta, R_list=radii)
         if args.out:
-            write_certificate_csv(args.out, series)
+            write_csv(args.out, "R,certificate_value,clause",
+                      [(r, v, series.clause) for r, v in zip(series.radii, series.values)])
         result = series.to_dict()
         inputs = {"N": args.N, "p": args.p, "q": args.q, "alpha": args.alpha,
                   "beta": args.beta, "theta": args.theta, "radii": args.radii}

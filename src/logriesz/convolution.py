@@ -680,18 +680,3 @@ def power_profile(sigma: float, kappa: float, A: float = 10.0) -> RadialProfile:
 
     return RadialProfile(log_evaluate, infinity_spec=spec, scale=A, positive_mass_near_zero=True)
 
-
-def convolution_rows(kernel: KernelParams, f: RadialProfile, radii: Sequence[float]) -> list[tuple[float, ConvolutionResult]]:
-    """(r, result) rows from one array convolve_radial call; the first row carries the
-    call's evaluations and the others 0, so that they sum to it."""
-    res = convolve_radial(kernel, f, np.asarray(radii, dtype=float))
-    return [(float(r), ConvolutionResult(float(v), float(e), res.evaluations if i == 0 else 0, res.divergent))
-            for i, (r, v, e) in enumerate(zip(radii, res.value, res.error_estimate))]
-
-
-def write_convolution_csv(path, rows: Sequence[tuple[float, ConvolutionResult]]) -> None:
-    """Write convolution_rows output as r,value,error_estimate (17 significant digits)."""
-    with open(path, "w") as handle:
-        handle.write("r,value,error_estimate\n")
-        for r, res in rows:
-            handle.write(f"{r:.17g},{res.value:.17g},{res.error_estimate:.17g}\n")

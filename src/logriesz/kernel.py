@@ -15,10 +15,11 @@ convolution.eval_kernel, and AsymptoticSpec imports numpy when it evaluates.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import InvalidAlpha, InvalidBeta, InvalidDimension
+from .errors import InvalidAlpha, InvalidBeta, InvalidDimension, ParameterError
 
 
 def approx_eq(a: float, b: float) -> bool:
@@ -91,6 +92,15 @@ def _validate_exponents(N, alpha: float, beta: float) -> None:
         raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
     if not (beta > alpha - N):
         raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N}, got {beta}")
+
+
+def _validate_powers(p: float, q: float = 1.0) -> None:
+    """Reject reaction exponents p, q that are not positive and finite; the probes that
+    take p alone leave q at 1.  The chained test is False for NaN, which passes p <= 0."""
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"exponent p must be positive and finite, got {p!r}")
+    if not 0.0 < q < math.inf:
+        raise ParameterError(f"exponent q must be positive and finite, got {q!r}")
 
 
 def kernel_asymptotics(params: KernelParams, regime: Regime) -> AsymptoticSpec:

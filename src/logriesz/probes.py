@@ -9,18 +9,17 @@ exists, evaluated on a growing sequence of radii).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import FitResult, fit_asymptotics, lower_bound_prediction
+from .bounds import FitResult, fit_asymptotics
 from .classifier import ProblemParams, Side, _thm2, classify_pplus, combined_mass_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
-from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, approx_eq
+from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, _validate_powers, approx_eq
 
 
 # Taylor coefficients d^(k)(x)/k!, k = 0..4, of the decay piece 1 - smootherstep (_DECAY holds its
@@ -134,8 +133,9 @@ class HarnackMass:
 def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMass:
     """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep of
     s^(N-1) u^p and (s/R)^(N-1) u^p / R, each one exp of logs that forms no power of R."""
-    if not (0.0 < R < np.inf and p > 0.0):
-        raise ParameterError("harnack_mass needs finite R > 0 and p > 0")
+    if not 0.0 < R < np.inf:
+        raise ParameterError("harnack_mass needs finite R > 0")
+    _validate_powers(p)
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
         log_up, log_s = p * u.log_evaluate(s), np.log(s)
@@ -176,9 +176,6 @@ class CertificateSeries:
             "unbounded": self.unbounded,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _theta_or_mid(theta: float | None, lo: float, hi: float, label: str) -> float:
     if not lo < hi:
@@ -218,8 +215,7 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     exceeds the float range; such values (and such a ratio) are inf.
     """
     _validate_exponents(N, alpha, beta)
-    if p <= 0.0 or q <= 0.0:
-        raise ParameterError("exponents p, q must be positive")
+    _validate_powers(p, q)
     if N <= 2:
         raise HypothesisViolated("certificates are defined for N >= 3")
     s, (t1, tn, t2) = p + q, thresholds(N, alpha)
@@ -276,18 +272,11 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
                              unbounded=bool(unbounded))
 
 
-def write_certificate_csv(path: str, series: CertificateSeries) -> None:
-    with open(path, "w") as fh:
-        fh.write("R,certificate_value,clause\n")
-        for r, v in zip(series.radii, series.values):
-            fh.write(f"{r:.17g},{v:.17g},{series.clause}\n")
-
-
 @dataclass(frozen=True)
 class ChainResult:
     radii: np.ndarray
     values: np.ndarray
-    predicted: AsymptoticSpec | None
+    predicted: AsymptoticSpec
     fitted: FitResult | None
     divergent: bool
 
@@ -295,8 +284,7 @@ class ChainResult:
         d = {
             "radii": [float(x) for x in self.radii],
             "values": [float(x) for x in self.values],
-            "predicted": None if self.predicted is None else
-                {"power": self.predicted.power, "logpower": self.predicted.logpower},
+            "predicted": {"power": self.predicted.power, "logpower": self.predicted.logpower},
             "divergent": self.divergent,
         }
         if self.fitted is not None:
@@ -308,37 +296,23 @@ class ChainResult:
         return d
 
 
-def lower_bound_chain(N: int, alpha: float, beta: float, p: float,
-                      grid: Sequence[float], u0: RadialProfile | None = None) -> ChainResult:
+def lower_bound_chain(N: int, alpha: float, beta: float, p: float, grid: Sequence[float]) -> ChainResult:
     """Convolution profile of u0^p against the kernel, with exponent check.
 
-    Default u0 is the truncated fundamental-solution shape max(1, r)^(2-N).
-    `predicted` is the guaranteed floor (N - alpha - p(N-2), beta) for that
-    default; on critical lines the true profile can carry one extra log, so
-    fits may exceed the floor's log exponent.  For a custom u0 the
-    prediction comes from the generic lower-bound machinery instead.
+    u0 is the truncated fundamental-solution shape max(1, r)^(2-N).
+    `predicted` is the guaranteed floor (N - alpha - p(N-2), beta); on
+    critical lines the true profile can carry one extra log, so fits may
+    exceed the floor's log exponent.
     """
     if N < 3:
         raise ParameterError("the chain estimate needs N >= 3")
     kernel = KernelParams(N=N, alpha=alpha, beta=beta)
-    if p <= 0.0:
-        raise ParameterError("p must be positive")
+    _validate_powers(p)
     grid = np.asarray(grid, dtype=float)
-
-    predicted = None
-    if u0 is None:
-        u0 = RadialProfile(lambda r: (2.0 - N) * np.log(np.maximum(1.0, r)), infinity_spec=AsymptoticSpec(2.0 - N, 0.0),
-                           positive_mass_near_zero=True)
-        predicted = AsymptoticSpec(N - alpha - p * (N - 2.0), beta)
-
-    spec = u0.infinity_spec
-    f = replace(u0, log_evaluate=lambda r: p * u0.log_evaluate(np.asarray(r, dtype=float)),
-                infinity_spec=None if spec is None else AsymptoticSpec(p * spec.power, p * spec.logpower))
-    if predicted is None:
-        try:
-            predicted = lower_bound_prediction(kernel, f).spec
-        except ParameterError:
-            pass  # no claimable lower envelope (e.g. the zero profile): data only
+    # p times log u0, in this order: (p * (2 - N)) * log(...) moves the last digits
+    f = RadialProfile(lambda r: p * ((2.0 - N) * np.log(np.maximum(1.0, r))),
+                      infinity_spec=AsymptoticSpec(p * (2.0 - N), 0.0), positive_mass_near_zero=True)
+    predicted = AsymptoticSpec(N - alpha - p * (N - 2.0), beta)
 
     res = convolve_radial(kernel, f, grid)
     fitted = None

@@ -353,6 +353,31 @@ def test_only_the_integrate_hook_imports_scipy():
     assert found == {("convolution.py", "__getattr__")}
 
 
+def test_only_the_cli_writes_output():
+    """No module of the package but cli.py imports json or calls open(): the envelope and
+    every --out file are written in one place."""
+    package = os.path.dirname(classifier.__file__)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "json" for m in modules):
+                found.add((name, "json"))
+            if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                found.add((name, "open"))
+    assert found == {("cli.py", "json"), ("cli.py", "open")}
+
+
 def test_no_module_calls_validate():
     """KernelParams checks its exponents where it is built, so no module of the package
     calls kernel.validate, which stays exported for user code."""
@@ -452,14 +477,14 @@ GOLDEN_COUNTS = {
 
 def test_classify_json_is_golden():
     """Per-(verdict, clause) counts of 20,000 seeded tuples, so a clause that moves shows
-    by name, and one digest of their to_json() lines with the records of
+    by name, and one digest of their JSON lines with the records of
     emit_regime_table(3..6)."""
     tuples = _golden_tuples(20_000, seed=11)
     assert 0.04 < sum(t.alpha == t.N for t in tuples) / len(tuples) < 0.06
     decisions = [classifier.classify(t) for t in tuples]
     counts = collections.Counter((d.verdict.value, d.clause) for d in decisions)
     assert dict(counts) == GOLDEN_COUNTS
-    lines = [d.to_json() for d in decisions]
+    lines = [json.dumps(d.to_dict()) for d in decisions]
     lines += [json.dumps(r.to_dict()) for N in range(3, 7) for r in emit_regime_table(N)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "c676324f9f6da5a0e64e17d888a5e62edeba45680e294b7454497dcd9a053e10"

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import logriesz
-from logriesz import ProblemParams, Side, UClass, classify
+from logriesz import ProblemParams, Side, UClass, classify, convolution
 from logriesz.cli import main, parse_number, parse_profile, parse_radii, parse_window
-from logriesz.errors import ParameterError
+from logriesz.errors import LabError, ParameterError, QuadratureFailure
 
 
 def run(capsys, argv):
@@ -252,15 +252,56 @@ class TestConvolveCommand:
 
 
 def test_every_out_csv_ends_its_lines_with_lf(capsys, tmp_path):
-    """convolve, asymptotics and probe write their --out files with the same line ending."""
+    """convolve, asymptotics and probe write their --out files with the same line ending,
+    and every convolve and certificate cell reads back as its JSON value exactly."""
     for argv in (["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1", "--radii", "1:1e3:7"],
                  ["asymptotics", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "power:3:0:1.05",
                   "--window", "1e3:1e7"],
                  ["probe", "--kind", "certificate", "--N", "3", "--p", "2", "--q", "2", "--alpha", "0", "--beta", "0"]):
         out_file = tmp_path / f"{argv[0]}.csv"
-        assert run(capsys, argv + ["--out", str(out_file)])[0] == 0
+        code, env, _ = run_json(capsys, argv + ["--out", str(out_file)])
+        assert code == 0
         data = out_file.read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, argv[0]
+        header, *cells = [line.split(",") for line in data.decode().splitlines()]
+        result = env["result"]
+        if argv[0] == "convolve":
+            assert header == ["r", "value", "error_estimate"]
+            assert [[float(x) for x in row] for row in cells] == [[row[k] for k in header] for row in result["rows"]]
+        elif argv[0] == "probe":
+            assert header == ["R", "certificate_value", "clause"]
+            assert [(float(r), float(v), c) for r, v, c in cells] == [
+                (r, v, result["clause"]) for r, v in zip(result["radii"], result["values"])]
+
+
+CONVOLVE_BALL = ["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1", "--radii", "1:100:3"]
+
+
+@pytest.mark.parametrize("error, code, prefix", [(QuadratureFailure, 5, "quadrature failure: "),
+                                                 (LabError, 2, "error: ")])
+def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code, prefix):
+    """A QuadratureFailure exits 5 and any other LabError 2, each with its message on stderr
+    and nothing on stdout."""
+    def fail(*args):
+        raise error("no convergence")
+
+    monkeypatch.setattr(convolution, "convolve_radial", fail)
+    assert run(capsys, CONVOLVE_BALL) == (code, "", prefix + "no convergence\n")
+
+
+def test_text_format_flattens_lists(capsys):
+    """--format text writes a list of records as one indexed key per field, and a list of
+    numbers on one line."""
+    rows = run_json(capsys, CONVOLVE_BALL)[1]["result"]["rows"]
+    code, text, _ = run(capsys, CONVOLVE_BALL + ["--format", "text"])
+    assert code == 0
+    assert [line for line in text.splitlines() if line.startswith("result.")] == [
+        f"result.rows[{i}].{k} = {row[k]}" for i, row in enumerate(rows) for k in ("r", "value", "error_estimate")]
+    cert = ["probe", "--kind", "certificate", "--N", "3", "--p", "2", "--q", "2", "--alpha", "0", "--beta", "0"]
+    radii = run_json(capsys, cert)[1]["result"]["radii"]
+    code, text, _ = run(capsys, cert + ["--format", "text"])
+    assert code == 0
+    assert f"result.radii = {' '.join(str(r) for r in radii)}" in text.splitlines()
 
 
 class TestAsymptoticsCommand:
@@ -357,6 +398,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_lambda_that_is_not_finite_exit_two(self, capsys, lam):
+        code, out, err = run(capsys, [
+            "verify", "--case", "2", "--N", "3", "--alpha", "1", "--beta", "-1.5",
+            "--p", "2", "--q", "4", "--lam", lam,
+        ])
+        assert (code, out) == (2, "")
+        assert err == f"invalid parameters: ParameterError: lambda must be finite, got {lam}\n"
+
     def test_case_refused_where_classifier_finds_nonexistence(self, capsys):
         # q is 1e-13 above N/(N-2) = 3, so q = N/(N-2) to the classifier (Thm2(ix)),
         # and case 2's hypothesis q > N/(N-2) fails
@@ -441,6 +491,20 @@ class TestProbeCommand:
         code, _, err = run(capsys, ["probe", "--kind", "certificate", *argv.split()])
         assert code == 2
         assert f"HypothesisViolated: {tag}: no divergence series" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --side P+ --N 3 --p nan --q 4 --alpha 1 --beta -1.5",
+    "probe --kind certificate --N 3 --p nan --q 2 --alpha 0 --beta 0",
+    "probe --kind chain --N 3 --p nan --alpha 1 --beta 0",
+    "probe --kind chain --N 3 --p inf --alpha 1 --beta 0",
+    "probe --kind harnack --N 3 --p inf",
+])
+def test_reaction_exponent_that_is_not_finite_exit_two(capsys, argv):
+    """A typed ParameterError, exit 2; no verdict, series or RuntimeWarning."""
+    code, out, err = run(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid parameters: ParameterError: exponent p must be positive and finite")
 
 
 class TestTableCommand:

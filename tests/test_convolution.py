@@ -23,14 +23,12 @@ from logriesz import (
     angular_factor,
     ball_profile,
     colatitude_total,
-    convolution_rows,
     convolve_radial,
     detect_divergence,
     eval_kernel,
     newtonian_potential_radial,
     power_profile,
     unit_sphere_area,
-    write_convolution_csv,
 )
 from logriesz import convolution
 from logriesz.convolution import _Offsets
@@ -549,28 +547,6 @@ def test_riesz_kernel_matches_newtonian_oracle():
         conv = convolve_radial(kernel, f, r).value
         direct = newtonian_potential_radial(N, f, r)
         assert math.isclose(conv / ((N - 2) * unit_sphere_area(N)), direct, rel_tol=1e-6)
-
-
-def test_convolution_rows_monotone_for_ball():
-    radii = [1.0, 2.0, 10.0, 100.0]
-    rows = convolution_rows(NEWTONIAN, ball_profile(1.0), radii)
-    assert [r for r, _ in rows] == radii
-    vals = [res.value for _, res in rows]
-    assert vals[0] > vals[1] > vals[2] > vals[3] > 0.0
-
-
-def test_write_convolution_csv_roundtrip(tmp_path):
-    out = tmp_path / "rows.csv"
-    radii = [1.0, 2.0, 10.0]
-    rows = convolution_rows(NEWTONIAN, ball_profile(1.0), radii)
-    write_convolution_csv(out, rows)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "r,value,error_estimate"
-    assert len(lines) == 4
-    for (r, res), line in zip(rows, lines[1:]):
-        cols = line.split(",")
-        assert math.isclose(float(cols[0]), r, rel_tol=1e-15)
-        assert math.isclose(float(cols[1]), res.value, rel_tol=1e-12)
 
 
 def test_power_profile_requires_wide_scale():

@@ -11,16 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logriesz import (
+    AnsatzParams,
     AsymptoticSpec,
     InvalidAlpha,
     InvalidBeta,
     InvalidDimension,
     KernelParams,
     NonpositiveRadius,
+    ParameterError,
+    ProblemParams,
     Regime,
+    Side,
     approx_eq,
+    ball_profile,
+    choose_case_params,
+    classify,
+    divergence_certificate,
     eval_kernel,
+    harnack_mass,
     kernel_asymptotics,
+    lower_bound_chain,
+    rhs_upper_bound,
     validate,
 )
 from logriesz import kernel
@@ -70,6 +81,31 @@ def test_inadmissible_kernel_raises_where_it_is_built(args, error):
 def test_replaced_kernel_is_checked_again():
     with pytest.raises(InvalidAlpha):
         dataclasses.replace(KernelParams(3, 1, 0), alpha=9.0)
+
+
+# each entry point that takes reaction exponents, called with admissible ones elsewhere;
+# the last two take p alone
+POWER_ENTRY_POINTS = {
+    "ProblemParams": lambda p, q: classify(ProblemParams(Side.PPLUS, 3, p, q, 1.0, -1.5)),
+    "choose_case_params": lambda p, q: choose_case_params("2", 3, 1.0, -1.5, p, q),
+    "rhs_upper_bound": lambda p, q: rhs_upper_bound(AnsatzParams(3, 3.0, 0.0, 10.0), KernelParams(3, 1.0, 0.0), p, q),
+    "divergence_certificate": lambda p, q: divergence_certificate(3, p, q, 0.0, 0.0),
+    "lower_bound_chain": lambda p, q: lower_bound_chain(3, 1.0, 0.0, p, [1.0, 10.0]),
+    "harnack_mass": lambda p, q: harnack_mass(ball_profile(1.0), p, 10.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", POWER_ENTRY_POINTS)
+def test_reaction_exponents_must_be_positive_and_finite(entry, value):
+    """NaN, inf, 0 and -1 are refused by name wherever p (and q) enter, not decided, fitted
+    or integrated."""
+    call = POWER_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError, match="exponent p must be positive and finite"):
+        call(value, 2.0)
+    if entry not in ("lower_bound_chain", "harnack_mass"):
+        with pytest.raises(ParameterError, match="exponent q must be positive and finite"):
+            call(2.0, value)
 
 
 def test_eval_kernel_known_values():
