@@ -30,7 +30,7 @@ from logriesz import (
     power_profile,
     unit_sphere_area,
 )
-from logriesz import convolution
+from logriesz import cli, convolution
 from logriesz.convolution import _Offsets
 from logriesz.errors import NonpositiveRadius
 
@@ -547,6 +547,24 @@ def test_riesz_kernel_matches_newtonian_oracle():
         conv = convolve_radial(kernel, f, r).value
         direct = newtonian_potential_radial(N, f, r)
         assert math.isclose(conv / ((N - 2) * unit_sphere_area(N)), direct, rel_tol=1e-6)
+
+
+def test_write_convolution_csv_roundtrip(tmp_path, capsys):
+    """convolve --out writes the header and one row per radius that reads back as
+    convolve_radial's values."""
+    out = tmp_path / "rows.csv"
+    assert cli.main(["convolve", "--N", "3", "--alpha", "1", "--beta", "0", "--profile", "ball:1",
+                     "--radii", "1:10:3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    radii = np.geomspace(1.0, 10.0, 3)
+    res = convolve_radial(NEWTONIAN, ball_profile(1.0), radii)
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "r,value,error_estimate"
+    assert len(lines) == 4
+    for r, value, line in zip(radii, res.value, lines[1:]):
+        cols = line.split(",")
+        assert math.isclose(float(cols[0]), r, rel_tol=1e-15)
+        assert math.isclose(float(cols[1]), value, rel_tol=1e-12)
 
 
 def test_power_profile_requires_wide_scale():

@@ -26,6 +26,7 @@ from logriesz import (
     thm2_clause,
 )
 from logriesz.classifier import combined_mass_clause, thresholds
+from logriesz import cli
 from logriesz import test_function_bound as annulus_bound
 from logriesz import TestFunctionSpec as FunctionSpec
 
@@ -315,6 +316,16 @@ class TestDivergenceCertificate:
         warning or a NaN series."""
         with pytest.raises(ParameterError, match="positive and finite"):
             divergence_certificate(3, 1.2, 0.5, 1.0, 0.0, R_list=R_list)
+
+    def test_csv_output(self, tmp_path, capsys):
+        out = tmp_path / "cert.csv"
+        assert cli.main(["probe", "--kind", "certificate", "--N", "3", "--p", "2", "--q", "2",
+                         "--alpha", "0", "--beta", "0", "--radii", "1e2:1e4:3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "R,certificate_value,clause"
+        assert len(lines) == 4
+        assert lines[1].endswith("Thm2(iv)")
 
     def test_serialization_roundtrip(self):
         s = divergence_certificate(3, 2.0, 2.0, 0.0, 0.0)
