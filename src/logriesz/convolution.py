@@ -7,8 +7,10 @@ K(t) = t^(-alpha) log(1+t)^beta reduces to
     angular(r, s) = int_0^pi K(sqrt(r^2 + s^2 - 2 r s cos(theta))) sin(theta)^(N-2) dtheta,
 
 and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
-is split at {r/2, r, 2r} plus geometric marks, truncated at
-TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
+is split at {r/2, r, 2r} plus decade marks, and every segment of at most a
+decade that starts above 0 and is not graded at the cusp runs in x = log s,
+where s^mu is the exponential e^((mu+1) x) and one panel reaches roundoff.  It
+is truncated at TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
 computed from the profile's declared decay shape, integrated in
 t = log s_max / log s.  Tails matter: on the critical line sigma = N - alpha
 a macroscopic fraction of the value comes from arbitrarily large s, so plain
@@ -29,8 +31,9 @@ radius and octave marks, up to s_end = max(TRUNCATION_FACTOR max r,
 POTENTIAL_REACH max(A, 1)).  M is the forward cumulative sum of the segment
 integrals, T the sum from the far end plus one analytic tail past s_end.
 Both integrands are positive, so every radius keeps the relative accuracy of
-its segments; an octave is short enough for one G7-K15 panel to reach
-roundoff on a power-log integrand.  A table of 481 radii costs one sweep.
+its segments; an octave segment runs in log s, where one G7-K15 panel
+reaches roundoff on a power-log integrand.  A table of 481 radii costs one
+sweep.
 
 Every integrand that multiplies a profile f by powers of s or r, and every
 node value of K, is one exp of a sum of logs, log f (RadialProfile.log_evaluate)
@@ -361,8 +364,11 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
     integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
     with m = -1/(1+beta+kappa), which makes it a constant in u.  The octave marks
     2^-10..1 keep the A e^-x correction, which lives near t = 1, out of that graded
-    segment.  Off the line, gap < 0, the integrand lives within a few 1/(|gap| L)
-    below t = 1; the marks follow that scale, and the segment
+    segment, and the marks 1/t - 1 = 4^j / L, j = 0, 1, 2, resolve it: it falls by e
+    per 1/L of 1/t - 1, which one panel over the octave [1/2, 1] steps over at large L
+    (it missed 1.6e-13 of the potential of (A + s)^-2 log(A + s)^-1.5 at A = 1e200, three
+    times its error estimate).  Off the line, gap < 0, the integrand lives within a few
+    1/(|gap| L) below t = 1; the marks follow that scale, and the segment
     [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
     L, gap, beta = np.array([math.log(x) for x in np.ravel(R)]), kernel.N - kernel.alpha - sigma, kernel.beta
 
@@ -373,7 +379,8 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
             return np.exp(gap * x - sigma * a + kappa * np.log(x + a) + beta * np.log(x + b)) * (log_r / t ** 2)
 
     if gap == 0.0:
-        grading, marks = -1.0 / (1.0 + beta + kappa), [[0.0, *2.0 ** np.arange(-10.0, 1.0)]] * len(L)
+        grading = -1.0 / (1.0 + beta + kappa)
+        marks = [[0.0, *np.union1d(2.0 ** np.arange(-10.0, 1.0), 1.0 / (1.0 + 4.0 ** np.arange(3.0) / l))] for l in L]
     else:
         # in y = 1/t - 1 the integrand decays like e^(-y/d), d = 1/(|gap| L): marks at
         # y = d 2^j up to 32 d and the octaves y = 2^k - 1 below that take one round
@@ -438,7 +445,12 @@ def _integrate_marks(
     m != 1, the segments that end at their group's cusp run in u, s = cusp -+ h u^m and
     delta = -+ h u^m, which turns a factor |s - cusp|^mu, mu = 1/m - 1, into a limit
     g(0) in u.  The sweep covers u in [0, 1] with u floored at u_f = _CUSP_FLOOR^(1/m), so
-    no offset falls below _CUSP_FLOOR |h|, and it holds g(u_f) on u < u_f.
+    no offset falls below _CUSP_FLOOR |h|, and it holds g(u_f) on u < u_f.  Every other
+    segment [a, b] with 0 < a and b <= 10 a runs in x = log(s/a), s = a e^x with Jacobian
+    s, where a power s^mu is a^mu e^((mu+1) x).  The rest run in s: a segment from 0,
+    and a wider one, as from 2r up to the first decade mark at a small r, where in log s
+    the mass of s^mu would sit within a few units of its top, between a panel's last
+    nodes, out of sight of the error estimate.  Bisection halves each row's own variable.
 
     Each round evaluates the 15 nodes of every new panel in one call.  Panel errors
     follow QUADPACK: resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
@@ -453,24 +465,30 @@ def _integrate_marks(
     a = np.concatenate([m[:-1] for m in marks], dtype=float)
     b = np.concatenate([m[1:] for m in marks], dtype=float)
     c = np.full(groups, cusp, dtype=float)[group]
-    # h != 0 marks a graded segment, run in u
+    # h != 0 marks a graded segment, run in u; the others of at most a decade off 0 run in log s
     h = np.where(b == c, a - b, np.where(a == c, b - a, 0.0)) if grading != 1.0 else np.zeros_like(a)
+    in_log = (a > 0.0) & (b <= 10.0 * a) & (h == 0.0)
     u_f = _CUSP_FLOOR ** (1.0 / grading)
     lo, hi, seg = np.where(h != 0.0, 0.0, a), np.where(h != 0.0, 1.0, b), np.arange(len(a))
+    # x counts from the segment's start, s = a e^x, so a node's rounding stays that of x <= log 10
+    lo[in_log], hi[in_log] = 0.0, np.log(b[in_log] / a[in_log])
 
     def g(x, h, seg):
         # the integrand's components in each row's own variable, at node coordinates x
-        cusp = c[seg][:, None]
-        s, delta, jac = x, x - cusp, 1.0
+        cusp, logged = c[seg][:, None], in_log[seg]
+        s = x.copy()
+        # exp and x ** grading only on their own rows: on the others x = s may overflow them
+        s[logged] = a[seg[logged], None] * np.exp(x[logged])
+        jac = np.where(logged[:, None], s, 1.0)
+        delta = s - cusp
         if grading != 1.0 and (graded := h != 0.0).any():
-            # x ** grading only on the graded rows: on the others x = s may overflow it
             u, h_g = np.maximum(x[graded], u_f), h[graded, None]
             delta[graded] = h_g * u ** grading
-            s = np.where(graded[:, None], cusp + delta, x)
-            jac = np.ones_like(x)
+            s[graded] = cusp[graded] + delta[graded]
             jac[graded] = np.abs(h_g) * grading * u ** (grading - 1.0)
         out = integrand(s.ravel(), delta.ravel(), group[seg].repeat(x.shape[1]))
-        fx = out.reshape(out.shape[:-1] + s.shape) * jac
+        with np.errstate(over="ignore"):  # an integral past the float range fails below
+            fx = out.reshape(out.shape[:-1] + s.shape) * jac
         if not np.all(np.isfinite(fx)):
             bad = ~np.isfinite(fx).reshape((-1,) + s.shape).all(axis=0)
             own = marks[group[seg[bad.any(axis=1)][0]]]
@@ -560,10 +578,12 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
     prefactor = unit_sphere_area(N - 1) if N >= 2 else 1.0
 
     def integrand(s: np.ndarray, delta: np.ndarray, group: np.ndarray) -> np.ndarray:
-        if N == 1:
-            log_f = f.log_evaluate(s)
-            return sum(np.exp(log_f + _log_kernel(t, alpha, beta)) for t in (np.abs(delta), flat[group] + s))
-        return np.exp(f.log_evaluate(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
+        # an integrand past the float range (inf, or inf * 0) fails the sweep
+        with np.errstate(over="ignore", invalid="ignore"):
+            if N == 1:
+                log_f = f.log_evaluate(s)
+                return sum(np.exp(log_f + _log_kernel(t, alpha, beta)) for t in (np.abs(delta), flat[group] + s))
+            return np.exp(f.log_evaluate(s) + (N - 1) * np.log(s)) * angular_factor(N, flat[group], _Offsets(s, delta), kernel)
 
     # near the cusp the outer integrand is c0 + c1 |s - r|^e (c1 log|s - r| at e = 0);
     # the least grading m that turns each term into an integer power of u or u^3 or higher

@@ -103,6 +103,8 @@ def test_function_bound(spec: TestFunctionSpec, lam: float,
     grid concentrates on the annulus [R, 2R].  In t = r/R, D(phi^2) = lap_t / R^2 and
     D2(phi^2) = bilap_t / R^4; a C past the float range raises ParameterError.
     """
+    if not math.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam!r}")
     R = spec.R
     t = (np.concatenate([np.linspace(0.05, 0.999, 64), np.linspace(1.0, 2.0, 2049)]) if grid is None
          else np.asarray(grid, dtype=float) / R)

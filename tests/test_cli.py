@@ -448,6 +448,12 @@ class TestProbeCommand:
         mass, ratio = (0.0, ball) if float(R) < 1.0 else (ball, 0.0)
         assert math.isclose(env["result"]["mass"], mass) and math.isclose(env["result"]["ratio"], ratio)
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_testfn_lambda_that_is_not_finite_exit_two(self, capsys, lam):
+        code, out, err = run(capsys, ["probe", "--kind", "testfn", "--N", "3", "--lam", lam])
+        assert (code, out) == (2, "")
+        assert err == f"invalid parameters: ParameterError: lambda must be finite, got {lam}\n"
+
     def test_testfn_past_the_float_range_is_invalid(self, capsys):
         code, _, err = run(capsys, ["probe", "--kind", "testfn", "--N", "5", "--R", "1e-160"])
         assert code == 2

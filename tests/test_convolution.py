@@ -692,6 +692,30 @@ def test_graded_cusp_far_out_matches_mass_times_kernel(r):
     assert math.isclose(res.value, mass * eval_kernel(k, r), rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_power_law_mass_converges_in_one_round(N):
+    """With K = 1 the value is the total mass |S^(N-1)| A^(N-sigma) B(N, sigma - N) of
+    (A + s)^-sigma at every r.  Off 0 the segments run in log s, where s^(N-1) f is an
+    exponential over each decade, so the first panel of every segment meets REL_TOL:
+    15 evaluations per segment, no bisection."""
+    sigma, A, r = N + 0.5, 10.0, 7.0
+    f = power_profile(sigma, 0.0, A)
+    res = convolve_radial(KernelParams(N, 0.0, 0.0), f, r)
+    exact = unit_sphere_area(N) * A ** (N - sigma) * math.gamma(N) * math.gamma(sigma - N) / math.gamma(sigma)
+    segments = len(convolution._grid_marks(r, f, convolution.TRUNCATION_FACTOR * A)) - 1
+    assert res.evaluations == 15 * segments
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_segment_wider_than_a_decade_keeps_its_mass():
+    """With K = 1 the ball's value is its volume 4 pi / 3 at every r.  At r = 1e-300 the
+    segment from 2r to the first decade mark 1/100 spans 298 decades; in log s its mass
+    e^(3x) sits within a few units below the top, between the panel's last nodes, which
+    would miss 1e-6 of the value, so it runs in s."""
+    res = convolve_radial(KernelParams(3, 0.0, 0.0), ball_profile(1.0), 1e-300)
+    assert abs(res.value - 4.0 * math.pi / 3.0) <= min(res.error_estimate, 1e-12)
+
+
 @pytest.mark.parametrize("f", [ball_profile(1.0), power_profile(2.0, -2.0)], ids=["ball", "critical"])
 def test_newtonian_potential_of_many_radii_matches_scalar_calls(f):
     """One sweep over an array of radii gives each radius its scalar-call value."""
@@ -868,6 +892,18 @@ def test_outer_integrands_never_form_an_overflowing_shell():
     res = convolve_radial(NEWTONIAN, f, r)
     assert math.isclose(res.value, 4.0 * math.pi / (30.0 * r), rel_tol=1e-10)
     assert math.isclose(newtonian_potential_radial(3, f, r), 1.0 / (30.0 * r), rel_tol=1e-10)
+
+
+def test_outer_integrand_past_the_float_range_fails_without_a_warning():
+    """At r = 1e100, s^4 f(s) with f = (16 + s)^-0.8 log(16 + s)^-1.05 overflows near
+    s = 1e97 while the angular factor of alpha = 4.2 underflows to 0; in the layer cake
+    of the ball of radius 1e110, s^2 is a float but s^2 times the Jacobian s of log s
+    is not.  Each sweep raises QuadratureFailure, and no RuntimeWarning (an error in this
+    suite) leaks."""
+    with pytest.raises(QuadratureFailure, match="non-finite integrand at s = "):
+        convolve_radial(KernelParams(5, 4.2, -0.3), power_profile(0.8, -1.05, 16.0), np.array([1e100, 1e101]))
+    with pytest.raises(QuadratureFailure, match="non-finite integrand at s = "):
+        newtonian_potential_radial(3, ball_profile(1e110), [1e110])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
