@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     ScalingUndefined,
 )
-from .kernel import AsymptoticSpec, KernelParams, _gt, _lt, _validate_powers, approx_eq
+from .kernel import AsymptoticSpec, KernelParams, _sign, _validate_powers, approx_eq
 
 
 @dataclass(frozen=True)
@@ -184,12 +184,12 @@ def rhs_upper_bound(params: AnsatzParams, kernel: KernelParams, p: float, q: flo
     if approx_eq(kernel.alpha, float(N)):
         if not approx_eq(tau, 0.0):
             raise OutOfHypothesis("alpha = N product bounds are stated for tau = 0 only")
-        if not gamma_is_n and not _lt(p, p_high):
+        if not gamma_is_n and _sign(p, p_high) >= 0:
             raise OutOfHypothesis("alpha = N, gamma < N bound needs p < N/(gamma-2)")
-        if gamma_is_n and not _gt(p, p_high):
+        if gamma_is_n and _sign(p, p_high) <= 0:
             raise OutOfHypothesis("alpha = N, gamma = N bound needs p > N/(N-2)")
         kernel = KernelParams(N, float(N), kernel.beta)
-    elif not gamma_is_n and _gt(kernel.alpha, 0.0) and approx_eq(p, p_high) and not _gt(tau * p, -1.0):
+    elif not gamma_is_n and _sign(kernel.alpha, 0.0) > 0 and approx_eq(p, p_high) and _sign(tau * p, -1.0) <= 0:
         raise OutOfHypothesis("p = N/(gamma-2) with tau*p <= -1 has no catalogued product bound")
 
     powered = _powered_spec(params, kernel, p)

@@ -9,8 +9,8 @@ clause machine encodes the sharp exponent thresholds in terms of
     tN = N / (N - 2)             (Serrin-type threshold)
     t2 = (2N - alpha) / (N - 2)  (combined threshold for p + q)
 
-Critical equalities are tested to 1e-12 (kernel.approx_eq) so exact
-rational inputs land on their boundary rows.  The alpha = N family is
+Each tuple is compared with the thresholds once, to 1e-12 (kernel._sign),
+so exact rational inputs land on their boundary rows.  The alpha = N family is
 routed through its dedicated sharp criterion before the generic clauses:
 the generic subcritical clauses textually cover part of that family and
 would otherwise misattribute the governing result.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
-from .kernel import _ge, _gt, _lt, _validate_exponents, _validate_powers, approx_eq
+from .kernel import _sign, _validate_exponents, _validate_powers, approx_eq
 
 
 class Side(enum.Enum):
@@ -121,6 +121,18 @@ def thresholds(N: int, alpha: float) -> tuple[float, float, float]:
     return (N - alpha) / t, N / t, (2.0 * N - alpha) / t
 
 
+# the positions in _signs' tuple: X_Y holds _sign(x, y), with a for alpha
+P_1, P_T1, P_TN, Q_1, Q_T1, Q_TN, S_T2, S_TN, A_2, A_N = range(10)
+
+
+def _signs(N: int, p: float, q: float, alpha: float, s: float) -> tuple[int, ...]:
+    """Every threshold comparison the clauses make, made once per tuple: p and q against 1, t1
+    and tn, s = p + q against t2 and tn, alpha against 2 and N; (t1, tn, t2) = thresholds(N, alpha)."""
+    t1, tn, t2 = thresholds(N, alpha)
+    return (_sign(p, 1.0), _sign(p, t1), _sign(p, tn), _sign(q, 1.0), _sign(q, t1), _sign(q, tn),
+            _sign(s, t2), _sign(s, tn), _sign(alpha, 2.0), _sign(alpha, float(N)))
+
+
 def classify_pminus(params: ProblemParams) -> RegimeDecision:
     """Damped side: nonexistence holds throughout 0 < alpha < N.
 
@@ -128,10 +140,9 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
     classes.  Unbounded non-radial u with p < 1 is genuinely unresolved.
     """
     validate_problem(params)
-    if not (_gt(params.alpha, 0.0) and _lt(params.alpha, float(params.N))):
-        raise HypothesisViolated(
-            "damped-side classification requires 0 < alpha < N")
-    if _ge(params.p, 1.0):
+    if not (_sign(params.alpha, 0.0) > 0 and _sign(params.alpha, float(params.N)) < 0):
+        raise HypothesisViolated("damped-side classification requires 0 < alpha < N")
+    if _sign(params.p, 1.0) >= 0:
         return _DECIDED["Thm1(i)"]
     if params.u_class is UClass.BOUNDED:
         return _DECIDED["Thm1(ii)"]
@@ -142,41 +153,41 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
 
 def combined_mass_clause(p: float, s: float, beta: float, t2: float) -> str | None:
     """Thm2(iv) or Thm2(v), the clauses of the combined mass of u^(p+q) with s = p + q, or None."""
-    if not _ge(p, 1.0):
-        return None
-    if _lt(s, t2):
+    return _combined_mass(_sign(p, 1.0), _sign(s, t2), s, beta)
+
+
+def _combined_mass(p_1: int, s_t2: int, s: float, beta: float) -> str | None:
+    if p_1 >= 0 and s_t2 < 0:
         return "Thm2(iv)"
-    if approx_eq(s, t2) and _gt(beta, 1.0 / s - 1.0):
+    if p_1 >= 0 and s_t2 == 0 and _sign(beta, 1.0 / s - 1.0) > 0:
         return "Thm2(v)"
     return None
 
 
-# Each clause body takes the tuple, s = p + q and (t1, tN, t2), which classify_pplus computes
-# once; the public *_clause functions compute them for one call.
+# Each clause body reads the signs g of _signs, which classify_pplus computes once, and compares
+# beta itself, as its bounds depend on the clause; the public *_clause functions compute g.
 
 def thm2_clause(N: int, p: float, q: float, alpha: float, beta: float) -> str | None:
     """First matching nonexistence clause (ii)-(ix), or None; assumes N >= 3."""
-    return _thm2(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
+    s = p + q
+    return _thm2(_signs(N, p, q, alpha, s), N, q, alpha, beta, s)
 
 
-def _thm2(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
-    at_2 = approx_eq(alpha, 2.0)
-    a_le_2 = alpha < 2.0 or at_2
-    a_lt_2 = alpha < 2.0 and not at_2
-
-    if a_le_2 and _ge(p, 1.0) and _lt(p, t1):
+def _thm2(g, N, q, alpha, beta, s) -> str | None:
+    p_1, p_t1, p_tn, q_1, q_t1, q_tn, s_t2, _, a_2, _ = g
+    if a_2 <= 0 and p_1 >= 0 and p_t1 < 0:
         return "Thm2(ii)"
-    if a_le_2 and approx_eq(p, t1) and _ge(beta, -1.0):
+    if a_2 <= 0 and p_t1 == 0 and _sign(beta, -1.0) >= 0:
         return "Thm2(iii)"
-    if clause := combined_mass_clause(p, s, beta, t2):
+    if clause := _combined_mass(p_1, s_t2, s, beta):
         return clause
-    if a_lt_2 and _gt(q, 1.0) and _lt(q, t1):
+    if a_2 < 0 and q_1 > 0 and q_t1 < 0:
         return "Thm2(vi)"
-    if a_lt_2 and approx_eq(q, t1) and _gt(beta, 1.0 / q - 1.0):
+    if a_2 < 0 and q_t1 == 0 and _sign(beta, 1.0 / q - 1.0) > 0:
         return "Thm2(vii)"
-    if a_lt_2 and approx_eq(p, tn) and approx_eq(q, t1) and _gt(beta, -2.0 + 1.0 / q):
+    if a_2 < 0 and p_tn == 0 and q_t1 == 0 and _sign(beta, -2.0 + 1.0 / q) > 0:
         return "Thm2(viii)"
-    if a_lt_2 and approx_eq(p, t1) and approx_eq(q, tn) and _gt(beta, -2.0 + 1.0 / q):
+    if a_2 < 0 and p_t1 == 0 and q_tn == 0 and _sign(beta, -2.0 + 1.0 / q) > 0:
         return "Thm2(ix)"
     return None
 
@@ -184,32 +195,32 @@ def _thm2(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
 # ---------------------------------------------------------------------------
 # Construction catalogue: Theorem 3's cases 1a-6 (alpha < N) and Theorem 4's
 # T4-1, T4-2 (alpha = N).  Each entry holds the clause tag, the message raised
-# when the hypothesis fails, and the hypothesis on (p, q, beta, s = p + q, t1, tN, t2);
+# when the hypothesis fails, and the hypothesis on beta and the signs g of _signs;
 # the clause machine and choose_case_params both read it.  Case 1a leaves out
 # p <= tN: the clause machine tries 1b (p > tN) first, and for p > tN the
-# gamma interval of 1a is empty.  A beta condition is tested first: most
-# tuples fail it by one comparison, before any tolerant equality runs.
+# gamma interval of 1a is empty.  The signs are tested before beta: they are
+# already computed, and most tuples fail one of them.
 # ---------------------------------------------------------------------------
 
 _CASES: dict[str, tuple[str, str, Callable[..., bool]]] = {
     "2": ("Thm3(ii)", "case 2 needs p = (N-alpha)/(N-2), q > N/(N-2), beta < -1",
-          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and approx_eq(p, t1) and _gt(q, tn)),
+          lambda beta, g: g[P_T1] == 0 and g[Q_TN] > 0 and _sign(beta, -1.0) < 0),
     "3": ("Thm3(iii)", "case 3 needs p > N/(N-2), q = (N-alpha)/(N-2), beta < -1",
-          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and _gt(p, tn) and approx_eq(q, t1)),
+          lambda beta, g: g[P_TN] > 0 and g[Q_T1] == 0 and _sign(beta, -1.0) < 0),
     "4": ("Thm3(iv)", "case 4 needs p, q > (N-alpha)/(N-2), p+q = (2N-alpha)/(N-2), beta < -1",
-          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -1.0) and _gt(p, t1) and _gt(q, t1) and approx_eq(s, t2)),
+          lambda beta, g: g[P_T1] > 0 and g[Q_T1] > 0 and g[S_T2] == 0 and _sign(beta, -1.0) < 0),
     "5": ("Thm3(v)", "case 5 needs p = (N-alpha)/(N-2), q = N/(N-2), beta < -2",
-          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -2.0) and approx_eq(p, t1) and approx_eq(q, tn)),
+          lambda beta, g: g[P_T1] == 0 and g[Q_TN] == 0 and _sign(beta, -2.0) < 0),
     "6": ("Thm3(vi)", "case 6 needs p = N/(N-2), q = (N-alpha)/(N-2), beta < -2",
-          lambda p, q, beta, s, t1, tn, t2: _lt(beta, -2.0) and approx_eq(p, tn) and approx_eq(q, t1)),
+          lambda beta, g: g[P_TN] == 0 and g[Q_T1] == 0 and _sign(beta, -2.0) < 0),
     "1b": ("Thm3(i)", "case 1b needs p > N/(N-2) and q > (N-alpha)/(N-2)",
-           lambda p, q, beta, s, t1, tn, t2: _gt(p, tn) and _gt(q, t1)),
+           lambda beta, g: g[P_TN] > 0 and g[Q_T1] > 0),
     "1a": ("Thm3(i)", "case 1a needs p, q > (N-alpha)/(N-2) and p+q > (2N-alpha)/(N-2)",
-           lambda p, q, beta, s, t1, tn, t2: _gt(p, t1) and _gt(q, t1) and _gt(s, t2)),
+           lambda beta, g: g[P_T1] > 0 and g[Q_T1] > 0 and g[S_T2] > 0),
     "T4-1": ("Thm4", "T4-1 needs beta > 0, 1 <= p <= N/(N-2), p+q > N/(N-2)",
-             lambda p, q, beta, s, t1, tn, t2: beta > 0.0 and _ge(p, 1.0) and _ge(tn, p) and _gt(s, tn)),
+             lambda beta, g: beta > 0.0 and g[P_1] >= 0 and g[P_TN] <= 0 and g[S_TN] > 0),
     "T4-2": ("Thm4", "T4-2 needs beta > 0 and p > N/(N-2)",
-             lambda p, q, beta, s, t1, tn, t2: beta > 0.0 and _gt(p, tn)),
+             lambda beta, g: beta > 0.0 and g[P_TN] > 0),
 }
 # the order in which the clause machine tries the cases: equality rows before
 # the fully interior clause (i), so boundary tuples keep their sharper tags
@@ -217,12 +228,11 @@ _THM3_CASES = ("2", "3", "4", "5", "6", "1b", "1a")
 _THM4_CASES = ("T4-1", "T4-2")
 
 
-def _existence_case(N, p, q, alpha, beta, s, t1, tn, t2,
-                    case_ids=_THM3_CASES) -> tuple[str, str] | None:
+def _existence_case(g, beta, case_ids=_THM3_CASES) -> tuple[str, str] | None:
     """(clause, case id) of the first case in case_ids whose hypothesis holds."""
     for case_id in case_ids:
         clause, _, holds = _CASES[case_id]
-        if holds(p, q, beta, s, t1, tn, t2):
+        if holds(beta, g):
             return clause, case_id
     return None
 
@@ -243,19 +253,12 @@ def _construction(case_id: str, N: int, alpha: float, beta: float, p: float, q: 
         if not lo < hi:
             raise EmptyParameterInterval(f"no admissible gamma in ({lo}, {hi}){hint}")
         return ExistenceCase(case_id, _mid(lo, hi), 0.0, f"gamma in ({lo:.6g}, {hi:.6g}), tau = 0")
-    if case_id == "3":
-        if approx_eq(q, 1.0):
-            lo, hi = -1.0, 1.0
-        elif q > 1.0:
-            lo, hi = -1.0, min(1.0, -(beta + q) / (q - 1.0))
-        else:
-            lo, hi = max(-1.0, (beta + q) / (1.0 - q)), 1.0
-        if not lo < hi:
-            raise EmptyParameterInterval("no tau with tau > beta + (1+tau)q")
-        return ExistenceCase("3", float(N), _mid(lo, hi), f"gamma = N, tau in ({lo:.6g}, {hi:.6g})")
-    # cases 2, 4, 5 and 6: tau in (-1, hi)
+    # cases 2 to 6: tau in (-1, hi)
     if case_id == "2":
         hi, need = (-1.0 - beta) / p - 1.0, "beta + (1+tau)p < -1"
+    elif case_id == "3":
+        # for q <= 1 every tau > -1 has tau > beta + (1+tau)q, since beta < -1
+        hi, need = -(beta + q) / (q - 1.0) if _sign(q, 1.0) > 0 else 1.0, "tau > beta + (1+tau)q"
     elif case_id == "4":
         hi, need = -(beta + s) / (s - 1.0), "tau > beta + (1+tau)(p+q)"
     else:
@@ -286,7 +289,7 @@ def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float
     if case_id not in _CASES:
         raise ParameterError(f"unknown case id {case_id!r}")
     _, message, holds = _CASES[case_id]
-    if not holds(p, q, beta, p + q, *thresholds(N, alpha)):
+    if not holds(beta, _signs(N, p, q, alpha, p + q)):
         raise HypothesisViolated(message)
     return _construction(case_id, N, alpha, beta, p, q)
 
@@ -296,36 +299,35 @@ def thm3_clause(N: int, p: float, q: float, alpha: float, beta: float) -> tuple[
 
     Assumes N >= 3 and 0 <= alpha < N.
     """
-    return _existence_case(N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
+    return _existence_case(_signs(N, p, q, alpha, p + q), beta)
 
 
-def _corollary(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+def _corollary(g, N, q, alpha, beta, s) -> str | None:
     """Only-if directions of the sharp characterizations for p, q >= 1, alpha < N."""
-    if not (_ge(p, 1.0) and _ge(q, 1.0)):
+    p_1, p_t1, _, q_1, q_t1, _, s_t2, _, _, _ = g
+    if p_1 < 0 or q_1 < 0:
         return None
-    if _lt(beta, -2.0):
-        if not (_ge(p, t1) and _ge(q, t1) and _ge(s, t2)):
-            return "Cor1.5(i)"
-        return None
-    if _gt(beta, -1.0 + 1.0 / q):
-        if not (_gt(p, t1) and _gt(q, t1) and _gt(s, t2)):
-            return "Cor1.5(ii)"
+    if _sign(beta, -2.0) < 0:
+        return None if p_t1 >= 0 and q_t1 >= 0 and s_t2 >= 0 else "Cor1.5(i)"
+    if _sign(beta, -1.0 + 1.0 / q) > 0 and not (p_t1 > 0 and q_t1 > 0 and s_t2 > 0):
+        return "Cor1.5(ii)"
     return None
 
 
-def _open_row(N, p, q, alpha, beta, s, t1, tn, t2) -> str | None:
+def _open_row(g, N, q, alpha, beta, s) -> str | None:
     """Documented open cells (six rows); None means uncharted territory."""
-    if _gt(p, max(1.0, t1)) and _gt(q, t1) and approx_eq(s, t2) and _ge(beta, -1.0) and _ge(-1.0 + 1.0 / s, beta):
+    p_1, p_t1, p_tn, q_1, q_t1, q_tn, s_t2, _, _, _ = g
+    if p_1 > 0 and p_t1 > 0 and q_t1 > 0 and s_t2 == 0 and _sign(beta, -1.0) >= 0 and _sign(beta, -1.0 + 1.0 / s) <= 0:
         return "Table1-row1"
-    if _ge(p, 1.0) and approx_eq(p, t1) and approx_eq(q, tn) and _ge(beta, -2.0) and _ge(-2.0 + 1.0 / q, beta):
+    if p_1 >= 0 and p_t1 == 0 and q_tn == 0 and _sign(beta, -2.0) >= 0 and _sign(beta, -2.0 + 1.0 / q) <= 0:
         return "Table1-row2"
-    if approx_eq(p, tn) and approx_eq(q, t1) and _ge(beta, -2.0) and _ge(-2.0 + 1.0 / q, beta):
+    if p_tn == 0 and q_t1 == 0 and _sign(beta, -2.0) >= 0 and _sign(beta, -2.0 + 1.0 / q) <= 0:
         return "Table1-row3"
-    if _gt(p, tn) and approx_eq(q, t1) and _gt(q, 1.0) and _ge(beta, -1.0) and _ge(-1.0 + 1.0 / q, beta):
+    if p_tn > 0 and q_t1 == 0 and q_1 > 0 and _sign(beta, -1.0) >= 0 and _sign(beta, -1.0 + 1.0 / q) <= 0:
         return "Table1-row4"
-    if _gt(p, tn) and _ge(1.0, q) and approx_eq(s, t2) and _gt(beta, alpha - N) and _ge(-1.0 + 1.0 / s, beta):
+    if p_tn > 0 and q_1 <= 0 and s_t2 == 0 and _sign(beta, alpha - N) > 0 and _sign(beta, -1.0 + 1.0 / s) <= 0:
         return "Table1-row5"
-    if _gt(p, tn) and _ge(1.0, q) and _gt(s, t2):
+    if p_tn > 0 and q_1 <= 0 and s_t2 > 0:
         return "Table1-row6"
     return None
 
@@ -339,25 +341,21 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
 
     if N <= 2:
         return _DECIDED["Thm2(i)"]
-    args = (N, p, q, alpha, beta, p + q, *thresholds(N, alpha))
-
-    if approx_eq(alpha, float(N)):
-        hit = _existence_case(*args, _THM4_CASES)
-        if hit is not None:
-            case = _construction(hit[1], N, alpha, beta, p, q)
-            return RegimeDecision(Verdict.EXISTS, "Thm4", construction=case, note=EXISTS_NOTE)
-        return _DECIDED["Thm4" if _ge(p, 1.0) else "uncharted alpha = N"]
-
-    clause = _thm2(*args)
+    s = p + q
+    g = _signs(N, p, q, alpha, s)
+    args = (g, N, q, alpha, beta, s)
+    at_n = g[A_N] == 0
+    clause = None if at_n else _thm2(*args)
     if clause is not None:
         return _DECIDED[clause]
 
-    hit = _existence_case(*args)
+    hit = _existence_case(g, beta, _THM4_CASES if at_n else _THM3_CASES)
     if hit is not None:
         clause, case_id = hit
         case = _construction(case_id, N, alpha, beta, p, q)
         return RegimeDecision(Verdict.EXISTS, clause, construction=case, note=EXISTS_NOTE)
-
+    if at_n:
+        return _DECIDED["Thm4" if g[P_1] >= 0 else "uncharted alpha = N"]
     return _DECIDED[_corollary(*args) or _open_row(*args) or "uncharted"]
 
 
@@ -508,7 +506,7 @@ def emit_regime_table(N: int) -> list[TableRowRecord]:
             for p, q, beta, expected_clause in instances(N, alpha, *thresholds(N, alpha)):
                 if isinstance(beta, tuple):
                     beta = _beta_between(*beta, alpha, N)
-                if beta is None or not _gt(beta, alpha - N):
+                if beta is None or _sign(beta, alpha - N) <= 0:
                     continue
                 decision = classify_pplus(ProblemParams(
                     side=Side.PPLUS, N=N, p=float(p), q=float(q),

@@ -29,16 +29,12 @@ def approx_eq(a: float, b: float) -> bool:
     return d <= 1e-12 or d <= 1e-12 * abs(a) or d <= 1e-12 * abs(b)
 
 
-def _ge(a: float, b: float) -> bool:
-    return a > b or approx_eq(a, b)
-
-
-def _gt(a: float, b: float) -> bool:
-    return a > b and not approx_eq(a, b)
-
-
-def _lt(a: float, b: float) -> bool:
-    return a < b and not approx_eq(a, b)
+def _sign(a: float, b: float) -> int:
+    """-1, 0 or 1 as a is below b, within approx_eq of it, or above it.  On finite a, b its 0
+    is approx_eq, as math.isclose makes the same three comparisons in C; they differ at +-inf."""
+    if math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12):
+        return 0
+    return 1 if a > b else -1
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import FitResult, fit_asymptotics
-from .classifier import ProblemParams, Side, _thm2, classify_pplus, combined_mass_clause, thresholds
+from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, _validate_powers, approx_eq
@@ -220,8 +220,8 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     _validate_powers(p, q)
     if N <= 2:
         raise HypothesisViolated("certificates are defined for N >= 3")
-    s, (t1, tn, t2) = p + q, thresholds(N, alpha)
-    clause = combined_mass_clause(p, s, beta, t2) or _thm2(N, p, q, alpha, beta, s, t1, tn, t2)
+    s = p + q
+    clause = combined_mass_clause(p, s, beta, thresholds(N, alpha)[2]) or thm2_clause(N, p, q, alpha, beta)
     if clause is None:
         # the only-if corollary is a verdict without a series of its own
         tag = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta)).clause

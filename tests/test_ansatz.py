@@ -46,7 +46,6 @@ from logriesz import (
 )
 from logriesz import ansatz, convolution
 from logriesz.ansatz import _powered_spec
-from logriesz.kernel import _gt, _lt
 
 
 class TestAnsatzParams:
@@ -422,6 +421,14 @@ def test_rhs_envelope_on_a_rounded_critical_line():
     u = u_upper_bound(params).spec
     rhs = rhs_upper_bound(params, kernel, p, q)
     assert rhs.spec == AsymptoticSpec(row.spec.power + q * u.power, row.spec.logpower + q * u.logpower)
+
+
+def _gt(a, b):
+    return a > b and not approx_eq(a, b)
+
+
+def _lt(a, b):
+    return a < b and not approx_eq(a, b)
 
 
 def _expected_rhs(N, alpha, beta, gamma, tau, p, q):
@@ -826,6 +833,18 @@ class TestChooseCaseParams:
     def test_unknown_case_id(self):
         with pytest.raises(ParameterError):
             choose_case_params("9z", 3, 1.0, 0.0, 2.0, 2.0)
+
+    def test_low_dimension_refused(self):
+        # N = 2 passes the kernel check, so the constructions refuse it themselves
+        with pytest.raises(InvalidDimension, match="N >= 3"):
+            choose_case_params("1b", 2, 1.0, 0.0, 4.0, 3.0)
+
+    def test_case_three_below_q_one(self):
+        """q = t1 = 0.75 < 1: since beta < -1, every tau in (-1, 1) has tau > beta + (1+tau)q."""
+        case = choose_case_params("3", 4, 2.5, -1.2, 3.0, 0.75)
+        assert (case.gamma, case.tau, case.constraint_notes) == (4.0, 0.0, "gamma = N, tau in (-1, 1)")
+        d = classify(ProblemParams(Side.PPLUS, 4, 3.0, 0.75, 2.5, -1.2))
+        assert (d.verdict.value, d.clause, d.construction) == ("Exists", "Thm3(iii)", case)
 
 
 def test_certificate_runs_one_convolution_sweep(monkeypatch):

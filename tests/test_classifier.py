@@ -165,6 +165,22 @@ class TestDrivenSide:
         with pytest.raises(InvalidBeta):
             pplus(3, 2.0, 2.0, 1.0, -2.5)
 
+    def test_corollary_returns_none_on_a_tolerance_edge(self):
+        """p within 1e-12 of t1 = 1.75 and q just past 1e-12 below tN = 2 put p + q within 1e-12
+        of t2 = 3.75: with beta < -2, p, q >= t1 and p + q >= t2, yet no case of Theorem 3
+        holds, so the only-if corollary returns None there and the tuple is uncharted."""
+        p, q, beta = 1.75 * (1.0 + 9e-13), 2.0 - 2.5e-12, -2.5
+        assert thm2_clause(4, p, q, 0.5, beta) is None and thm3_clause(4, p, q, 0.5, beta) is None
+        s = p + q
+        args = (classifier._signs(4, p, q, 0.5, s), 4, q, 0.5, beta, s)
+        assert classifier._corollary(*args) is None
+        assert pplus(4, p, q, 0.5, beta).clause == "uncharted"
+
+    def test_p_plus_q_past_the_float_range_is_above_t2(self):
+        """p + q = inf lies above t2, so case 1b holds; approx_eq(inf, t2) would call it t2."""
+        d = pplus(3, 1e308, 1e308, 1.0, 0.0)
+        assert (d.verdict, d.clause, d.construction.case_id) == (Verdict.EXISTS, "Thm3(i)", "1b")
+
     def test_alpha_decided_as_n_is_validated_as_n(self):
         # alpha within 1e-12 of N takes the alpha = N branch, whose kernel needs beta > 0
         with pytest.raises(InvalidBeta):

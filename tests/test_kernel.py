@@ -237,6 +237,30 @@ def test_approx_eq_equals_the_max_form(a, b, rel):
         assert approx_eq(x, y) is _approx_eq_max_form(x, y), (x, y)
 
 
+def _sign_reference(a, b):
+    return 0 if approx_eq(a, b) else (a > b) - (a < b)
+
+
+def test_sign_is_approx_eq_then_the_order_on_edge_values():
+    """kernel._sign(a, b) is 0 exactly where approx_eq(a, b) holds and otherwise the order of
+    a and b, on the finite edge values and the pairs within 3e-12 relative of each other."""
+    near = [x * (1.0 + e) for x in (1.0, -3.0, 1e300, BIG, -BIG / 2.0, 2.0 ** -1000, 1e-12)
+            for e in (-3e-12, -1.0000001e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1.0000001e-12, 3e-12)]
+    values = [x for x in APPROX_EQ_EDGES + near if math.isfinite(x)]
+    for a in values:
+        for b in values:
+            assert kernel._sign(a, b) == _sign_reference(a, b), (a, b)
+
+
+@given(a=st.floats(allow_nan=False, allow_infinity=False), b=st.floats(allow_nan=False, allow_infinity=False),
+       rel=st.floats(-3e-12, 3e-12))
+@settings(max_examples=3000, deadline=None)
+def test_sign_is_approx_eq_then_the_order(a, b, rel):
+    for x, y in ((a, b), (a, a * (1.0 + rel)), (a, a + rel), (b, b * (1.0 - rel))):
+        if math.isfinite(y):
+            assert kernel._sign(x, y) == _sign_reference(x, y), (x, y)
+
+
 def test_kernel_imports_only_the_standard_library_and_errors():
     """At module level kernel.py imports the standard library and .errors only, so
     classifier.py, which imports it, loads no numpy; AsymptoticSpec's methods import
