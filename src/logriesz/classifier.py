@@ -19,6 +19,7 @@ would otherwise misattribute the governing result.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,8 +92,8 @@ class RegimeDecision:
         return d
 
 
-# Every decision without a construction is one of these shared frozen constants, keyed by
-# clause (the three uncharted notes by the case they leave open); only Exists builds one.
+# Every decision without a construction is one of these shared frozen constants, keyed by clause (the
+# uncharted notes by the case they leave open); _n_only shares those of 1b and T4-2; other Exists build one.
 _DECIDED: dict[str, RegimeDecision] = {
     **{clause: RegimeDecision(Verdict.NOT_EXISTS, clause, note=NOT_EXISTS_NOTE) for clause in (
         "Thm1(i) Thm1(ii) Thm1(iii) Thm2(i) Thm2(ii) Thm2(iii) Thm2(iv) Thm2(v) Thm2(vi) Thm2(vii) "
@@ -226,6 +227,7 @@ _CASES: dict[str, tuple[str, str, Callable[..., bool]]] = {
 # the fully interior clause (i), so boundary tuples keep their sharper tags
 _THM3_CASES = ("2", "3", "4", "5", "6", "1b", "1a")
 _THM4_CASES = ("T4-1", "T4-2")
+_N_ONLY = ("1b", "T4-2")  # the cases whose construction reads N alone: one shared decision per N
 
 
 def _existence_case(g, beta, case_ids=_THM3_CASES) -> tuple[str, str] | None:
@@ -237,12 +239,19 @@ def _existence_case(g, beta, case_ids=_THM3_CASES) -> tuple[str, str] | None:
     return None
 
 
+@functools.cache
+def _n_only(case_id: str, N: int) -> RegimeDecision:
+    """The Exists decision of 1b or T4-2, (gamma, tau) = (N, 0): built once per (case id, N), shared."""
+    case = ExistenceCase(case_id, float(N), 0.0, "gamma = N, tau = 0")
+    return RegimeDecision(Verdict.EXISTS, _CASES[case_id][0], construction=case, note=EXISTS_NOTE)
+
+
 def _construction(case_id: str, N: int, alpha: float, beta: float, p: float, q: float) -> ExistenceCase:
     """(gamma, tau) of a case whose hypothesis holds, open intervals resolved to
     midpoints; an admissible but empty interval raises EmptyParameterInterval."""
     s = p + q
-    if case_id in ("1b", "T4-2"):
-        return ExistenceCase(case_id, float(N), 0.0, "gamma = N, tau = 0")
+    if case_id in _N_ONLY:
+        return _n_only(case_id, N).construction
     if case_id in ("1a", "T4-1"):
         hi = min(2.0 + N / p, float(N))
         if case_id == "1a":
@@ -352,6 +361,8 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
     hit = _existence_case(g, beta, _THM4_CASES if at_n else _THM3_CASES)
     if hit is not None:
         clause, case_id = hit
+        if case_id in _N_ONLY:
+            return _n_only(case_id, N)
         case = _construction(case_id, N, alpha, beta, p, q)
         return RegimeDecision(Verdict.EXISTS, clause, construction=case, note=EXISTS_NOTE)
     if at_n:

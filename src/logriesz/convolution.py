@@ -609,7 +609,9 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np
     tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
     if (live := c > 0.0).any():
         scale = unit_sphere_area(kernel.N) * c[live]
-        tail_1d, q_err = _tail_integral_1d(kernel, -spec.power, spec.logpower, A, s_max[live])
+        index: dict[float, int] = {}  # one tail per distinct s_max (np.unique costs a single radius 10 us, this 2)
+        back = [index.setdefault(x, len(index)) for x in s_max[live].tolist()]
+        tail_1d, q_err = (v[back] for v in _tail_integral_1d(kernel, -spec.power, spec.logpower, A, np.array(list(index))))
         tail[live] = scale * tail_1d
         # calibration spread, far-field angular error O((r/s)^2), and 1-d quadrature error
         spread = (ratios[live].max(axis=1) - ratios[live].min(axis=1)) / c[live]

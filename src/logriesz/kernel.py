@@ -1,7 +1,7 @@
 """Log-weighted Riesz kernel: K(t) = t^(-alpha) * log(1+t)^beta.
 
 Admissible exponents keep K locally integrable in dimension N:
-0 <= alpha <= N and beta > alpha - N.  KernelParams checks them where it is
+0 <= alpha <= N and alpha - N < beta < inf.  KernelParams checks them where it is
 built, so an inadmissible kernel raises a ParameterError there (CLI exit 2)
 and no other function checks a kernel again.  Near t = 0 the weight log(1+t)
 behaves like t, so K(t) ~ t^(beta-alpha); at infinity K(t) ~
@@ -86,8 +86,8 @@ def _validate_exponents(N, alpha: float, beta: float) -> None:
         raise InvalidDimension(f"dimension must be a positive integer, got {N!r}")
     if not (0.0 <= alpha <= N):
         raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
-    if not (beta > alpha - N):
-        raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N}, got {beta}")
+    if not (alpha - N < beta < math.inf):  # False for NaN too
+        raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N} and be finite, got {beta}")
 
 
 def _validate_powers(p: float, q: float = 1.0) -> None:

@@ -757,6 +757,14 @@ class TestVerifySupersolution:
         with pytest.raises(ScalingUndefined):
             verify_supersolution(case, kernel, 0.5, 0.5, grid=[0.0, 1.0, 10.0, 100.0])
 
+    def test_unit_exponent_sum_with_s_at_most_one_keeps_u(self):
+        """At p + q = 1 no C moves S; where S <= 1 already, u itself is the answer, C = 1.
+        The same call on the default grid reaches S > 1 and is refused."""
+        case, kernel = ExistenceCase("1b", 3.0, 0.0), KernelParams(3, 2.9, 0.5)
+        rep = verify_supersolution(case, kernel, 0.5, 0.5, lam=1e8, grid=[0.0, 1.0, 2.0])
+        assert 0.0 < rep.S <= 1.0 and rep.C == 1.0
+        with pytest.raises(ScalingUndefined, match="p \\+ q = 1 admits no scaling fix"):
+            verify_supersolution(case, kernel, 0.5, 0.5, lam=1e8)
 
     @pytest.mark.parametrize("grid", [
         [],

@@ -525,3 +525,26 @@ def test_decisions_without_a_construction_are_shared_and_frozen():
         stripped = dataclasses.replace(decision, construction=None)
         assert stripped.construction is None and stripped.clause == decision.clause
     assert shared.clause == "Thm2(iv)" and shared.to_dict()["note"] == NOT_EXISTS_NOTE
+
+
+def test_n_only_exists_decisions_are_shared_per_dimension():
+    """Cases 1b and T4-2 construct (gamma, tau) = (N, 0) whatever p, q, alpha and beta: one
+    frozen decision per (case id, N), whose construction choose_case_params returns.  The
+    cases whose construction reads p, q, alpha or beta (1a, 2) build a fresh one each time."""
+    b = pplus(3, 4.0, 3.0, 1.0, 0.0)
+    assert b is pplus(3, 5.0, 3.0, 0.5, 1.5) and (b.clause, b.construction.case_id) == ("Thm3(i)", "1b")
+    t = pplus(3, 4.0, 1.0, 3.0, 1.0)
+    assert t is pplus(3, 6.0, 0.5, 3.0, 2.0) and (t.clause, t.construction.case_id) == ("Thm4", "T4-2")
+    b4, t4 = pplus(4, 4.0, 3.0, 1.0, 0.0), pplus(4, 4.0, 1.0, 4.0, 1.0)
+    assert b4 is not b and t4 is not t and b4.construction.gamma == t4.construction.gamma == 4.0
+    assert choose_case_params("1b", 3, 1.0, 0.0, 4.0, 3.0) is b.construction
+    assert choose_case_params("T4-2", 3, 3.0, 1.0, 4.0, 1.0) is t.construction
+    for args, case_id in [((5, 1.5, 2.0, 1.0, 1.0), "1a"), ((3, 2.0, 4.0, 1.0, -1.5), "2")]:
+        assert pplus(*args).construction.case_id == case_id and pplus(*args) is not pplus(*args)
+    for decision in (b, t):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.clause = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decision.construction.gamma = 0.0
+        stripped = dataclasses.replace(decision, construction=None)
+        assert stripped.construction is None and decision.construction.tau == 0.0

@@ -513,6 +513,14 @@ def test_reaction_exponent_that_is_not_finite_exit_two(capsys, argv):
     assert err.startswith("invalid parameters: ParameterError: exponent p must be positive and finite")
 
 
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+def test_kernel_exponent_that_is_not_finite_exit_two(capsys, beta):
+    """A typed InvalidBeta, exit 2; no verdict, and no "beta": Infinity, which is not JSON."""
+    code, out, err = run(capsys, f"classify --side P+ --N 3 --p 2.5 --q 2.5 --alpha 1 --beta {beta}".split())
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid parameters: InvalidBeta: beta must exceed alpha - N = -2.0 and be finite")
+
+
 class TestTableCommand:
     def test_json_table(self, capsys, tmp_path):
         out_file = tmp_path / "table.json"

@@ -108,6 +108,22 @@ def test_reaction_exponents_must_be_positive_and_finite(entry, value):
             call(2.0, value)
 
 
+# each entry point that takes kernel exponents, with p, q admissible
+BETA_ENTRY_POINTS = {
+    "KernelParams": lambda beta: KernelParams(3, 1.0, beta),
+    "classify": lambda beta: classify(ProblemParams(Side.PPLUS, 3, 2.5, 2.5, 1.0, beta)),
+    "choose_case_params": lambda beta: choose_case_params("1b", 3, 1.0, beta, 4.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", BETA_ENTRY_POINTS)
+def test_beta_must_be_finite(entry, value):
+    """beta = +inf lies above alpha - N yet is no kernel: refused as NaN is, not decided."""
+    with pytest.raises(InvalidBeta, match="beta must exceed alpha - N = -2.0 and be finite"):
+        BETA_ENTRY_POINTS[entry](value)
+
+
 def test_eval_kernel_known_values():
     k = KernelParams(3, 1.0, 0.0)
     assert math.isclose(eval_kernel(k, 2.0), 0.5, rel_tol=1e-15)
