@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "kernel": (
         "AsymptoticSpec", "KernelParams", "Regime", "approx_eq", "kernel_asymptotics",
-        "validate",
     ),
     "probes": (
         "BumpProfile", "CertificateSeries", "ChainResult", "HarnackMass",

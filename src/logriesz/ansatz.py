@@ -304,6 +304,7 @@ def verify_supersolution(
     point.  Stability demands the grid extension to twice the outer radius
     move S by less than 10 percent.
     """
+    _validate_powers(p, q)
     if lam is not None and not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam!r}")
     grid = np.concatenate(([0.0], np.geomspace(1e-2, 1e6, 59))) if grid is None else np.asarray(grid, dtype=float)

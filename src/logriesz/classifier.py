@@ -59,8 +59,10 @@ class ProblemParams:
     u_class: UClass = UClass.GENERAL
 
     def __post_init__(self) -> None:
-        # checked where it is built, so classify pays no p, q check per tuple
+        # checked once, where it is built, so classify checks nothing; alpha within approx_eq of N as N
         _validate_powers(self.p, self.q)
+        at_n = self.beta <= 0.0 and approx_eq(self.alpha, float(self.N))
+        _validate_exponents(self.N, float(self.N) if at_n else self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,6 @@ _DECIDED: dict[str, RegimeDecision] = {
 }
 
 
-def validate_problem(params: ProblemParams) -> None:
-    # alpha within approx_eq of N is decided as alpha = N, whose kernel needs beta > 0
-    at_n = params.beta <= 0.0 and approx_eq(params.alpha, float(params.N))
-    _validate_exponents(params.N, float(params.N) if at_n else params.alpha, params.beta)
-
-
 def _mid(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
@@ -140,7 +136,6 @@ def classify_pminus(params: ProblemParams) -> RegimeDecision:
     p >= 1 always rules solutions out; p < 1 does so for bounded or radial
     classes.  Unbounded non-radial u with p < 1 is genuinely unresolved.
     """
-    validate_problem(params)
     if not (_sign(params.alpha, 0.0) > 0 and _sign(params.alpha, float(params.N)) < 0):
         raise HypothesisViolated("damped-side classification requires 0 < alpha < N")
     if _sign(params.p, 1.0) >= 0:
@@ -289,8 +284,7 @@ def choose_case_params(case_id: str, N: int, alpha: float, beta: float, p: float
     """
     if N < 3:
         raise InvalidDimension("constructions need N >= 3")
-    _validate_exponents(N, alpha, beta)
-    _validate_powers(p, q)
+    ProblemParams(Side.PPLUS, N, p, q, alpha, beta)
     if case_id in _THM3_CASES and approx_eq(alpha, float(N)):
         raise HypothesisViolated("cases 1a-6 need alpha < N; use T4-1 or T4-2")
     if case_id in _THM4_CASES and not approx_eq(alpha, float(N)):
@@ -345,7 +339,6 @@ def classify_pplus(params: ProblemParams) -> RegimeDecision:
     """Driven side, evaluated as: low dimension, the alpha = N sharp
     criterion, nonexistence clauses, existence clauses (with construction),
     only-if corollary branches, documented open rows, uncharted."""
-    validate_problem(params)
     N, p, q, alpha, beta = params.N, params.p, params.q, params.alpha, params.beta
 
     if N <= 2:

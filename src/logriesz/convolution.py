@@ -656,8 +656,12 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
                           for v, w in zip((t_seg, t_err), tail))
     i = np.searchsorted(marks, np.minimum(radii, s_end))
     # M(0) = 0, so r = 0 may take any finite weight
-    weight = np.where(radii > 0.0, radii, 1.0) ** (2.0 - N)
-    return weight * mass[i], beyond[i], weight * mass_err[i] + beyond_err[i], evaluations
+    with np.errstate(over="ignore", invalid="ignore"):  # r^(2-N) or M past the float range: refused below
+        weight = np.where(radii > 0.0, radii, 1.0) ** (2.0 - N)
+        inner, inner_err = weight * mass[i], weight * mass_err[i]
+    if (bad := ~np.isfinite(inner + inner_err)).any():
+        raise ParameterError(f"r^(2-N) M(r) leaves the float range at r = {float(radii[bad][0])!r} for N = {N}")
+    return inner, beyond[i], inner_err + beyond_err[i], evaluations
 
 
 def newtonian_potential_radial(N: int, f: RadialProfile, r):

@@ -3,9 +3,10 @@
 Admissible exponents keep K locally integrable in dimension N:
 0 <= alpha <= N and alpha - N < beta < inf.  KernelParams checks them where it is
 built, so an inadmissible kernel raises a ParameterError there (CLI exit 2)
-and no other function checks a kernel again.  Near t = 0 the weight log(1+t)
-behaves like t, so K(t) ~ t^(beta-alpha); at infinity K(t) ~
-t^(-alpha) * log(t)^beta.
+and no other function checks a kernel again; classifier.ProblemParams checks its
+whole tuple once the same way, and every entry point that takes p or q calls
+_validate_powers.  Near t = 0 the weight log(1+t) behaves like t, so
+K(t) ~ t^(beta-alpha); at infinity K(t) ~ t^(-alpha) * log(t)^beta.
 
 This module imports no numpy, so the decision layer (classifier.py) that
 checks exponents here loads none; K is evaluated on arrays by
@@ -75,15 +76,14 @@ class KernelParams:
         _validate_exponents(self.N, self.alpha, self.beta)
 
 
-def validate(params: KernelParams) -> None:
-    """Reject kernels that are not locally integrable in dimension N (as building one does)."""
-    _validate_exponents(params.N, params.alpha, params.beta)
+def _validate_dimension(N) -> None:
+    if not (isinstance(N, int) or isinstance(N, numbers.Integral)) or N < 1:  # int first: the ABC check costs 0.7 us
+        raise InvalidDimension(f"dimension must be a positive integer, got {N!r}")
 
 
 def _validate_exponents(N, alpha: float, beta: float) -> None:
-    """validate on (N, alpha, beta) without building a KernelParams."""
-    if not (isinstance(N, int) or isinstance(N, numbers.Integral)) or N < 1:  # int first: the ABC check costs 0.7 us
-        raise InvalidDimension(f"dimension must be a positive integer, got {N!r}")
+    """Reject kernels not locally integrable in dimension N; only KernelParams and ProblemParams call it."""
+    _validate_dimension(N)
     if not (0.0 <= alpha <= N):
         raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
     if not (alpha - N < beta < math.inf):  # False for NaN too

@@ -19,7 +19,7 @@ from .bounds import FitResult, fit_asymptotics
 from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
 from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
-from .kernel import AsymptoticSpec, KernelParams, _validate_exponents, _validate_powers, approx_eq
+from .kernel import AsymptoticSpec, KernelParams, _validate_dimension, _validate_powers, approx_eq
 
 
 # Taylor coefficients d^(k)(x)/k!, k = 0..4, of the decay piece 1 - smootherstep (_DECAY holds its
@@ -103,6 +103,7 @@ def test_function_bound(spec: TestFunctionSpec, lam: float,
     grid concentrates on the annulus [R, 2R].  In t = r/R, D(phi^2) = lap_t / R^2 and
     D2(phi^2) = bilap_t / R^4; a C past the float range raises ParameterError.
     """
+    _validate_dimension(N)
     if not math.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam!r}")
     R = spec.R
@@ -135,6 +136,7 @@ class HarnackMass:
 def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMass:
     """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep of
     s^(N-1) u^p and (s/R)^(N-1) u^p / R, each one exp of logs that forms no power of R."""
+    _validate_dimension(N)
     if not 0.0 < R < np.inf:
         raise ParameterError("harnack_mass needs finite R > 0")
     _validate_powers(p)
@@ -216,15 +218,14 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
     are read off the logarithms of the series, so they hold where a value
     exceeds the float range; such values (and such a ratio) are inf.
     """
-    _validate_exponents(N, alpha, beta)
-    _validate_powers(p, q)
+    params = ProblemParams(Side.PPLUS, N, p, q, alpha, beta)
     if N <= 2:
         raise HypothesisViolated("certificates are defined for N >= 3")
     s = p + q
     clause = combined_mass_clause(p, s, beta, thresholds(N, alpha)[2]) or thm2_clause(N, p, q, alpha, beta)
     if clause is None:
         # the only-if corollary is a verdict without a series of its own
-        tag = classify_pplus(ProblemParams(Side.PPLUS, N, p, q, alpha, beta)).clause
+        tag = classify_pplus(params).clause
         if tag.startswith("Cor1.5"):
             raise HypothesisViolated(f"{tag}: no divergence series is implemented for this clause; "
                                      "it matches no nonexistence clause of Thm2")

@@ -1,6 +1,7 @@
 """Explicit supersolution profiles: closed forms, thresholds, certification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -681,6 +682,23 @@ def test_potential_table_refuses_radii_past_r_max():
     for r in (1.01e6, np.array([0.0, 1.01e6])):
         with pytest.raises(ParameterError):
             table(r)
+
+
+def test_potential_that_is_not_positive_is_refused():
+    """At N = 40 and r_max = 1e10 the potential underflows to 0 at the outer nodes."""
+    with pytest.raises(ParameterError, match="potential must be positive"):
+        PotentialTable(AnsatzParams(40, 40.0, 0.0, 10.0), r_max=1e10)
+
+
+# r^(2-N) overflows at the innermost radius, for a table 1e-3 min(sqrt(A), r_max)
+@pytest.mark.parametrize("build, r, N", [
+    (lambda: u_eval(AnsatzParams(130, 130.0, 0.0, 10.0), 1e-3), 1e-3, 130),
+    (lambda: PotentialTable(AnsatzParams(130, 130.0, 0.0, 10.0), r_max=10.0), 1e-3 * math.sqrt(10.0), 130),
+    (lambda: PotentialTable(AnsatzParams(126, 126.0, 0.0, 10.0)), 1e-3 * math.sqrt(10.0), 126),
+])
+def test_potential_past_the_float_range_is_refused(build, r, N):
+    with pytest.raises(ParameterError, match=re.escape(f"float range at r = {r!r} for N = {N}")):
+        build()
 
 
 def test_default_certificate_stays_inside_its_table(monkeypatch):

@@ -79,6 +79,13 @@ class TestLowerBoundPrediction:
             lower_bound_prediction(K310, silent)
 
 
+@pytest.mark.parametrize("predict", [lower_bound_prediction, upper_bound_prediction])
+def test_profile_without_a_declared_tail_is_refused(predict):
+    """A profile that declares neither a tail shape nor compact support gives no envelope."""
+    with pytest.raises(MissingAsymptoticSpec, match="need a declared tail"):
+        predict(K310, RadialProfile(lambda s: -np.square(s)))
+
+
 class TestUpperBoundPrediction:
     def test_mass_regime(self):
         b = upper_bound_prediction(K310, power_profile(4.0, 0.0, A=10.0))

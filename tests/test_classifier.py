@@ -186,6 +186,11 @@ class TestDrivenSide:
         with pytest.raises(InvalidBeta):
             pplus(3, 2.0, 1.5, 3 - 1e-13, -5e-14)
 
+    def test_constructions_check_alpha_decided_as_n_as_n(self):
+        """choose_case_params checks the tuple as ProblemParams does, so it refuses what classify refuses."""
+        with pytest.raises(InvalidBeta, match="beta must exceed alpha - N = 0.0"):
+            choose_case_params("T4-2", 3, 3 - 1e-13, -5e-14, 4.0, 3.0)
+
 
 @given(
     alpha=st.floats(0.0, 3.0),
@@ -395,21 +400,34 @@ def test_only_the_cli_writes_output():
 
 
 def test_no_module_calls_validate():
-    """KernelParams checks its exponents where it is built, so no module of the package
-    calls kernel.validate, which stays exported for user code."""
+    """Each record checks its exponents once, where it is built: only KernelParams.__post_init__
+    and ProblemParams.__post_init__ call kernel._validate_exponents."""
     package = os.path.dirname(classifier.__file__)
-    calls = []
+    callers = []
+
+    def walk(node, name, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, name, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and "_validate_exponents" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.append((name, ".".join(scope)))
+            walk(child, name, scope)
+
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read())
-        calls += [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert calls == []
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                walk(ast.parse(fh.read()), name, ())
+    assert sorted(callers) == [("classifier.py", "ProblemParams.__post_init__"),
+                               ("kernel.py", "KernelParams.__post_init__")]
 
 
 class TestRegimeTable:
+    def test_low_dimension_refused(self):
+        with pytest.raises(ParameterError, match="stated for N >= 3"):
+            emit_regime_table(2)
+
     def test_dimension_three_catalog(self):
         records = emit_regime_table(3)
         assert len(records) == 125

@@ -52,6 +52,10 @@ class TestParsers:
             with pytest.raises(ParameterError):
                 parse_window(bad)
 
+    def test_window_without_a_colon(self):
+        with pytest.raises(ParameterError, match="--window expects start:stop"):
+            parse_window("1")
+
     def test_profiles(self):
         ball = parse_profile("ball:2", 3)
         assert ball.support_radius == 2.0
@@ -321,6 +325,16 @@ class TestAsymptoticsCommand:
         assert len(lines) == 9
 
 
+    def test_lower_envelope_report(self, capsys):
+        code, env, _ = run_json(capsys, [
+            "asymptotics", "--N", "3", "--alpha", "1", "--beta", "0",
+            "--profile", "power:4:0:10", "--kind", "lower", "--window", "1e3:1e6",
+        ])
+        assert code == 0
+        assert env["inputs"]["kind"] == "lower"
+        assert env["result"]["predicted"] == {"power": -1.0, "logpower": 0.0, "loglog": False}
+        assert env["result"]["pass"] is True
+
     def test_window_that_is_not_finite_exit_two(self, capsys):
         code, _, err = run(capsys, [
             "asymptotics", "--N", "3", "--alpha", "1", "--beta", "0",
@@ -407,6 +421,15 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"invalid parameters: ParameterError: lambda must be finite, got {lam}\n"
 
+    def test_potential_past_the_float_range_exit_two(self, capsys):
+        """At N = 200 the table's r^(2-N) overflows at its innermost radius: refused, not NaN."""
+        code, out, err = run(capsys, [
+            "verify", "--case", "1b", "--N", "200", "--alpha", "1", "--beta", "0",
+            "--p", "200", "--q", "3",
+        ])
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid parameters: ParameterError: r^(2-N) M(r) leaves the float range at r = ")
+
     def test_case_refused_where_classifier_finds_nonexistence(self, capsys):
         # q is 1e-13 above N/(N-2) = 3, so q = N/(N-2) to the classifier (Thm2(ix)),
         # and case 2's hypothesis q > N/(N-2) fails
@@ -453,6 +476,13 @@ class TestProbeCommand:
         code, out, err = run(capsys, ["probe", "--kind", "testfn", "--N", "3", "--lam", lam])
         assert (code, out) == (2, "")
         assert err == f"invalid parameters: ParameterError: lambda must be finite, got {lam}\n"
+
+    @pytest.mark.parametrize("argv", [["--kind", "harnack", "--N", "0"], ["--kind", "testfn", "--N", "0"],
+                                      ["--kind", "testfn", "--N", "-3"]])
+    def test_dimension_that_is_not_positive_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, ["probe", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"invalid parameters: InvalidDimension: dimension must be a positive integer, got {argv[-1]}\n"
 
     def test_testfn_past_the_float_range_is_invalid(self, capsys):
         code, _, err = run(capsys, ["probe", "--kind", "testfn", "--N", "5", "--R", "1e-160"])

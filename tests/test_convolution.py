@@ -15,6 +15,7 @@ from scipy import integrate
 from logriesz import (
     AsymptoticSpec,
     DivergentIntegral,
+    InvalidDimension,
     KernelParams,
     MissingAsymptoticSpec,
     ParameterError,
@@ -969,3 +970,24 @@ def test_array_radii_are_checked_one_by_one():
     for g in (f, ball_profile(1.0)):
         empty = convolve_radial(NEWTONIAN, g, np.array([]))
         assert empty.value.shape == empty.error_estimate.shape == (0,) and empty.evaluations == 0
+
+
+def test_eval_kernel_on_an_array_returns_an_array():
+    t = np.array([0.5, 2.0, 8.0])
+    k = eval_kernel(KernelParams(3, 1.0, 0.0), t)
+    assert isinstance(k, np.ndarray) and k.shape == (3,)
+    np.testing.assert_allclose(k, 1.0 / t, rtol=1e-15)
+
+
+def test_dimensions_below_the_reduction_are_refused():
+    with pytest.raises(InvalidDimension, match="N >= 2"):
+        angular_factor(1, 1.0, 2.0, KernelParams(1, 0.5, 0.0))
+    with pytest.raises(InvalidDimension, match="N >= 3"):
+        newtonian_potential_radial(2, ball_profile(1.0), 1.0)
+
+
+def test_newtonian_potential_past_the_float_range_is_refused():
+    """At N = 130, r^(2-N) = 1e384 at r = 1e-3 and M(r) underflows to 0: a ParameterError
+    that names the radius, not the NaN of inf * 0."""
+    with pytest.raises(ParameterError, match=r"float range at r = 0\.001 for N = 130"):
+        newtonian_potential_radial(130, ball_profile(1.0), 1e-3)

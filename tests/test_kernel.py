@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from logriesz import (
     AnsatzParams,
     AsymptoticSpec,
+    ExistenceCase,
     InvalidAlpha,
     InvalidBeta,
     InvalidDimension,
@@ -32,40 +33,40 @@ from logriesz import (
     kernel_asymptotics,
     lower_bound_chain,
     rhs_upper_bound,
-    validate,
+    verify_supersolution,
 )
 from logriesz import kernel
 
 
 def test_validate_accepts_admissible_ranges():
-    validate(KernelParams(3, 1.0, 0.0))
+    KernelParams(3, 1.0, 0.0)
     # numpy integers are numbers.Integral
-    validate(KernelParams(np.int64(3), 1.0, 0.0))
-    validate(KernelParams(3, 0.0, 2.5))
-    validate(KernelParams(5, 5.0, 0.5))
+    KernelParams(np.int64(3), 1.0, 0.0)
+    KernelParams(3, 0.0, 2.5)
+    KernelParams(5, 5.0, 0.5)
     # beta may go negative as long as it stays above alpha - N
-    validate(KernelParams(3, 2.0, -0.999))
+    KernelParams(3, 2.0, -0.999)
 
 
 def test_validate_rejects_bad_dimension():
     with pytest.raises(InvalidDimension):
-        validate(KernelParams(0, 0.0, 0.0))
+        KernelParams(0, 0.0, 0.0)
     with pytest.raises(InvalidDimension):
-        validate(KernelParams(-2, 1.0, 0.0))
+        KernelParams(-2, 1.0, 0.0)
 
 
 def test_validate_rejects_alpha_outside_range():
     with pytest.raises(InvalidAlpha):
-        validate(KernelParams(3, -0.5, 0.0))
+        KernelParams(3, -0.5, 0.0)
     with pytest.raises(InvalidAlpha):
-        validate(KernelParams(3, 3.5, 0.0))
+        KernelParams(3, 3.5, 0.0)
 
 
 def test_validate_rejects_beta_at_or_below_floor():
     with pytest.raises(InvalidBeta):
-        validate(KernelParams(3, 1.0, -2.0))
+        KernelParams(3, 1.0, -2.0)
     with pytest.raises(InvalidBeta) as err:
-        validate(KernelParams(3, 0.0, -3.1))
+        KernelParams(3, 0.0, -3.1)
     assert "beta must exceed alpha - N" in str(err.value)
 
 
@@ -90,6 +91,7 @@ POWER_ENTRY_POINTS = {
     "choose_case_params": lambda p, q: choose_case_params("2", 3, 1.0, -1.5, p, q),
     "rhs_upper_bound": lambda p, q: rhs_upper_bound(AnsatzParams(3, 3.0, 0.0, 10.0), KernelParams(3, 1.0, 0.0), p, q),
     "divergence_certificate": lambda p, q: divergence_certificate(3, p, q, 0.0, 0.0),
+    "verify_supersolution": lambda p, q: verify_supersolution(ExistenceCase("2", 3.0, -0.5), KernelParams(3, 1.0, -1.5), p, q),
     "lower_bound_chain": lambda p, q: lower_bound_chain(3, 1.0, 0.0, p, [1.0, 10.0]),
     "harnack_mass": lambda p, q: harnack_mass(ball_profile(1.0), p, 10.0),
 }
@@ -207,7 +209,6 @@ def test_infinity_regime_ratio_converges():
 @settings(max_examples=150, deadline=None)
 def test_kernel_positive_on_admissible_params(alpha, beta_off, t):
     k = KernelParams(3, alpha, alpha - 3.0 + beta_off)
-    validate(k)
     assert eval_kernel(k, t) > 0.0
 
 

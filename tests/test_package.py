@@ -53,7 +53,7 @@ def test_star_import_binds_exactly_all():
     exec("from logriesz import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(logriesz.__all__)
     assert "unit_sphere_area" in logriesz.__all__
-    assert len(logriesz.__all__) == len(set(logriesz.__all__)) == 75
+    assert len(logriesz.__all__) == len(set(logriesz.__all__)) == 74
     assert dir(logriesz) == sorted(logriesz.__all__)
 
 

@@ -14,6 +14,8 @@ from logriesz import (
     AsymptoticSpec,
     BumpProfile,
     HypothesisViolated,
+    InvalidBeta,
+    InvalidDimension,
     ParameterError,
     ProblemParams,
     RadialProfile,
@@ -161,6 +163,15 @@ class TestFunctionBound:
         assert math.isclose(bound(1e80), bound(1e150), rel_tol=1e-13)
         assert math.isclose(bound(1e-100) * 1e-200, bound(1e-50) * 1e-100, rel_tol=1e-12)
 
+    def test_grid_beyond_the_support_gives_zero(self):
+        """phi = 0 at t = 3 and 4, so no grid point is left and the constant is 0."""
+        assert annulus_bound(FunctionSpec(5, 2.0, 10.0), 1.0, grid=np.array([30.0, 40.0])) == 0.0
+
+    @pytest.mark.parametrize("N", [0, -3, 2.5])
+    def test_dimension_that_is_not_a_positive_integer(self, N):
+        with pytest.raises(InvalidDimension, match="dimension must be a positive integer"):
+            annulus_bound(FunctionSpec(5, 2.0, 10.0), 1.0, N=N)
+
     def test_constant_past_the_float_range_is_rejected(self):
         with pytest.raises(ParameterError, match="R = 1e-160"):
             annulus_bound(FunctionSpec(k=5, delta=2.0, R=1e-160), 0.3, N=5)
@@ -234,6 +245,11 @@ class TestHarnackMass:
         with pytest.raises(ParameterError):
             harnack_mass(_ones_profile(), 0.0, 1.0)
 
+    @pytest.mark.parametrize("N", [0, -3, 2.5])
+    def test_dimension_that_is_not_a_positive_integer(self, N):
+        with pytest.raises(InvalidDimension, match="dimension must be a positive integer"):
+            harnack_mass(ball_profile(1.0), 2.0, 10.0, N=N)
+
 
 class TestDivergenceCertificate:
     def test_combined_mass_power_clause(self):
@@ -301,6 +317,18 @@ class TestDivergenceCertificate:
     def test_low_dimension_rejected(self):
         with pytest.raises(HypothesisViolated):
             divergence_certificate(2, 2.0, 2.0, 1.0, 0.0)
+
+    def test_loglog_series_needs_radii_past_e_minus_one(self):
+        """Thm2(iii) at beta = -1 reads log(log(1 + R)), which is not positive for R <= e - 1."""
+        with pytest.raises(ParameterError, match="needs R > e - 1"):
+            divergence_certificate(3, 2, 4, 1, -1, R_list=[1, 10])
+
+    def test_alpha_decided_as_n_is_checked_as_n(self):
+        """alpha within 1e-12 of N with alpha - N < beta <= 0 is refused as classify refuses it:
+        the alpha = N kernel needs beta > 0."""
+        assert combined_mass_clause(1.2, 1.7, -5e-14, 3.0) == "Thm2(iv)"
+        with pytest.raises(InvalidBeta, match="beta must exceed alpha - N = 0.0"):
+            divergence_certificate(3, 1.2, 0.5, 3 - 1e-13, -5e-14)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -468,6 +496,12 @@ class TestLowerBoundChain:
     def test_dimension_floor(self):
         with pytest.raises(ParameterError):
             lower_bound_chain(2, 1.0, 0.0, 2.0, self.GRID)
+
+    def test_fit_that_fails_leaves_fitted_none(self):
+        """Six tail radii are enough to try a fit; one that raises leaves fitted None."""
+        c = lower_bound_chain(3, 1, 0, 3, np.geomspace(50, 1000, 6))
+        assert c.fitted is None
+        assert np.all(np.isfinite(c.values))
 
     def test_serialization_keys(self):
         c = lower_bound_chain(3, 1.0, 0.0, 3.0, [1.0, 10.0, 100.0])
