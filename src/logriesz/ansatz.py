@@ -32,10 +32,10 @@ from .bounds import BoundKind, PredictedBound, _upper_ladder
 # still reaches choose_case_params as ansatz.choose_case_params
 from .classifier import ExistenceCase, choose_case_params
 from .convolution import (
-    TRUNCATION_FACTOR,
     RadialProfile,
     _jacobi_rule,
     _layer_cake,
+    _reach,
     convolve_radial,
     newtonian_potential_radial,
 )
@@ -320,8 +320,8 @@ def verify_supersolution(
     r_out = float(grid.max())
     ext = np.geomspace(r_out * 1.09, 2.0 * r_out, 8)
 
-    # convolve_radial's outermost tail probe, 2 s_max at r = 2 r_out, lands on r_max or below
-    table = PotentialTable(params, r_max=4.0 * TRUNCATION_FACTOR * max(r_out, math.sqrt(A)))
+    # the table covers every radius convolve_radial reads u^p at, up to r = ext[-1] = 2 r_out
+    table = PotentialTable(params, r_max=_reach(ext[-1], math.sqrt(A)))
 
     powered = RadialProfile(
         lambda s: p * np.log(table(s)),

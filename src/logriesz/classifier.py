@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .errors import EmptyParameterInterval, HypothesisViolated, InvalidDimension, ParameterError
@@ -81,17 +81,8 @@ class RegimeDecision:
     note: str = ""
 
     def to_dict(self) -> dict:
-        d = {"verdict": self.verdict.value, "clause": self.clause, "note": self.note}
-        if self.construction is not None:
-            d["construction"] = {
-                "case_id": self.construction.case_id,
-                "gamma": self.construction.gamma,
-                "tau": self.construction.tau,
-                "constraint_notes": self.construction.constraint_notes,
-            }
-        else:
-            d["construction"] = None
-        return d
+        return {"verdict": self.verdict.value, "clause": self.clause, "note": self.note,
+                "construction": None if self.construction is None else asdict(self.construction)}
 
 
 # Every decision without a construction is one of these shared frozen constants, keyed by clause (the
@@ -398,15 +389,8 @@ class TableRowRecord:
     match: bool
 
     def to_dict(self) -> dict:
-        return {
-            "row": self.row_id,
-            "description": self.description,
-            "alpha": self.alpha, "p": self.p, "q": self.q, "beta": self.beta,
-            "expected_verdict": self.expected_verdict,
-            "expected_clause": self.expected_clause,
-            "verdict": self.verdict, "clause": self.clause,
-            "match": self.match,
-        }
+        d = asdict(self)
+        return {"row": d.pop("row_id"), **d}
 
 
 def _beta_between(lo: float, hi: float, alpha: float, N: int) -> float | None:

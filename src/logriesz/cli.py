@@ -104,10 +104,21 @@ def _flatten(obj, prefix: str, lines: list[str]) -> None:
         lines.append(f"{prefix} = {obj}")
 
 
-def emit(command: str, inputs: dict, result, fmt: str, text: str | None = None) -> dict:
-    """Print the envelope as JSON, or for --format text as text if given, else flattened."""
-    env = {"command": command, "inputs": inputs, "result": result, "version": __version__}
-    if fmt == "json":
+# argparse's own entries and the flags that inputs leave out; probe echoes those of its --kind, in this order
+_UNECHOED = {"command", "func", "format", "out", "case_id"}
+_PROBE_INPUTS = {"certificate": "N p q alpha beta theta radii", "testfn": "N k delta R lam",
+                 "harnack": "N profile p R", "chain": "N alpha beta p radii"}
+
+
+def emit(args: argparse.Namespace, result, text: str | None = None) -> dict:
+    """Print the envelope as JSON, or for --format text as text if given, else flattened.
+
+    Its inputs are the flags the subcommand declared, in the order declared (the order argparse
+    fills args in), less --format, --out and --case-id, with --lam echoed as lambda."""
+    keys = _PROBE_INPUTS[args.kind].split() if args.command == "probe" else [k for k in vars(args) if k not in _UNECHOED]
+    inputs = {"lambda" if k == "lam" else k: getattr(args, k) for k in keys}
+    env = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+    if args.format == "json":
         print(json.dumps(env, indent=2))
     elif text is not None:
         print(text)
@@ -144,9 +155,7 @@ def cmd_classify(args) -> int:
         side=Side(args.side), N=args.N, p=args.p, q=args.q,
         alpha=args.alpha, beta=args.beta, u_class=UClass(args.u_class))
     decision = classify(params)
-    inputs = {"side": args.side, "N": args.N, "p": args.p, "q": args.q,
-              "alpha": args.alpha, "beta": args.beta, "u_class": args.u_class}
-    emit("classify", inputs, decision.to_dict(), args.format)
+    emit(args, decision.to_dict())
     if decision.verdict is Verdict.EXISTS:
         return EXIT_OK
     if decision.verdict is Verdict.NOT_EXISTS:
@@ -169,9 +178,7 @@ def cmd_convolve(args) -> int:
     if args.out:
         write_csv(args.out, "r,value,error_estimate", rows)
     result = {"rows": [{"r": r, "value": v, "error_estimate": e} for r, v, e in rows]}
-    inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
-              "profile": args.profile, "radii": args.radii}
-    emit("convolve", inputs, result, args.format)
+    emit(args, result)
     return EXIT_OK
 
 
@@ -191,9 +198,7 @@ def cmd_asymptotics(args) -> int:
         fit_spec = AsymptoticSpec(report.fitted.power_est, report.fitted.logpower_est)
         write_csv(args.out, "r,value,predicted,fitted",
                   [(r, v, bound.shape(r), fit_spec.shape(r, bound.scale)) for r, v in zip(report.radii, report.values)])
-    inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
-              "profile": args.profile, "kind": args.kind, "window": args.window}
-    emit("asymptotics", inputs, report.to_dict(), args.format)
+    emit(args, report.to_dict())
     return EXIT_OK
 
 
@@ -209,8 +214,7 @@ def cmd_ansatz(args) -> int:
         "potential_logpower": bound.spec.logpower,
         "scale": bound.scale,
     }
-    inputs = {"N": args.N, "gamma": args.gamma, "tau": args.tau, "A": args.A}
-    emit("ansatz", inputs, result, args.format)
+    emit(args, result)
     return EXIT_OK
 
 
@@ -223,9 +227,7 @@ def cmd_verify(args) -> int:
     case = choose_case_params(args.case, args.N, args.alpha, args.beta, args.p, args.q)
     report = verify_supersolution(case, kernel, args.p, args.q,
                                   lam=args.lam, A=args.A)
-    inputs = {"case": args.case, "N": args.N, "alpha": args.alpha, "beta": args.beta,
-              "p": args.p, "q": args.q, "A": args.A, "lambda": args.lam}
-    emit("verify", inputs, report.to_dict(), args.format)
+    emit(args, report.to_dict())
     return EXIT_OK if report.passed else EXIT_OPEN
 
 
@@ -240,26 +242,19 @@ def cmd_probe(args) -> int:
             write_csv(args.out, "R,certificate_value,clause",
                       [(r, v, series.clause) for r, v in zip(series.radii, series.values)])
         result = series.to_dict()
-        inputs = {"N": args.N, "p": args.p, "q": args.q, "alpha": args.alpha,
-                  "beta": args.beta, "theta": args.theta, "radii": args.radii}
     elif args.kind == "testfn":
         spec = TestFunctionSpec(k=args.k, delta=args.delta, R=args.R)
         constant = test_function_bound(spec, args.lam, N=args.N)
         result = {"constant": constant, "delta_power_valid": spec.delta_power_valid}
-        inputs = {"N": args.N, "k": args.k, "delta": args.delta, "R": args.R,
-                  "lambda": args.lam}
     elif args.kind == "harnack":
         f = parse_profile(args.profile, args.N)
         hm = harnack_mass(f, args.p, args.R, N=args.N)
         result = {"mass": hm.mass, "ratio": hm.ratio, "R": hm.R}
-        inputs = {"N": args.N, "profile": args.profile, "p": args.p, "R": args.R}
     else:  # chain
         radii = parse_radii(args.radii or "1:1e6:13")
         chain = lower_bound_chain(args.N, args.alpha, args.beta, args.p, radii)
         result = chain.to_dict()
-        inputs = {"N": args.N, "alpha": args.alpha, "beta": args.beta,
-                  "p": args.p, "radii": args.radii}
-    emit("probe", inputs, result, args.format)
+    emit(args, result)
     return EXIT_OK
 
 
@@ -274,7 +269,7 @@ def cmd_table(args) -> int:
             f"expect {rec.expected_verdict}/{rec.expected_clause} "
             f"got {rec.verdict}/{rec.clause} [{'ok' if rec.match else 'MISMATCH'}]" for rec in records]
     rows.append(f"all_match = {result['all_match']}")
-    env = emit("table", {"N": args.N}, result, args.format, text="\n".join(rows))
+    env = emit(args, result, text="\n".join(rows))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(env, fh, indent=2)

@@ -599,12 +599,21 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
     return result(total, err, evaluations)
 
 
+def _reach(r: float, scale: float) -> float:
+    """The outermost radius convolve_radial reads f at for radii up to r and a profile of this
+    scale: the top tail probe 2 s_max, with s_max = TRUNCATION_FACTOR * max(r, scale, 1)."""
+    return 2.0 * TRUNCATION_FACTOR * max(r, scale, 1.0)
+
+
 def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic tail past s_max, and its error bound, at every radius of the 1-d array r: f's
     ratio to its declared shape at (1, 1.5, 2) s_max (in logs) times _tail_integral_1d (0 if not > 0)."""
     spec, A = f.infinity_spec, f.scale
     probes = s_max[:, None] * np.array([1.0, 1.5, 2.0])
-    ratios = np.exp(f.log_evaluate(probes.ravel()).reshape(probes.shape) - spec.log_shape(probes, A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(f.log_evaluate(probes.ravel()).reshape(probes.shape) - spec.log_shape(probes, A))
+    if (bad := ~np.isfinite(ratios)).any():
+        raise ParameterError(f"the profile's ratio to its declared tail shape is not finite at s = {float(probes[bad][0])!r}")
     c = np.sort(ratios, axis=1)[:, 1]  # the median
     tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
     if (live := c > 0.0).any():

@@ -10,7 +10,7 @@ exists, evaluated on a growing sequence of radii).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -195,10 +195,10 @@ def _theta_or_mid(theta: float | None, lo: float, hi: float, label: str) -> floa
 # Series rows by clause tag; the exponent x is p, q or s = p + q and c scales log(1 + c R).
 # A power row (m, x, c) reads R^a log(1 + c R)^beta with a = mN - alpha - (N-2) x; a log
 # row (shift, x, c) reads log(1 + c R)^b with b = beta + shift when b > 0, and otherwise
-# log(R)^(b + (x-1) theta) with theta in the window (-b/(x-1), 1 + b).  Thm2(iii) is
-# written out in divergence_certificate.
+# log(R)^(b + (x-1) theta) with theta in the window (-b/(x-1), 1 + b).  Thm2(iii) at beta
+# within approx_eq of -1 reads log(log(1 + R)) instead, in divergence_certificate.
 _POWER_ROWS = {"Thm2(ii)": (1, "p", 1.0), "Thm2(iv)": (2, "s", 4.0), "Thm2(vi)": (1, "q", 1.0)}
-_LOG_ROWS = {"Thm2(v)": (0.0, "s", 4.0), "Thm2(vii)": (0.0, "q", 1.0),
+_LOG_ROWS = {"Thm2(iii)": (1.0, "p", 1.0), "Thm2(v)": (0.0, "s", 4.0), "Thm2(vii)": (0.0, "q", 1.0),
              "Thm2(viii)": (1.0, "q", 1.0), "Thm2(ix)": (1.0, "q", 1.0)}
 
 
@@ -246,14 +246,11 @@ def divergence_certificate(N: int, p: float, q: float, alpha: float, beta: float
         a = m * N - alpha - (N - 2.0) * x[key]
         log_series = a * log_r + beta * np.log(np.log1p(c * R))
         unbounded = a > 0.0
-    elif clause == "Thm2(iii)":
-        if approx_eq(beta, -1.0):
-            if R[0] <= np.e - 1.0:
-                raise ParameterError("the series log(log(1+R)) of Thm2(iii) needs R > e - 1")
-            log_series = np.log(np.log(np.log1p(R)))
-        else:
-            log_series = (1.0 + beta) * np.log(np.log1p(R))
-        unbounded = beta >= -1.0
+    elif clause == "Thm2(iii)" and approx_eq(beta, -1.0):
+        if R[0] <= np.e - 1.0:
+            raise ParameterError("the series log(log(1+R)) of Thm2(iii) needs R > e - 1")
+        log_series = np.log(np.log(np.log1p(R)))
+        unbounded = True
     else:
         shift, key, c = _LOG_ROWS[clause]
         b = beta + shift
@@ -284,19 +281,15 @@ class ChainResult:
     divergent: bool
 
     def to_dict(self) -> dict:
-        d = {
+        fit = self.fitted
+        return {
             "radii": [float(x) for x in self.radii],
             "values": [float(x) for x in self.values],
-            "predicted": {"power": self.predicted.power, "logpower": self.predicted.logpower},
+            "predicted": asdict(self.predicted),
             "divergent": self.divergent,
+            "fitted": None if fit is None else {"power": fit.power_est, "logpower": fit.logpower_est,
+                                                "residual": fit.residual},
         }
-        if self.fitted is not None:
-            d["fitted"] = {"power": self.fitted.power_est,
-                           "logpower": self.fitted.logpower_est,
-                           "residual": self.fitted.residual}
-        else:
-            d["fitted"] = None
-        return d
 
 
 def lower_bound_chain(N: int, alpha: float, beta: float, p: float, grid: Sequence[float]) -> ChainResult:
@@ -312,9 +305,10 @@ def lower_bound_chain(N: int, alpha: float, beta: float, p: float, grid: Sequenc
     kernel = KernelParams(N=N, alpha=alpha, beta=beta)
     _validate_powers(p)
     grid = np.asarray(grid, dtype=float)
-    # p times log u0, in this order: (p * (2 - N)) * log(...) moves the last digits
+    # p times log u0, in this order: (p * (2 - N)) * log(...) moves the last digits; past r = 1
+    # u0^p is its declared shape r^(p(2-N)), so its scale is 0, not (1 + r)'s 1
     f = RadialProfile(lambda r: p * ((2.0 - N) * np.log(np.maximum(1.0, r))),
-                      infinity_spec=AsymptoticSpec(p * (2.0 - N), 0.0), positive_mass_near_zero=True)
+                      infinity_spec=AsymptoticSpec(p * (2.0 - N), 0.0), scale=0.0, positive_mass_near_zero=True)
     predicted = AsymptoticSpec(N - alpha - p * (N - 2.0), beta)
 
     res = convolve_radial(kernel, f, grid)

@@ -510,6 +510,17 @@ class TestProbeCommand:
         assert math.isclose(env["result"]["predicted"]["power"], -1.0, abs_tol=1e-12)
         assert len(env["result"]["values"]) == 6
 
+    def test_steep_chain_prints_the_ball_as_json(self, capsys):
+        """Past r = 1, u0^p is r^(p(2-N)), the shape it declares, at scale 0: so at p = 1e7 its
+        ratio to it at the tail probes is 1, not (1 + 1/s)^((N-2)p), which overflowed to NaN, and
+        the values are the unit ball's (4 pi / 3) / max(1, r) to 1e-6: u0^p's mass past r = 1,
+        4 pi / (p - 2), is 3e-7 of it."""
+        code, out, _ = run(capsys, ["probe", "--kind", "chain", "--N", "3", "--alpha", "1", "--beta", "0",
+                                    "--p", "1e7"])
+        assert code == 0
+        result = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))["result"]
+        assert np.allclose(result["values"], 4.0 * math.pi / 3.0 / np.array(result["radii"]), rtol=1e-6, atol=0.0)
+
     def test_certificate_existence_region_exit_two(self, capsys):
         code, _, err = run(capsys, [
             "probe", "--kind", "certificate", "--N", "3", "--p", "4", "--q", "2",
@@ -549,6 +560,26 @@ def test_kernel_exponent_that_is_not_finite_exit_two(capsys, beta):
     code, out, err = run(capsys, f"classify --side P+ --N 3 --p 2.5 --q 2.5 --alpha 1 --beta {beta}".split())
     assert (code, out) == (2, "")
     assert err.startswith("invalid parameters: InvalidBeta: beta must exceed alpha - N = -2.0 and be finite")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    ("classify --side P+ --N 3 --p 2 --q 4 --alpha 1 --beta -1.5 --format json", "side N p q alpha beta u_class"),
+    ("convolve --N 3 --alpha 1 --beta 0 --profile ball:1 --radii 1:10:2", "N alpha beta profile radii"),
+    ("asymptotics --N 3 --alpha 1 --beta 0 --profile power:3:0:1.05 --case-id x", "N alpha beta profile kind window"),
+    ("ansatz --N 3 --gamma 3 --tau 0", "N gamma tau A"),
+    ("verify --case 2 --N 3 --alpha 1 --beta -1.5 --p 2 --q 4 --lam 50", "case N alpha beta p q A lambda"),
+    ("probe --kind certificate --N 3 --p 2 --q 2", "N p q alpha beta theta radii"),
+    ("probe --kind testfn --N 3 --lam 2", "N k delta R lambda"),
+    ("probe --kind harnack --N 3", "N profile p R"),
+    ("probe --kind chain --N 3 --p 3 --radii 1:10:2", "N alpha beta p radii"),
+    ("table --N 3", "N"),
+])
+def test_inputs_echo_the_declared_flags(capsys, argv, keys):
+    """inputs are the flags a subcommand declares, in the order declared, less --format, --out
+    and --case-id, with --lam as lambda; probe's are those of its --kind."""
+    _, env, _ = run_json(capsys, argv.split())
+    assert env["command"] == argv.split()[0]
+    assert list(env["inputs"]) == keys.split()
 
 
 class TestTableCommand:

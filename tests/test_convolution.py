@@ -991,3 +991,18 @@ def test_newtonian_potential_past_the_float_range_is_refused():
     that names the radius, not the NaN of inf * 0."""
     with pytest.raises(ParameterError, match=r"float range at r = 0\.001 for N = 130"):
         newtonian_potential_radial(130, ball_profile(1.0), 1e-3)
+
+
+def test_tail_ratio_past_the_float_range_is_refused():
+    """A profile that decays far slower than the shape it declares has a ratio to that shape
+    past the float range at the tail probes s_max = 1e3, 1.5e3, 2e3: refused, naming the probe."""
+    f = RadialProfile(lambda s: -4.0 * np.log1p(s), infinity_spec=AsymptoticSpec(-1e6, 0.0))
+    with pytest.raises(ParameterError, match=r"not finite at s = 1000\.0"):
+        convolve_radial(KernelParams(3, 1.0, 0.0), f, 1.0)
+
+
+def test_reach_is_the_top_tail_probe():
+    """2 s_max with s_max = 1e3 max(r, scale, 1): 4e9 for verify's default grid, whose last
+    radius is 2e6, at scale sqrt(10)."""
+    assert convolution._reach(2e6, math.sqrt(10.0)) == 4e9
+    assert convolution._reach(0.5, 0.0) == 2e3

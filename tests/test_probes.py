@@ -407,6 +407,9 @@ class TestCertificateClosedForms:
         ((3, 3.0, 2.0, 1.0, -0.9), "Thm2(viii)", None, _LOG1P_1 ** 0.1),
         ((3, 3.0, 2.0, 1.0, -1.2), "Thm2(viii)", 0.5, _LOG_R ** 0.3),
         ((3, 2.0, 3.0, 1.0, -1.2), "Thm2(ix)", 0.45, _LOG_R ** 0.7),
+        # beta within 1e-12 below -1 is beta = -1: log log(1 + R), unbounded
+        ((3, 2.0, 4.0, 1.0, -1.0 - 5e-13), "Thm2(iii)", None,
+         math.log(math.log1p(1e8)) / math.log(math.log1p(1e2))),
     ])
     def test_growth_ratio(self, args, clause, theta, ratio):
         s = divergence_certificate(*args)
@@ -506,3 +509,13 @@ class TestLowerBoundChain:
     def test_serialization_keys(self):
         c = lower_bound_chain(3, 1.0, 0.0, 3.0, [1.0, 10.0, 100.0])
         assert set(c.to_dict()) == {"radii", "values", "predicted", "fitted", "divergent"}
+
+    @pytest.mark.parametrize("p", [2.2, 3.0])
+    def test_values_match_the_newton_potential(self, p):
+        """At N = 3, alpha = 1 the chain is the Newton potential 4 pi (M(r) / r + T(r)) of u0^p:
+        for r >= 1, M = 1/3 + (r^(3-p) - 1) / (3-p) (1/3 + log r at p = 3), T = r^(2-p) / (p-2)."""
+        grid = np.geomspace(1.0, 1e6, 13)
+        c = lower_bound_chain(3, 1.0, 0.0, p, grid)
+        mass = 1.0 / 3.0 + (np.log(grid) if p == 3.0 else (grid ** (3.0 - p) - 1.0) / (3.0 - p))
+        exact = 4.0 * math.pi * (mass / grid + grid ** (2.0 - p) / (p - 2.0))
+        assert np.allclose(c.values, exact, rtol=1e-13, atol=0.0), np.max(np.abs(c.values / exact - 1.0))
