@@ -43,7 +43,12 @@ where its product with s^(N-1) does not.
 angular_factor serves the far field, min(r, s) < max(r, s)/4, on one 16-point Gauss-Gegenbauer
 panel in cos(theta) where the kernel is smooth enough (_angular).  Elsewhere it integrates in the
 distance t = |x - y| (Funk-Hecke): angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t
-sin(theta)^(N-3) dt, on 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s)
+sin(theta)^(N-3) dt.  At N = 3 the weight is 1, so off the diagonal angular = [G(r+s) - G(|r-s|)]
+/ (r s) with G' = t K(t): each call builds G once on a half-octave lattice in log t, summed from
+the cell where t^2 K is least, and reads it at every node it serves with one 8-point panel
+(_angular_table).  It serves a node where t^2 K varies by at most _LOG_SPREAD / 2 e-folds per
+cell and the difference keeps its digits to _TABLE_ERR.  The other nodes, the diagonal s == r
+and every N != 3 take 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s)
 (at least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs), with the endpoint
 factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made smooth by t = endpoint -+ h u^2;
 the panels of all s form one ragged batch.
@@ -213,6 +218,11 @@ _FAR_RHO = 0.25  # min(r, s)/max(r, s) below which _angular's far-field panel ma
 # Outer nodes per _angular slice: at 1.5-3 panels of 16 nodes each, its work arrays stay
 # near 1 MB.  Unsliced rounds of 10^4 nodes took 1.7-1.9 times as long (2 MiB L2 Xeon).
 _ANGULAR_BATCH = 2000
+# _angular_table: its lattice step in x = log t (half an octave), its 8-point read panel, and the
+# bound on its estimated rounding error (which keeps |log t| below 450, where e^x is a normal float)
+_CELL = math.log(2.0) / 2.0
+_GL8_U, _GL8_W = _jacobi_rule(0.0, 0.0, 8)
+_TABLE_ERR = 1e-13
 
 
 class _Offsets(NamedTuple):
@@ -259,7 +269,9 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     at most 2, so no r s is formed to under- or overflow.  At s == r the geometric panels start at
     min(r, 1) and _angular_origin_panel adds the rest.  Each node value K(t) (t/M) sin(theta)^(N-3)
     is one exp of logs: next to the cusp K alone may overflow where the product does not.
-    Larger batches than _ANGULAR_BATCH nodes run in slices of that size.
+    At N = 3, _angular_table serves the near nodes off the diagonal first, from one table of
+    G(t) = int t K dt per slice, and the chain takes the nodes it refuses.  Larger batches than
+    _ANGULAR_BATCH nodes run in slices of that size.
     """
     if len(s) > _ANGULAR_BATCH:
         return np.concatenate([_angular(N, *(v[i:i + _ANGULAR_BATCH] for v in (r, s, delta)), alpha, beta)
@@ -276,6 +288,13 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     if far.all():
         return out
     near = ~far
+    if N == 3:
+        index = np.flatnonzero(near)
+        served, values = _angular_table(r[index], s[index], delta[index], alpha, beta)
+        out[index[served]] = values
+        near[index[served]] = False
+        if not near.any():
+            return out
     r, s, delta, m, M = r[near], s[near], delta[near], m[near], M[near]
     d, D = np.abs(delta), r + s
     diagonal = d == 0.0
@@ -318,6 +337,68 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
             chain[diagonal & (r == r_d)] += _angular_origin_panel(N, float(r_d), alpha, beta)
     out[near] = chain
     return out
+
+
+def _angular_table(r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: float,
+                   beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """angular(r, s) at N = 3 for the nodes the table serves: (served, their values).
+
+    angular = [G(D) - G(d)] / (r s) with G' = t K(t), d = |delta|, D = r + s; in x = log t,
+    dG/dx = t^2 K.  The lattice x_j = j _CELL runs from the nearest node of the least log d to
+    that of the largest log D, with one 16-point Gauss-Legendre panel per cell.  G is 0 at the
+    cell where t^2 K is least and summed outward from it in logs, so on either side each sum
+    starts where t^2 K is least.  G(t) is G at the nearest lattice node plus one 8-point panel
+    over at most half a cell, and the four signed terms of G(D) - G(d), scaled by the largest,
+    are summed once: no r s, t^2 K or G is formed outside the float range.
+
+    A node is served where t^(2-alpha) log(1+t)^|beta| varies by at most _LOG_SPREAD / 2
+    e-folds per cell from half a cell below d on (an 8-point panel then sees at most 3, and
+    integrates e^(3 u) over [0, 1] to 6e-16), and where the rounding estimate
+    eps (P / (G(D) - G(d)) (|log P| + 1) + |log d| + |log D|), P the sum of the positive terms,
+    is at most _TABLE_ERR.  That refuses the ends of the float range, where log t itself rounds
+    by more, and a node past the peak of a t^2 K that rises from the anchor and falls again.
+    """
+    def log_weight(x, a, b):
+        # a x + b log log(1 + e^x), the log of t^2 K at a = 2 - alpha, b = beta
+        return a * x + b * np.log(np.log1p(np.exp(x))) if b else a * x
+
+    def log_panel(x0, span, u, w):
+        # log |int t^2 K dx| over [x0, x0 + span] on the rule (u, w), shifted by each panel's largest value
+        v = log_weight(x0 + span * u[:, None], 2.0 - alpha, beta)
+        top = v.max(axis=0)
+        return top + np.log(np.abs(span) * (w @ np.exp(v - top)))
+
+    served, d, D = np.zeros(len(s), dtype=bool), np.abs(delta), r + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_d, x_D = np.log(d), np.log(D)
+        candidate = _EPS * (np.abs(x_d) + np.abs(x_D)) <= _TABLE_ERR
+        # log log(1+t) rises by less than one per unit of x: below this bound every cell passes
+        a, b = abs(2.0 - alpha), abs(beta)
+        if (a + b) * _CELL > _LOG_SPREAD / 2.0:
+            candidate &= log_weight(x_d + 0.5 * _CELL, a, b) - log_weight(x_d - 0.5 * _CELL, a, b) <= _LOG_SPREAD / 2.0
+        if not candidate.any():
+            return served, np.empty(0)
+        x, r, s = np.concatenate((x_D[candidate], x_d[candidate])), r[candidate], s[candidate]
+        n, k = len(r), np.rint(x / _CELL)
+        j0 = k[n:].min()
+        # log |G| at the lattice nodes, G = 0 at the least cell's left node
+        log_cell = log_panel(_CELL * (j0 + np.arange(max(k[:n].max() - j0, 1.0))), _CELL, _GL_U, _GL_W)
+        anchor = int(np.argmin(log_cell))
+        log_g = np.concatenate((np.logaddexp.accumulate(log_cell[:anchor][::-1])[::-1], [-math.inf],
+                                np.logaddexp.accumulate(log_cell[anchor:])))
+        sign_g = np.where(np.arange(len(log_g)) < anchor, -1.0, 1.0)
+        # the four signed terms of G(D) - G(d), by row: G at the nearest lattice node of log D and of
+        # log d, and the panels from there to log D and to log d
+        j, span = (k - j0).astype(np.int64), x - _CELL * k
+        logs = np.concatenate((log_g[j], log_panel(_CELL * k, span, _GL8_U, _GL8_W))).reshape(4, n)
+        signs = np.concatenate((sign_g[j], np.sign(span))).reshape(4, n) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        top = logs.max(axis=0)
+        terms = signs * np.exp(logs - top)
+        diff, positive = terms.sum(axis=0), np.maximum(terms, 0.0).sum(axis=0)
+        error = _EPS * (positive / diff * (np.abs(top) + 1.0) + np.abs(x).reshape(2, n).sum(axis=0))
+    ok = (diff > 0.0) & (error <= _TABLE_ERR)
+    served[np.flatnonzero(candidate)[ok]] = True
+    return served, np.exp(top[ok] + np.log(diff[ok]) - np.log(r[ok]) - np.log(s[ok]))
 
 
 def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:

@@ -1,9 +1,10 @@
 """Log-weighted Riesz kernel: K(t) = t^(-alpha) * log(1+t)^beta.
 
 Admissible exponents keep K locally integrable in dimension N:
-0 <= alpha <= N and alpha - N < beta < inf.  KernelParams checks them where it is
-built, so an inadmissible kernel raises a ParameterError there (CLI exit 2)
-and no other function checks a kernel again; classifier.ProblemParams checks its
+0 <= alpha <= N and alpha - N < beta < inf; alpha within approx_eq of N is admitted,
+as classify decides it as alpha = N.  KernelParams checks them where it is built,
+so an inadmissible kernel raises a ParameterError there (CLI exit 2) and no other
+function checks a kernel again; classifier.ProblemParams checks its
 whole tuple once the same way, and every entry point that takes p or q calls
 _validate_powers.  Near t = 0 the weight log(1+t) behaves like t, so
 K(t) ~ t^(beta-alpha); at infinity K(t) ~ t^(-alpha) * log(t)^beta.
@@ -84,7 +85,7 @@ def _validate_dimension(N) -> None:
 def _validate_exponents(N, alpha: float, beta: float) -> None:
     """Reject kernels not locally integrable in dimension N; only KernelParams and ProblemParams call it."""
     _validate_dimension(N)
-    if not (0.0 <= alpha <= N):
+    if not (0.0 <= alpha <= N or approx_eq(alpha, N)):
         raise InvalidAlpha(f"alpha must lie in [0, {N}], got {alpha}")
     if not (alpha - N < beta < math.inf):  # False for NaN too
         raise InvalidBeta(f"beta must exceed alpha - N = {alpha - N} and be finite, got {beta}")

@@ -562,6 +562,29 @@ def test_kernel_exponent_that_is_not_finite_exit_two(capsys, beta):
     assert err.startswith("invalid parameters: InvalidBeta: beta must exceed alpha - N = -2.0 and be finite")
 
 
+@pytest.mark.parametrize("alpha", ["3.0000000000000004", "2.9999999999999996"])
+def test_alpha_one_ulp_from_N_is_alpha_equal_N(capsys, alpha):
+    """classify decides alpha within approx_eq of N as alpha = N on both sides of N, and
+    convolve and verify --case T4-2 run there instead of refusing the kernel."""
+    kernel = f"--N 3 --alpha {alpha} --beta 1".split()
+    code, env, _ = run_json(capsys, ["classify", "--side", "P+", "--p", "4", "--q", "1", *kernel])
+    assert code == 0 and (env["result"]["verdict"], env["result"]["clause"]) == ("Exists", "Thm4")
+    assert env["result"]["construction"]["case_id"] == "T4-2"
+    code, env, _ = run_json(capsys, ["convolve", *kernel, "--profile", "ball:1", "--radii", "1:1e3:3"])
+    at_n = convolution.convolve_radial(logriesz.KernelParams(3, 3.0, 1.0), convolution.ball_profile(1.0),
+                                       np.geomspace(1.0, 1e3, 3))
+    assert code == 0 and np.allclose([row["value"] for row in env["result"]["rows"]], at_n.value, rtol=1e-12)
+    code, env, _ = run_json(capsys, ["verify", "--case", "T4-2", "--p", "4", "--q", "1", *kernel])
+    assert code == 0 and env["result"]["pass"] is True and env["result"]["stable"] is True
+    assert math.isclose(env["result"]["S"], 154.32953604287238, rel_tol=1e-12)
+
+
+def test_alpha_past_approx_eq_of_N_is_refused(capsys):
+    code, out, err = run(capsys, "classify --side P+ --N 3 --p 4 --q 1 --alpha 3.00001 --beta 1".split())
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid parameters: InvalidAlpha: alpha must lie in [0, 3], got 3.00001")
+
+
 @pytest.mark.parametrize("argv, keys", [
     ("classify --side P+ --N 3 --p 2 --q 4 --alpha 1 --beta -1.5 --format json", "side N p q alpha beta u_class"),
     ("convolve --N 3 --alpha 1 --beta 0 --profile ball:1 --radii 1:10:2", "N alpha beta profile radii"),

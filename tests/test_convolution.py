@@ -34,6 +34,7 @@ from logriesz import (
 from logriesz import cli, convolution
 from logriesz.convolution import _Offsets
 from logriesz.errors import NonpositiveRadius
+from oracles import angular_closed_form, angular_cos_mpmath, angular_mpmath, angular_power_closed_form
 
 NEWTONIAN = KernelParams(3, 1.0, 0.0)
 
@@ -202,23 +203,6 @@ def test_kernel_where_power_underflows_and_log_overflows():
     assert math.isclose(angular_factor(3, 0.0, 1e110, kernel), 2.0 * exact, rel_tol=1e-12)
 
 
-def _angular_closed_form(N, alpha, r, delta):
-    """(r s)^-1 int_d^D t^(1-alpha) [(t^2 - d^2)(D^2 - t^2) / (4 r^2 s^2)]^((N-3)/2) dt
-    for N = 3 and 5, where the weight is a polynomial, in 60-digit arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        r, delta = Decimal(r), Decimal(delta)
-        s, c = r + delta, 2 - Decimal(alpha)
-        d, D = abs(delta), r + s
-
-        def F(j):
-            return (D ** (c + j) - d ** (c + j)) / (c + j)
-
-        if N == 3:
-            return float(F(0) / (r * s))
-        return float((-F(4) + (d * d + D * D) * F(2) - d * d * D * D * F(0)) / (4 * r ** 3 * s ** 3))
-
-
 OFFSETS = (1e-30, 1e-20, 1e-10, 1e-5, 1e-2, 0.3, 1.0, 3.0, math.exp(3), math.exp(7),
            -1e-30, -1e-20, -1e-10, -1e-5, -1e-2, -0.3, -0.9, -0.999)
 
@@ -234,35 +218,8 @@ def test_angular_factor_matches_polynomial_weight_closed_form(N, alpha):
     k = KernelParams(N, alpha, 0.0)
     for r in (0.013, 2.0, 900.0):
         for rel in OFFSETS:
-            exact = _angular_closed_form(N, alpha, r, r * rel)
+            exact = angular_closed_form(N, alpha, r, r * rel)
             assert math.isclose(_angular_at_offset(N, r, rel, k), exact, rel_tol=1e-12), (r, rel, exact)
-
-
-def _angular_mpmath(N, alpha, beta, r, rel):
-    """The t-integral in mpmath: in x = log(t - d) on [d, M], where the kernel's
-    scale d and the factor (t - d)^((N-3)/2) become smooth, and in v = sqrt(D - t)
-    on [M, D], where (D - t)^((N-3)/2) becomes smooth.  mp.quad stops on an absolute
-    error, so the integrand is scaled by its kernel part t K(t) at t = M."""
-    with mp.workdps(40):
-        r, a, b, e = mp.mpf(r), mp.mpf(1 - alpha), mp.mpf(beta), mp.mpf(N - 3) / 2
-        d, s = abs(r * rel), r + r * rel
-        D, m = r + s, min(r, s)
-        scale = 1 / (4 * r * r * s * s)
-
-        def log_tk(t):
-            return a * mp.log(t) + b * mp.log(mp.log1p(t))
-
-        c = log_tk(max(r, s))
-
-        def g(t, od, oD):
-            log_q = mp.log(od * (t + d) * oD * (D + t) * scale)
-            return mp.exp(log_tk(t) - c + e * log_q)
-
-        cuts = [mp.log(d) - 4, mp.log(d) + 4] if d < m * mp.exp(-4) else []
-        near = mp.quad(lambda x: g(d + mp.exp(x), mp.exp(x), 2 * m - mp.exp(x)) * mp.exp(x),
-                       [-mp.inf] + cuts + [mp.log(m)])
-        far = mp.quad(lambda v: g(D - v * v, 2 * m - v * v, v * v) * 2 * v, [0, mp.sqrt(m)])
-        return float((near + far) * mp.exp(c) / (r * s))
 
 
 # s - r = r rel with rho = min(r, s)/max(r, s) < 1/4, on both sides of the diagonal
@@ -282,7 +239,7 @@ def test_angular_factor_matches_mpmath(N, alpha, beta, r):
     k = KernelParams(N, alpha, beta)
     near = () if (N, alpha, beta, r) in ALPHA_NEAR_N else (1e-30, 1e-6, 0.5, -1e-30, -1e-3)
     for rel in near + FAR_RELS:
-        exact = _angular_mpmath(N, alpha, beta, r, rel)
+        exact = angular_mpmath(N, alpha, beta, r, rel)
         assert math.isclose(_angular_at_offset(N, r, rel, k), exact, rel_tol=1e-12), (rel, exact)
 
 
@@ -291,26 +248,9 @@ def test_angular_factor_matches_mpmath(N, alpha, beta, r):
 def test_angular_factor_next_to_the_diagonal_at_alpha_near_N():
     """At r = 30, s - r = -0.03 the panel chain serves both kernels."""
     for N, alpha, beta in ((7, 6.9, 0.0), (9, 8.8, -0.15)):
-        exact = _angular_mpmath(N, alpha, beta, 30.0, -1e-3)
+        exact = angular_mpmath(N, alpha, beta, 30.0, -1e-3)
         got = _angular_at_offset(N, 30.0, -1e-3, KernelParams(N, alpha, beta))
         assert math.isclose(got, exact, rel_tol=1e-12), (N, alpha, beta, got / exact - 1.0)
-
-
-def _angular_cos_mpmath(N, alpha, beta, M, rho):
-    """angular(M, rho M) = int_{-1}^1 K(M sqrt((1-rho)^2 + 2 rho (1-x))) (1-x^2)^((N-3)/2) dx in
-    mpmath, scaled by K(M) (mp.quad stops on an absolute error)."""
-    with mp.workdps(40):
-        M, rho, e = mp.mpf(M), mp.mpf(rho), mp.mpf(N - 3) / 2
-
-        def log_k(t):
-            return beta * mp.log(mp.log1p(t)) - alpha * mp.log(t)
-
-        c = log_k(M)
-
-        def f(x):
-            return mp.exp(log_k(M * mp.sqrt((1 - rho) ** 2 + 2 * rho * (1 - x))) - c + e * mp.log1p(-x * x))
-
-        return float(mp.quad(f, mp.linspace(-1, 1, 9)) * mp.exp(c))
 
 
 @pytest.mark.parametrize("N,alpha,beta,M,rho", [
@@ -321,8 +261,66 @@ def test_far_field_panel_admits_only_kernels_it_resolves(N, alpha, beta, M, rho)
     """rho < 1/4, but log K varies by 94-203 e-folds over t in [M - m, M + m] for the first
     four, where one Gauss-Gegenbauer panel errs by 4.5e-7 to 6.6e-3, and by 7 for the last."""
     got = angular_factor(N, M, rho * M, KernelParams(N, alpha, beta))
-    exact = _angular_cos_mpmath(N, alpha, beta, M, rho)
+    exact = angular_cos_mpmath(N, alpha, beta, M, rho)
     assert math.isclose(got, exact, rel_tol=1e-12), got / exact - 1.0
+
+
+# (r, s - r) pairs of the N = 3 table rows: every offset from +-1e-30 r to +-r/2 and radii 1e-3 to 1e6
+TABLE_ROWS = [(1e-3, 1e-33), (1e-3, -5e-4), (30.0, -3e-29), (30.0, 3e-5), (1e6, -1.0), (1e6, 5e5)]
+
+
+def _table_call(k, rows):
+    """angular_factor at N = 3 on all rows in one _Offsets call, as from convolve_radial, with
+    the mask of the rows _angular_table serves."""
+    r, delta = (np.array(v) for v in zip(*rows))
+    served, _ = convolution._angular_table(r, r + delta, delta, k.alpha, k.beta)
+    return angular_factor(3, r, _Offsets(r + delta, delta), k), served
+
+
+@pytest.mark.parametrize("alpha,beta,served", [
+    # T4-2: int t K converges at infinity only, the least cell is the last
+    (3.0, 1.0, [1, 1, 1, 1, 1, 1]),
+    # case 2: at neither end, the least cell lies inside the lattice
+    (1.0, -1.5, [1, 1, 1, 1, 1, 1]),
+    # at 0 only, the least cell is the first
+    (0.5, 1.0, [1, 1, 1, 1, 1, 1]),
+    # at both ends: t^2 K rises from the first cell up to t = 3.9 and falls past it, so at the
+    # last row G(D) - G(d) is 1/290 of G(D), and the chain serves it
+    (2.5, 1.0, [1, 1, 1, 1, 1, 0]),
+    # log(1+t)^60 varies by more than _LOG_SPREAD / 2 e-folds per cell below t = 35: the chain
+    # serves every row whose d lies there
+    (1.0, 60.0, [0, 0, 0, 0, 0, 1]),
+])
+def test_angular_table_matches_mpmath(alpha, beta, served):
+    k = KernelParams(3, alpha, beta)
+    got, table = _table_call(k, TABLE_ROWS)
+    assert table.tolist() == [bool(x) for x in served]
+    for (r, delta), value in zip(TABLE_ROWS, got):
+        exact = angular_mpmath(3, alpha, beta, r, delta / r)
+        assert math.isclose(value, exact, rel_tol=1e-12), (r, delta, value / exact - 1.0)
+        # the public scalar entry, where s - r is the offset itself
+        if (r + delta) - r == delta:
+            assert math.isclose(angular_factor(3, r, r + delta, k), value, rel_tol=1e-13), (r, delta)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.9])
+def test_angular_table_matches_power_closed_form(alpha):
+    """beta = 0 in one call over every radius and offset: one lattice spans 1e-33 to 3e6, and at
+    alpha = 2, where t^2 K is flat, G grows by the same amount per cell on either side of its anchor."""
+    rows = [(r, r * rel) for r in (1e-3, 0.7, 30.0, 1e6) for rel in (1e-30, 1e-10, 1e-3, 0.1, 0.5, -1e-30, -1e-3, -0.5)]
+    got, table = _table_call(KernelParams(3, alpha, 0.0), rows)
+    # at alpha = 2 a row far from the anchor may cancel by more than _TABLE_ERR allows: the chain
+    assert table.all() if alpha != 2.0 else (~table).sum() <= 2
+    for (r, delta), value in zip(rows, got):
+        exact = angular_power_closed_form(alpha, r, delta)
+        assert math.isclose(value, exact, rel_tol=1e-12), (r, delta, value / exact - 1.0)
+
+
+def test_angular_table_leaves_the_ends_of_the_float_range_to_the_chain():
+    """Logs of t near 1e+-200 round by more than _TABLE_ERR allows (see test_angular_factor_scales_homogeneously)."""
+    r = np.array([1e-200, 1e200, 1.0])
+    served, _ = convolution._angular_table(r, 2.0 * r, r, 1.0, 0.0)
+    assert served.tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.0, 0.0), (1.0, 1.0), (198.5, 198.5), (3.2, 0.0)])

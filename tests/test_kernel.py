@@ -62,6 +62,16 @@ def test_validate_rejects_alpha_outside_range():
         KernelParams(3, 3.5, 0.0)
 
 
+def test_alpha_within_approx_eq_of_N_is_admitted():
+    """One ulp past N is admitted as one ulp below it is; beta must still exceed alpha - N."""
+    for alpha in (3.0000000000000004, 2.9999999999999996):
+        assert KernelParams(3, alpha, 1.0).alpha == alpha
+    with pytest.raises(InvalidBeta):
+        KernelParams(3, 3.0000000000000004, 0.0)
+    with pytest.raises(InvalidAlpha):
+        KernelParams(3, 3.00001, 1.0)
+
+
 def test_validate_rejects_beta_at_or_below_floor():
     with pytest.raises(InvalidBeta):
         KernelParams(3, 1.0, -2.0)

@@ -70,3 +70,24 @@ def test_submodules_resolve_from_the_package():
         assert logriesz.convolution.convolve_radial is logriesz.convolve_radial
     """)
     assert proc.returncode == 0, proc.stderr
+
+
+# the names the benchmark's tracer patches or its workloads call (ROADMAP, standing constraints)
+BENCHMARK_NAMES = {
+    "convolution": ("convolve_radial", "angular_factor", "ball_profile", "power_profile", "unit_sphere_area"),
+    "ansatz": ("convolve_radial", "newtonian_potential_radial", "PotentialTable", "lambda_star",
+               "verify_supersolution", "choose_case_params", "u_eval"),
+    "classifier": ("classify", "emit_regime_table"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(BENCHMARK_NAMES))
+def test_names_the_benchmark_patches_still_resolve(module):
+    """A refactor that renames one of them breaks perfbench, which the suite does not import."""
+    mod = importlib.import_module(f"logriesz.{module}")
+    for name in BENCHMARK_NAMES[module]:
+        assert callable(getattr(mod, name)), f"{module}.{name}"
+    if module == "convolution":
+        assert callable(mod.integrate.quad)
+    if module == "ansatz":
+        assert isinstance(mod.PotentialTable, type) and "__call__" in vars(mod.PotentialTable)
