@@ -3,9 +3,9 @@
 The predictions mirror the sharp two-sided estimates for kernels
 t^(-alpha) log(1+t)^beta against profiles with declared power-log decay
 (A + r)^(-sigma) log(A + r)^kappa.  Convergence is convolution._tail_gap's
-test.  Every threshold compares the declared exponents exactly; an exponent
-derived in rounded arithmetic is put on its threshold where it is derived
-(ansatz._powered_spec).
+test.  Every threshold compares the declared exponents exactly, except that alpha within
+approx_eq of N is N, as KernelParams admits it and classify decides it; an exponent derived
+in rounded arithmetic is put on its threshold where it is derived (ansatz._powered_spec).
 
 lower bounds (valid for r large, shapes in (1 + r)-form)
   * baseline (-alpha, beta) whenever the profile holds positive mass near 0;
@@ -37,7 +37,7 @@ import numpy as np
 
 from .convolution import RadialProfile, _tail_gap, convolve_radial
 from .errors import DegenerateSamples, MissingAsymptoticSpec, OutOfHypothesis
-from .kernel import AsymptoticSpec, KernelParams
+from .kernel import AsymptoticSpec, KernelParams, approx_eq
 
 
 class BoundKind(enum.Enum):
@@ -110,7 +110,7 @@ def _upper_ladder(kernel: KernelParams, sigma: float, kappa: float) -> tuple[Asy
     if gap == 0.0:
         return AsymptoticSpec(0.0, 1.0 + beta + kappa), False
     if sigma < N:
-        return AsymptoticSpec(gap, 1.0 + beta + kappa if alpha == N else beta + kappa), False
+        return AsymptoticSpec(gap, 1.0 + beta + kappa if approx_eq(alpha, N) else beta + kappa), False
     if sigma > N or kappa < -1.0:
         return AsymptoticSpec(-alpha, beta), False
     if kappa > -1.0:

@@ -248,7 +248,7 @@ def _construction(case_id: str, N: int, alpha: float, beta: float, p: float, q: 
         if not lo < hi:
             raise EmptyParameterInterval(f"no admissible gamma in ({lo}, {hi}){hint}")
         return ExistenceCase(case_id, _mid(lo, hi), 0.0, f"gamma in ({lo:.6g}, {hi:.6g}), tau = 0")
-    # cases 2 to 6: tau in (-1, hi)
+    # cases 2 to 6: tau in (-1, hi), empty only from N ~ 2e12 on, where p + q can fall to 1
     if case_id == "2":
         hi, need = (-1.0 - beta) / p - 1.0, "beta + (1+tau)p < -1"
     elif case_id == "3":

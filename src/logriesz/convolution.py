@@ -6,10 +6,11 @@ K(t) = t^(-alpha) log(1+t)^beta reduces to
     (K * f)(r) = |S^(N-2)| * int_0^inf f(s) s^(N-1) * angular(r, s) ds,
     angular(r, s) = int_0^pi K(sqrt(r^2 + s^2 - 2 r s cos(theta))) sin(theta)^(N-2) dtheta,
 
-and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  The outer integral
-is split at {r/2, r, 2r} plus decade marks, and every segment of at most a
-decade that starts above 0 and is not graded at the cusp runs in x = log s,
-where s^mu is the exponential e^((mu+1) x) and one panel reaches roundoff.  It
+and for N = 1 to int_0^inf f(s) [K(|r-s|) + K(r+s)] ds.  One mark rule (_marks) cuts this
+sweep, the layer cake and probes.harnack_mass: 0, the end, the special points inside and a
+ladder below the end; here {r/2, r, 2r} and the decades from max(A, 1)/100.  Every segment of
+at most a decade that starts above 0 and is not graded at the cusp runs in x = log s, where
+s^mu is the exponential e^((mu+1) x) and one panel reaches roundoff.  The integral
 is truncated at TRUNCATION_FACTOR * max(r, A, 1), and completed with an analytic tail
 computed from the profile's declared decay shape, integrated in
 t = log s_max / log s.  Tails matter: on the critical line sigma = N - alpha
@@ -26,10 +27,10 @@ error estimate never claims more than double precision delivers.
 
 The Newtonian potential takes the layer-cake form (N-2) u(r) = r^(2-N) M(r)
 + T(r), with M(r) = int_0^r s^(N-1) f ds and T(r) = int_r^inf s f ds.  One
-sweep integrates both integrands over the segments between every requested
-radius and octave marks, up to s_end = max(TRUNCATION_FACTOR max r,
-POTENTIAL_REACH max(A, 1)).  M is the forward cumulative sum of the segment
-integrals, T the sum from the far end plus one analytic tail past s_end.
+sweep integrates both integrands up to s_end = max(TRUNCATION_FACTOR max r, POTENTIAL_REACH
+max(A, 1)), cut at every requested radius and the octaves (not decades) from max(A, 1)/100.
+M is the forward cumulative sum of the segment integrals, T the sum from the far end plus one
+analytic tail past s_end.
 Both integrands are positive, so every radius keeps the relative accuracy of
 its segments; an octave segment runs in log s, where one G7-K15 panel
 reaches roundoff on a power-log integrand.  A table of 481 radii costs one
@@ -76,7 +77,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,16 +480,13 @@ def _group_sums(v: np.ndarray, marks: Sequence[Sequence[float]]) -> np.ndarray:
     return np.array([v[:, i:j].sum() for i, j in zip([0, *ends], ends)])
 
 
-def _grid_marks(r: float, f: RadialProfile, s_max: float) -> list[float]:
-    marks = {0.0, s_max}
-    for m in (r / 2.0, r, 2.0 * r):
-        if 0.0 < m < s_max:
-            marks.add(m)
-    anchor = max(f.scale, 1.0)
-    m = anchor / 100.0
-    while m < s_max:
-        marks.add(m)
-        m *= 10.0
+def _marks(end: float, start: float, points: Iterable[float] = (), ratio: float = 10.0) -> list[float]:
+    """The marks of an outer sweep over [0, end], sorted: 0 and end, the points strictly inside,
+    and the ladder start ratio^k (start > 0, ratio > 1) below end, each rung the last times ratio."""
+    marks = {0.0, end, *(x for x in points if 0.0 < x < end)}
+    while start < end:
+        marks.add(start)
+        start *= ratio
     return sorted(marks)
 
 
@@ -671,7 +669,7 @@ def convolve_radial(kernel: KernelParams, f: RadialProfile, r) -> ConvolutionRes
     e = N - 1 + beta - alpha
     grading = (max(1, math.ceil(4.0 / (1.0 + e))) if e >= 0.0 else
                next(m for m in (k / (1.0 + e) for k in range(1, 5)) if m.is_integer() or m >= 4.0))
-    marks = [_grid_marks(ri, f, si) for ri, si in zip(flat.tolist(), s_max.tolist())]
+    marks = [_marks(si, max(f.scale, 1.0) / 100.0, (ri / 2.0, ri, 2.0 * ri)) for ri, si in zip(flat.tolist(), s_max.tolist())]
     values, errors, evaluations = _integrate_marks(integrand, marks, cusp=flat, grading=grading)
     total, err = (prefactor * _group_sums(v, marks) for v in (values, errors))
     if not compact:
@@ -710,10 +708,10 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np
 
 
 def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """r^(2-N) M(r) and T(r) at every radius of r (0 for the first at r = 0), with
-    the error bound of their sum, from the one sweep of the module docstring (its octave
-    marks are 2^k max(A, 1)/100, s^(N-1) f weighs 0 past max r, and s_end is the
-    support radius for compact f); returns them with the sweep's evaluations."""
+    """r^(2-N) M(r) and T(r) at every radius of r (0 for the first at r = 0), with the error bound
+    of their sum, from the one sweep of the module docstring (_marks at the radii and the octaves
+    2^k max(A, 1)/100: decades put the bound of a source below the float range past 1e-10; s^(N-1)
+    f weighs 0 past max r; s_end is the support radius for compact f); returns the evaluations too."""
     if N < 3:
         raise InvalidDimension("decaying potentials need N >= 3")
     radii = np.asarray(r, dtype=float)
@@ -727,9 +725,7 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
         raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
     anchor, r_top = max(f.scale, 1.0), radii.max(initial=0.0)
     s_end = float(f.support_radius) if compact else max(TRUNCATION_FACTOR * r_top, POTENTIAL_REACH * anchor)
-
-    octaves = anchor / 100.0 * 2.0 ** np.arange(math.ceil(math.log2(100.0 * s_end / anchor)))
-    marks = np.unique(np.concatenate(([0.0, s_end], octaves[octaves < s_end], radii[radii < s_end])))
+    marks = _marks(s_end, anchor / 100.0, radii.ravel().tolist(), ratio=2.0)
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
         log_f, log_s = f.log_evaluate(s), np.log(s)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import FitResult, fit_asymptotics
 from .classifier import ProblemParams, Side, classify_pplus, combined_mass_clause, thm2_clause, thresholds
-from .convolution import RadialProfile, _integrate_marks, convolve_radial, unit_sphere_area
+from .convolution import RadialProfile, _integrate_marks, _marks, convolve_radial, unit_sphere_area
 from .errors import HypothesisViolated, ParameterError
 from .kernel import AsymptoticSpec, KernelParams, _validate_dimension, _validate_powers, approx_eq
 
@@ -135,7 +135,8 @@ class HarnackMass:
 
 def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMass:
     """Mass of u^p over the ball of radius R and its ratio to R^N, from one sweep of
-    s^(N-1) u^p and (s/R)^(N-1) u^p / R, each one exp of logs that forms no power of R."""
+    s^(N-1) u^p and (s/R)^(N-1) u^p / R, each one exp of logs that forms no power of R,
+    cut by convolution._marks at u's support edge and the decades from 1."""
     _validate_dimension(N)
     if not 0.0 < R < np.inf:
         raise ParameterError("harnack_mass needs finite R > 0")
@@ -145,16 +146,9 @@ def harnack_mass(u: RadialProfile, p: float, R: float, N: int = 3) -> HarnackMas
         log_up, log_s = p * u.log_evaluate(s), np.log(s)
         return np.exp(np.stack((log_up + (N - 1) * log_s, log_up + (N - 1) * (log_s - math.log(R)) - math.log(R))))
 
-    # break at the support edge and decades so every segment is smooth
-    marks = {0.0, R}
-    if u.support_radius is not None and 0.0 < u.support_radius < R:
-        marks.add(u.support_radius)
-    d = 1.0
-    while d < R:
-        marks.add(d)
-        d *= 10.0
-    # a non-finite integrand raises QuadratureFailure
-    segments, _, _ = _integrate_marks(integrand, [sorted(marks)])
+    # the marks keep every segment smooth; a non-finite integrand raises QuadratureFailure
+    edge = () if u.support_radius is None else (u.support_radius,)
+    segments, _, _ = _integrate_marks(integrand, [_marks(R, 1.0, edge)])
     mass, ratio = unit_sphere_area(N) * segments.sum(axis=1)
     return HarnackMass(mass=float(mass), ratio=float(ratio), R=R)
 
@@ -182,8 +176,7 @@ class CertificateSeries:
 
 
 def _theta_or_mid(theta: float | None, lo: float, hi: float, label: str) -> float:
-    if not lo < hi:
-        raise HypothesisViolated(f"empty log-exponent window for {label}")
+    """theta, checked to lie in (lo, hi), or the midpoint: each clause's beta keeps lo < hi."""
     if theta is None:
         return 0.5 * (lo + hi)
     if not (lo < theta < hi):

@@ -1,7 +1,8 @@
 """Exact references for the tests, independent of the package's quadrature.
 
 Test code, so mpmath and Decimal arithmetic may be used here; the package itself depends
-on numpy alone.  Each oracle returns a float.
+on numpy alone.  Each oracle returns a float, except tail_oracle and log_cusp_oracle, which
+return their 30-digit mpf for the tests to compare in mpmath.
 """
 
 from decimal import Decimal, localcontext
@@ -81,3 +82,74 @@ def angular_cos_mpmath(N, alpha, beta, M, rho):
             return mp.exp(log_k(M * mp.sqrt((1 - rho) ** 2 + 2 * rho * (1 - x))) - c + e * mp.log1p(-x * x))
 
         return float(mp.quad(f, mp.linspace(-1, 1, 9)) * mp.exp(c))
+
+
+def ball_riesz_closed_form(alpha, r):
+    """(K * 1_B)(r) in R^3 for K = t^(-alpha), from the N = 3 angular factor
+    ((r+s)^c - |r-s|^c) / (c r s), c = 2 - alpha, in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, r = Decimal(alpha), Decimal(r)
+        c = 2 - a
+
+        def F(x):
+            return x ** (c + 2) / (c + 2)
+
+        def G(x):
+            return x ** (c + 1) / (c + 1)
+
+        near = F(r + 1) - F(r) - r * (G(r + 1) - G(r))
+        if r <= 1:
+            far = r * G(r) - F(r) + F(1 - r) + r * G(1 - r)
+        else:
+            far = r * (G(r) - G(r - 1)) - (F(r) - F(r - 1))
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return float(2 * pi * (near - far) / (c * r))
+
+
+def tail_oracle(N, alpha, beta, sigma, kappa, A, R):
+    """int_R^inf (A+s)^-sigma log(A+s)^kappa s^(N-1) K(s) ds in 30 digits: mpmath in
+    x = log s on [log R, 300], and past x = 300, where A e^-x < 1e-128, the closed form
+    of int x^k e^(gap x) dx, k = beta + kappa, gap = N - alpha - sigma.  mpmath's quad
+    stops on an absolute error, so the head is integrated relative to its value at log R."""
+    gap, k = N - alpha - sigma, mp.mpf(beta) + kappa
+    with mp.workdps(30):
+        def g(x):
+            a, b = mp.log1p(A * mp.exp(-x)), mp.log1p(mp.exp(-x))
+            return mp.exp(gap * x - sigma * a) * (x + a) ** kappa * (x + b) ** beta
+        L = mp.log(R)
+        breaks = [L + 2 ** j - 1 for j in range(9) if L + 2 ** j - 1 < 300] + [300]
+        scale = g(L)
+        head = scale * mp.quad(lambda x: g(x) / scale, breaks)
+        if gap == 0.0:
+            return head + mp.mpf(300) ** (k + 1) / -(k + 1)
+        return head + mp.gammainc(k + 1, -gap * 300) / mp.mpf(-gap) ** (k + 1)
+
+
+def log_cusp_oracle(r):
+    """(K * 1_B)(r) for K(t) = t^-2 in R^3 and the unit ball B, in 30 digits: the
+    closed form 2 pi [1 + (1 - r^2)/(2r) log|(1+r)/(1-r)|], which cancels in floats
+    for r >> 1."""
+    with mp.workdps(30):
+        r = mp.mpf(r)
+        return 2 * mp.pi * (1 + (1 - r * r) / (2 * r) * mp.log(abs((1 + r) / (1 - r))))
+
+
+def case2_potential(r: float) -> float:
+    """u(r) for (N, gamma, tau, A) = (3, 3, -0.875, 10) by mpmath at 30 digits:
+    u = M/r + T with T = int_(log w(r))^inf e^-x x^tau dx (x = log w, s ds = w dw)
+    and M = int_0^r s^2 v ds, in x = log s past s = 1."""
+    with mp.workdps(30):
+        A, tau = mp.mpf(10), mp.mpf(-0.875)
+        total = mp.quad(lambda x: mp.exp(-x) * x ** tau, [mp.log(mp.sqrt(A + mp.mpf(r) ** 2)), mp.inf])
+        if r == 0.0:
+            return float(total)
+
+        def shell(s):
+            w = mp.sqrt(A + s * s)
+            return s * s * w ** -3 * mp.log(w) ** tau
+
+        mass = mp.quad(shell, [0, min(mp.mpf(r), 1)])
+        if r > 1.0:
+            mass += mp.quad(lambda x: mp.exp(x) * shell(mp.exp(x)), mp.linspace(0, mp.log(r), 60))
+        return float(mass / r + total)

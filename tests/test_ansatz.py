@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-import mpmath as mp
 from scipy import integrate, optimize
 
 from logriesz import (
@@ -47,6 +46,8 @@ from logriesz import (
 )
 from logriesz import ansatz, convolution
 from logriesz.ansatz import _powered_spec
+from logriesz.classifier import thresholds
+from oracles import case2_potential
 
 
 class TestAnsatzParams:
@@ -613,26 +614,6 @@ def test_potential_table_reads_the_layer_cake(params, most):
     assert relerr <= table.error_estimate <= most
 
 
-def _case2_potential(r: float) -> float:
-    """u(r) for (N, gamma, tau, A) = (3, 3, -0.875, 10) by mpmath at 30 digits:
-    u = M/r + T with T = int_(log w(r))^inf e^-x x^tau dx (x = log w, s ds = w dw)
-    and M = int_0^r s^2 v ds, in x = log s past s = 1."""
-    with mp.workdps(30):
-        A, tau = mp.mpf(10), mp.mpf(-0.875)
-        total = mp.quad(lambda x: mp.exp(-x) * x ** tau, [mp.log(mp.sqrt(A + mp.mpf(r) ** 2)), mp.inf])
-        if r == 0.0:
-            return float(total)
-
-        def shell(s):
-            w = mp.sqrt(A + s * s)
-            return s * s * w ** -3 * mp.log(w) ** tau
-
-        mass = mp.quad(shell, [0, min(mp.mpf(r), 1)])
-        if r > 1.0:
-            mass += mp.quad(lambda x: mp.exp(x) * shell(mp.exp(x)), mp.linspace(0, mp.log(r), 60))
-        return float(mass / r + total)
-
-
 def test_potential_table_reaches_past_the_source_float_range():
     """Case 2's source v = w^-3 log(w)^-0.875 is subnormal from s ~ 6e106 and 0.0 from
     1.5e107; read in logs, the table to r_max = 4e126 builds, and its error_estimate
@@ -640,7 +621,7 @@ def test_potential_table_reaches_past_the_source_float_range():
     table = PotentialTable(AnsatzParams(3, 3.0, -0.875, 10.0), 4e126)
     assert table.error_estimate <= 1e-5
     for r in (0.0, 1.0, 1e5, 1e40, 1e107, 4e126):
-        exact = _case2_potential(r)
+        exact = case2_potential(r)
         assert abs(table(r) / exact - 1.0) <= table.error_estimate, r
 
 
@@ -864,6 +845,15 @@ class TestChooseCaseParams:
         # N = 2 passes the kernel check, so the constructions refuse it themselves
         with pytest.raises(InvalidDimension, match="N >= 3"):
             choose_case_params("1b", 2, 1.0, 0.0, 4.0, 3.0)
+
+    def test_empty_tau_interval_is_refused_in_astronomical_dimension(self):
+        """From N ~ 2e12 on, p and q within 1e-12 of t1 and tN can sum to below 1, and case 5's
+        tau interval (-1, hi) is empty: the refusal is reachable, so it stays."""
+        N = 10 ** 13
+        alpha = N * (1.0 - 1.1e-12)
+        t1, tn, _ = thresholds(N, alpha)
+        with pytest.raises(EmptyParameterInterval, match="no tau"):
+            choose_case_params("5", N, alpha, -2.5, t1 - 0.99e-12, tn * (1.0 - 0.99e-12))
 
     def test_case_three_below_q_one(self):
         """q = t1 = 0.75 < 1: since beta < -1, every tau in (-1, 1) has tau > beta + (1+tau)q."""

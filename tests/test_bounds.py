@@ -125,6 +125,15 @@ class TestUpperBoundPrediction:
         assert upper_bound_prediction(k, power_profile(2.0, 0.0)).spec == AsymptoticSpec(-2.0, 1.5)
         assert upper_bound_prediction(k, power_profile(4.0, 0.0)).spec == AsymptoticSpec(-3.0, 0.5)
 
+    @pytest.mark.parametrize("alpha", [2.9999999999999996, 3.0000000000000004])
+    def test_alpha_one_ulp_from_n_is_alpha_equal_n(self, alpha):
+        """KernelParams admits alpha within approx_eq of N and classify decides it as N, so the
+        envelope for N - alpha < sigma < N carries alpha = N's diagonal log: 1 + beta + kappa."""
+        f = power_profile(2.5, 0.0, A=10.0)
+        at_n = upper_bound_prediction(KernelParams(3, 3.0, 1.0), f).spec
+        assert at_n.logpower == 2.0
+        assert upper_bound_prediction(KernelParams(3, alpha, 1.0), f).spec.logpower == at_n.logpower
+
     def test_out_of_hypothesis_cases(self):
         with pytest.raises(OutOfHypothesis):
             upper_bound_prediction(K310, power_profile(1.5, 0.0))
@@ -147,7 +156,8 @@ class TestUpperBoundPrediction:
 
 
 def _expected_upper(N, alpha, beta, sigma, kappa):
-    """Independent transcription of the published envelope case table."""
+    """Independent transcription of the published envelope case table; alpha within
+    1e-12 of N is N, as KernelParams admits it."""
     if sigma < N - alpha:
         return None
     if sigma == N - alpha:
@@ -155,7 +165,7 @@ def _expected_upper(N, alpha, beta, sigma, kappa):
             return (0.0, 1.0 + beta + kappa, False)
         return None
     top = -alpha if alpha < N else -N
-    if alpha == N and sigma < N:
+    if math.isclose(alpha, N, rel_tol=1e-12, abs_tol=1e-12) and sigma < N:
         return (-sigma, 1.0 + beta + kappa, False)
     if alpha < N and sigma < N:
         return (N - alpha - sigma, beta + kappa, False)

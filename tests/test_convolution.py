@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +33,8 @@ from logriesz import (
 from logriesz import cli, convolution
 from logriesz.convolution import _Offsets
 from logriesz.errors import NonpositiveRadius
-from oracles import angular_closed_form, angular_cos_mpmath, angular_mpmath, angular_power_closed_form
+from oracles import (angular_closed_form, angular_cos_mpmath, angular_mpmath, angular_power_closed_form,
+                     ball_riesz_closed_form, log_cusp_oracle, tail_oracle)
 
 NEWTONIAN = KernelParams(3, 1.0, 0.0)
 
@@ -345,29 +345,6 @@ def test_far_field_weights_sum_to_the_colatitude_total(N):
     assert math.isclose(colatitude_total(N) * w.sum(), exact, rel_tol=1e-14)
 
 
-def _ball_riesz_closed_form(alpha, r):
-    """(K * 1_B)(r) in R^3 for K = t^(-alpha), from the N = 3 angular factor
-    ((r+s)^c - |r-s|^c) / (c r s), c = 2 - alpha, in 60-digit arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        a, r = Decimal(alpha), Decimal(r)
-        c = 2 - a
-
-        def F(x):
-            return x ** (c + 2) / (c + 2)
-
-        def G(x):
-            return x ** (c + 1) / (c + 1)
-
-        near = F(r + 1) - F(r) - r * (G(r + 1) - G(r))
-        if r <= 1:
-            far = r * G(r) - F(r) + F(1 - r) + r * G(1 - r)
-        else:
-            far = r * (G(r) - G(r - 1)) - (F(r) - F(r - 1))
-        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-        return float(2 * pi * (near - far) / (c * r))
-
-
 def test_error_estimate_covers_closed_form():
     """|value - exact| <= error_estimate on the unit ball, up to alpha = 2.999.
 
@@ -380,7 +357,7 @@ def test_error_estimate_covers_closed_form():
         k = KernelParams(3, alpha, 0.0)
         for r in (0.01, 0.3, 0.5, 0.999, 1.0, 1.5, 7.0, 1e3):
             res = convolve_radial(k, f, r)
-            exact = _ball_riesz_closed_form(alpha, r)
+            exact = ball_riesz_closed_form(alpha, r)
             assert abs(res.value - exact) <= res.error_estimate, (alpha, r, res, exact)
             assert res.error_estimate <= 1e-8 * exact
 
@@ -701,9 +678,21 @@ def test_power_law_mass_converges_in_one_round(N):
     f = power_profile(sigma, 0.0, A)
     res = convolve_radial(KernelParams(N, 0.0, 0.0), f, r)
     exact = unit_sphere_area(N) * A ** (N - sigma) * math.gamma(N) * math.gamma(sigma - N) / math.gamma(sigma)
-    segments = len(convolution._grid_marks(r, f, convolution.TRUNCATION_FACTOR * A)) - 1
+    segments = len(convolution._marks(convolution.TRUNCATION_FACTOR * A, A / 100.0, (r / 2.0, r, 2.0 * r))) - 1
     assert res.evaluations == 15 * segments
     assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_marks_are_the_ends_the_inner_points_and_a_ladder_below_the_end():
+    """Every outer sweep cuts [0, end] at 0 and end, at the given points strictly inside
+    (duplicates merged), and at start ratio^k below end: decades for convolve_radial and
+    harnack_mass, octaves for the layer cake."""
+    marks = convolution._marks
+    assert marks(2.0, 5.0) == marks(2.0, 2.0) == marks(2.0, 5.0, (3.0, -1.0)) == [0.0, 2.0]
+    assert marks(50.0, 0.5, (-1.0, 0.0, 3.0, 3.0, 5.0, 50.0, 70.0)) == [0.0, 0.5, 3.0, 5.0, 50.0]
+    assert marks(1e3, 1.0, (7.0,)) == [0.0, 1.0, 7.0, 10.0, 100.0, 1e3]
+    assert marks(5.0, 0.5, (0.75,), ratio=2.0) == [0.0, 0.5, 0.75, 1.0, 2.0, 4.0, 5.0]
+    assert marks(4.0, 0.5, ratio=2.0) == [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
 def test_segment_wider_than_a_decade_keeps_its_mass():
@@ -749,25 +738,6 @@ def test_newtonian_oracle_on_the_critical_line(kappa):
     assert math.isclose(newtonian_potential_radial(3, power_profile(2.0, kappa), 0.0), float(exact), rel_tol=1e-10)
 
 
-def _tail_oracle(N, alpha, beta, sigma, kappa, A, R):
-    """int_R^inf (A+s)^-sigma log(A+s)^kappa s^(N-1) K(s) ds in 30 digits: mpmath in
-    x = log s on [log R, 300], and past x = 300, where A e^-x < 1e-128, the closed form
-    of int x^k e^(gap x) dx, k = beta + kappa, gap = N - alpha - sigma.  mpmath's quad
-    stops on an absolute error, so the head is integrated relative to its value at log R."""
-    gap, k = N - alpha - sigma, mp.mpf(beta) + kappa
-    with mp.workdps(30):
-        def g(x):
-            a, b = mp.log1p(A * mp.exp(-x)), mp.log1p(mp.exp(-x))
-            return mp.exp(gap * x - sigma * a) * (x + a) ** kappa * (x + b) ** beta
-        L = mp.log(R)
-        breaks = [L + 2 ** j - 1 for j in range(9) if L + 2 ** j - 1 < 300] + [300]
-        scale = g(L)
-        head = scale * mp.quad(lambda x: g(x) / scale, breaks)
-        if gap == 0.0:
-            return head + mp.mpf(300) ** (k + 1) / -(k + 1)
-        return head + mp.gammainc(k + 1, -gap * 300) / mp.mpf(-gap) ** (k + 1)
-
-
 @pytest.mark.parametrize("N, alpha, beta, sigma, kappa, A, R", [
     # critical line sigma = N - alpha, 1 + beta + kappa in {-0.005, -0.3, -1}
     (3, 1.0, 0.0, 2.0, -1.005, 10.0, 1e4),
@@ -792,7 +762,7 @@ def _tail_oracle(N, alpha, beta, sigma, kappa, A, R):
 ])
 def test_tail_integral_matches_mpmath(N, alpha, beta, sigma, kappa, A, R):
     value, estimate = convolution._tail_integral_1d(KernelParams(N, alpha, beta), sigma, kappa, A, R)
-    exact = _tail_oracle(N, alpha, beta, sigma, kappa, A, R)
+    exact = tail_oracle(N, alpha, beta, sigma, kappa, A, R)
     error = abs(float((value - exact) / exact))
     assert error <= 1e-12, error
     assert error * value <= estimate + 1e-13 * value, (error, estimate / value)
@@ -849,22 +819,13 @@ def test_graded_cusp_offsets_stay_on_the_sweep(monkeypatch):
     assert res.evaluations % 15 == 0, res.evaluations
 
 
-def _log_cusp_oracle(r):
-    """(K * 1_B)(r) for K(t) = t^-2 in R^3 and the unit ball B, in 30 digits: the
-    closed form 2 pi [1 + (1 - r^2)/(2r) log|(1+r)/(1-r)|], which cancels in floats
-    for r >> 1."""
-    with mp.workdps(30):
-        r = mp.mpf(r)
-        return 2 * mp.pi * (1 + (1 - r * r) / (2 * r) * mp.log(abs((1 + r) / (1 - r))))
-
-
 def test_log_cusp_oracle_matches_its_integral():
     """The closed form equals 2 pi int_0^1 (s/r) log((r+s)/|r-s|) ds, the radial
     reduction of int_B |x - y|^-2 dy."""
     with mp.workdps(30):
         for r in (mp.mpf("0.3"), mp.mpf(2)):
             direct = 2 * mp.pi * mp.quad(lambda s: s / r * mp.log((r + s) / abs(r - s)), [0, min(r, 1), 1])
-            assert abs(direct / _log_cusp_oracle(r) - 1) < mp.mpf(10) ** -25
+            assert abs(direct / log_cusp_oracle(r) - 1) < mp.mpf(10) ** -25
 
 
 @pytest.mark.parametrize("r", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1.01, 2.0, 10.0])
@@ -874,7 +835,7 @@ def test_log_cusp_is_graded_by_its_exponent(r):
     chain towards the cusp: inside the ball, where the cusp carries mass, it stays
     under 300 evaluations (617-647 with the u^2 grading, which leaves u log u)."""
     res = convolve_radial(KernelParams(3, 2.0, 0.0), ball_profile(1.0), r)
-    exact = _log_cusp_oracle(r)
+    exact = log_cusp_oracle(r)
     error = abs(float(res.value - exact))
     assert error <= 1e-10 * float(exact)
     assert error <= res.error_estimate
