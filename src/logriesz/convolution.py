@@ -44,15 +44,19 @@ where its product with s^(N-1) does not.
 angular_factor serves the far field, min(r, s) < max(r, s)/4, on one 16-point Gauss-Gegenbauer
 panel in cos(theta) where the kernel is smooth enough (_angular).  Elsewhere it integrates in the
 distance t = |x - y| (Funk-Hecke): angular(r, s) = (r s)^-1 int_{|s-r|}^{r+s} K(t) t
-sin(theta)^(N-3) dt.  At N = 3 the weight is 1, so off the diagonal angular = [G(r+s) - G(|r-s|)]
-/ (r s) with G' = t K(t): each call builds G once on a half-octave lattice in log t, summed from
-the cell where t^2 K is least, and reads it at every node it serves with one 8-point panel
-(_angular_table).  It serves a node where t^2 K varies by at most _LOG_SPREAD / 2 e-folds per
-cell and the difference keeps its digits to _TABLE_ERR.  The other nodes, the diagonal s == r
-and every N != 3 take 16-point Gauss-Legendre panels, geometric from |s - r| up to max(r, s)
-(at least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs), with the endpoint
-factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made smooth by t = endpoint -+ h u^2;
-the panels of all s form one ragged batch.
+sin(theta)^(N-3) dt.  At N = 3 the weight is 1, so off the diagonal angular = [G_1(r+s) -
+G_1(|r-s|)] / (r s) with G_k' = t^k K(t); at N = 5 it is a polynomial in t^2, and angular is
+[-dG_5 + (d^2 + D^2) dG_3 - d^2 D^2 dG_1] / (4 r^3 s^3), d = |r-s|, D = r+s, dG_k = G_k(D) -
+G_k(d).  Each call builds these moments once on one half-octave lattice in log t, each summed from
+the node where its integrand is least, and reads them at every node it serves with one panel of 4
+points where the slope of log t^(k+1) K keeps a half cell within 0.2 e-folds, 8 elsewhere
+(_angular_table).  It serves a node where each moment's integrand varies by at most
+_LOG_SPREAD / 2 e-folds per cell and the sum keeps its digits to _TABLE_ERR, and only a slice of
+at least _TABLE_NODES such nodes whose lattice holds no more cells than it has nodes.  The other
+nodes, the diagonal s == r and every other N take 16-point Gauss-Legendre panels, geometric from
+|s - r| up to max(r, s) (at least (N-3)/8 panels on either side of it, as sin(theta)^(N-3) needs),
+with the endpoint factors (t - |s-r|)^((N-3)/2) and (r + s - t)^((N-3)/2) made smooth by
+t = endpoint -+ h u^2; the panels of all s form one ragged batch.
 
 The cusp at s = r: there the t-integrand behaves like t^(N-2+beta-alpha), so
 angular(r, r) is finite only when beta > alpha - N + 1 (angular_factor
@@ -219,11 +223,16 @@ _FAR_RHO = 0.25  # min(r, s)/max(r, s) below which _angular's far-field panel ma
 # Outer nodes per _angular slice: at 1.5-3 panels of 16 nodes each, its work arrays stay
 # near 1 MB.  Unsliced rounds of 10^4 nodes took 1.7-1.9 times as long (2 MiB L2 Xeon).
 _ANGULAR_BATCH = 2000
-# _angular_table: its lattice step in x = log t (half an octave), its 8-point read panel, and the
-# bound on its estimated rounding error (which keeps |log t| below 450, where e^x is a normal float)
+# _angular_table: its lattice step in x = log t (half an octave), its 8- and 4-point read panels, and
+# the bound on its estimated rounding error (which keeps |log t| below 450, where e^x is a normal float)
 _CELL = math.log(2.0) / 2.0
 _GL8_U, _GL8_W = _jacobi_rule(0.0, 0.0, 8)
+_GL4_U, _GL4_W = _jacobi_rule(0.0, 0.0, 4)
 _TABLE_ERR = 1e-13
+# The fewest near nodes a slice hands to _angular_table: below it the table's fixed cost, some 60 numpy
+# calls on the lattice and the nodes, exceeds the chain's (on a 2-core Xeon VM they break even near 120
+# nodes at N = 3 and 200 at N = 5; certify's slices hold 500 to 2000, the convolve workload's about 60)
+_TABLE_NODES = 160
 
 
 class _Offsets(NamedTuple):
@@ -270,9 +279,12 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     at most 2, so no r s is formed to under- or overflow.  At s == r the geometric panels start at
     min(r, 1) and _angular_origin_panel adds the rest.  Each node value K(t) (t/M) sin(theta)^(N-3)
     is one exp of logs: next to the cusp K alone may overflow where the product does not.
-    At N = 3, _angular_table serves the near nodes off the diagonal first, from one table of
-    G(t) = int t K dt per slice, and the chain takes the nodes it refuses.  Larger batches than
-    _ANGULAR_BATCH nodes run in slices of that size.
+    At N = 3 and 5, _angular_table serves the near nodes off the diagonal first, from one table of
+    the moments G_k(t) = int t^k K dt per slice, and the chain takes the nodes it refuses.  A slice
+    goes to the chain whole where the table would cost more than the chain it spares: with fewer
+    than _TABLE_NODES such nodes, or a lattice of more cells (from its least log |s - r| to its
+    largest log (r + s)) than nodes.  Larger batches than _ANGULAR_BATCH nodes run in slices of
+    that size.
     """
     if len(s) > _ANGULAR_BATCH:
         return np.concatenate([_angular(N, *(v[i:i + _ANGULAR_BATCH] for v in (r, s, delta)), alpha, beta)
@@ -289,13 +301,15 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     if far.all():
         return out
     near = ~far
-    if N == 3:
-        index = np.flatnonzero(near)
-        served, values = _angular_table(r[index], s[index], delta[index], alpha, beta)
-        out[index[served]] = values
-        near[index[served]] = False
-        if not near.any():
-            return out
+    if N in (3, 5) and len(index := np.flatnonzero(near & (delta != 0.0))) >= _TABLE_NODES:
+        # no table whose lattice would hold more cells than it has nodes to serve
+        d_min, D_max = float(np.abs(delta[index]).min()), float((r[index] + s[index]).max())
+        if round(math.log(D_max) / _CELL) - round(math.log(d_min) / _CELL) <= len(index):
+            served, values = _angular_table(N, r[index], s[index], delta[index], alpha, beta)
+            out[index[served]] = values
+            near[index[served]] = False
+            if not near.any():
+                return out
     r, s, delta, m, M = r[near], s[near], delta[near], m[near], M[near]
     d, D = np.abs(delta), r + s
     diagonal = d == 0.0
@@ -340,66 +354,145 @@ def _angular(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: flo
     return out
 
 
-def _angular_table(r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: float,
+def _angular_table(N: int, r: np.ndarray, s: np.ndarray, delta: np.ndarray, alpha: float,
                    beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """angular(r, s) at N = 3 for the nodes the table serves: (served, their values).
+    """angular(r, s) at N = 3 or 5 for the nodes the table serves: (served, their values).
 
-    angular = [G(D) - G(d)] / (r s) with G' = t K(t), d = |delta|, D = r + s; in x = log t,
-    dG/dx = t^2 K.  The lattice x_j = j _CELL runs from the nearest node of the least log d to
-    that of the largest log D, with one 16-point Gauss-Legendre panel per cell.  G is 0 at the
-    cell where t^2 K is least and summed outward from it in logs, so on either side each sum
-    starts where t^2 K is least.  G(t) is G at the nearest lattice node plus one 8-point panel
-    over at most half a cell, and the four signed terms of G(D) - G(d), scaled by the largest,
-    are summed once: no r s, t^2 K or G is formed outside the float range.
+    With d = |delta|, D = r + s and G_k' = t^k K, dG_k = G_k(D) - G_k(d): at N = 3 angular =
+    dG_1 / (r s), and at N = 5, where sin(theta)^2 = (t^2 - d^2)(D^2 - t^2) / (4 r^2 s^2),
+    angular = [-dG_5 + (d^2 + D^2) dG_3 - d^2 D^2 dG_1] / (4 r^3 s^3).  In x = log t, dG_k/dx =
+    t^(k+1) K, and the moments share every kernel node: t^4 K and t^6 K are t^2 K times e^(2x) and
+    e^(4x).  The lattice x_j = j _CELL runs from the nearest node of the least log d to that of the
+    largest log D, with one Gauss-Legendre panel per cell.  Each G_k is 0 at the lattice node where
+    t^(k+1) K is least and summed outward from it, so on either side each sum starts where its
+    integrand is least.  G_k(t) is G_k at the nearest lattice node plus one panel over at most half a
+    cell.  The slope (k+1-alpha) + beta phi(t) of log(t^(k+1) K) in x, 0 < phi <= 1, makes that span
+    at most c = max(|k+1-alpha|, |k+1-alpha+beta|) _CELL / 2 e-folds, and a cell 2 c; each panel
+    takes the points _panel_rule gives for its span: 4 for a read where c <= 0.2 (they integrate
+    e^(c u) over [0, 1] to 5.6e-10 c^8, 1.4e-15 there), 8 elsewhere, and 8 or 16 for a cell.
 
-    A node is served where t^(2-alpha) log(1+t)^|beta| varies by at most _LOG_SPREAD / 2
-    e-folds per cell from half a cell below d on (an 8-point panel then sees at most 3, and
-    integrates e^(3 u) over [0, 1] to 6e-16), and where the rounding estimate
-    eps (P / (G(D) - G(d)) (|log P| + 1) + |log d| + |log D|), P the sum of the positive terms,
-    is at most _TABLE_ERR.  That refuses the ends of the float range, where log t itself rounds
-    by more, and a node past the peak of a t^2 K that rises from the anchor and falls again.
+    Every panel and G_k is held as a ratio to t^(k+1) K at a lattice node t_j: inside a panel that is
+    (t / t_j)^(k+1-alpha) (log(1+t) / log(1+t_j))^beta, an exp of small numbers, and G_k(t_j) /
+    t_j^(k+1) K follow from the steps G_k(t_(j+1)) = G_k(t_j) + cell_j as one linear recurrence
+    (_affine_scan).  A node's terms are taken over the top moment's t^(k+1) K at the lattice node of
+    its log D, the d side's offset formed from lattice steps.  So the cancellation of the moments
+    (about 1.4 digits at N = 5) multiplies eps times these small logs, not eps |log t^6 K|, no r s,
+    t^(k+1) K or G_k itself is formed, and a term past the float range refuses its node.
+
+    A node is served where t^a log(1+t)^|beta|, a the largest |k+1-alpha| of the moments, varies by
+    at most _LOG_SPREAD / 2 e-folds per cell from half a cell below d on (an 8-point panel then sees
+    at most 3, and integrates e^(3 u) over [0, 1] to 6e-16), and where the rounding estimate is at
+    most _TABLE_ERR: eps times the sum over the terms of |term| (|log of its scale| + 1), with the
+    scan's (2 n + 3) eps_long / eps more on each G_k term of a lattice of n cells (_affine_scan), over
+    |their sum|, plus eps (|log angular - log sum| + |log d| + |log D|).  That refuses the ends
+    of the float range, where log t itself rounds by more, and a node past the peak of a t^2 K that
+    rises from the anchor and falls again.
     """
-    def log_weight(x, a, b):
-        # a x + b log log(1 + e^x), the log of t^2 K at a = 2 - alpha, b = beta
-        return a * x + b * np.log(np.log1p(np.exp(x))) if b else a * x
-
-    def log_panel(x0, span, u, w):
-        # log |int t^2 K dx| over [x0, x0 + span] on the rule (u, w), shifted by each panel's largest value
-        v = log_weight(x0 + span * u[:, None], 2.0 - alpha, beta)
-        top = v.max(axis=0)
-        return top + np.log(np.abs(span) * (w @ np.exp(v - top)))
+    # the moments k = 1 (N = 3), or 1, 3 and 5 (N = 5), by the slopes k + 1 - alpha of log t^(k+1) K
+    slope_list = [k + 1.0 - alpha for k in ((1,) if N == 3 else (1, 3, 5))]
+    slopes, m, top = np.array(slope_list), len(slope_list), slope_list[-1]
 
     served, d, D = np.zeros(len(s), dtype=bool), np.abs(delta), r + s
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_d, x_D = np.log(d), np.log(D)
         candidate = _EPS * (np.abs(x_d) + np.abs(x_D)) <= _TABLE_ERR
         # log log(1+t) rises by less than one per unit of x: below this bound every cell passes
-        a, b = abs(2.0 - alpha), abs(beta)
+        a, b = max(map(abs, slope_list)), abs(beta)
         if (a + b) * _CELL > _LOG_SPREAD / 2.0:
-            candidate &= log_weight(x_d + 0.5 * _CELL, a, b) - log_weight(x_d - 0.5 * _CELL, a, b) <= _LOG_SPREAD / 2.0
+            rise = np.log(np.log1p(np.exp(x_d + 0.5 * _CELL)) / np.log1p(np.exp(x_d - 0.5 * _CELL)))
+            candidate &= a * _CELL + b * rise <= _LOG_SPREAD / 2.0
         if not candidate.any():
             return served, np.empty(0)
-        x, r, s = np.concatenate((x_D[candidate], x_d[candidate])), r[candidate], s[candidate]
-        n, k = len(r), np.rint(x / _CELL)
+        x_d, x_D, r, s, D = x_d[candidate], x_D[candidate], r[candidate], s[candidate], D[candidate]
+        x, n = np.concatenate((x_D, x_d)), len(r)
+        k = np.rint(x / _CELL)
         j0 = k[n:].min()
-        # log |G| at the lattice nodes, G = 0 at the least cell's left node
-        log_cell = log_panel(_CELL * (j0 + np.arange(max(k[:n].max() - j0, 1.0))), _CELL, _GL_U, _GL_W)
-        anchor = int(np.argmin(log_cell))
-        log_g = np.concatenate((np.logaddexp.accumulate(log_cell[:anchor][::-1])[::-1], [-math.inf],
-                                np.logaddexp.accumulate(log_cell[anchor:])))
-        sign_g = np.where(np.arange(len(log_g)) < anchor, -1.0, 1.0)
-        # the four signed terms of G(D) - G(d), by row: G at the nearest lattice node of log D and of
-        # log d, and the panels from there to log D and to log d
-        j, span = (k - j0).astype(np.int64), x - _CELL * k
-        logs = np.concatenate((log_g[j], log_panel(_CELL * k, span, _GL8_U, _GL8_W))).reshape(4, n)
-        signs = np.concatenate((sign_g[j], np.sign(span))).reshape(4, n) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        top = logs.max(axis=0)
-        terms = signs * np.exp(logs - top)
-        diff, positive = terms.sum(axis=0), np.maximum(terms, 0.0).sum(axis=0)
-        error = _EPS * (positive / diff * (np.abs(top) + 1.0) + np.abs(x).reshape(2, n).sum(axis=0))
+        z = _CELL * (j0 + np.arange(max(k[:n].max() - j0, 1.0) + 1.0))
+        t_z = np.exp(z)
+        log_l = np.log(l_z := np.log1p(t_z))
+        # log t^(k+1) K rises by at most c e-folds over a read, 2 c over a cell
+        c = max(max(abs(q), abs(q + beta)) for q in slope_list) * _CELL / 2.0
+        # per moment and cell: its integral over t^(k+1) K at its left node, and the step from that
+        # value to the one at its right node
+        step = np.exp(slopes[:, None] * -_CELL - beta * np.log(l_z[1:] / l_z[:-1]))
+        cell = np.broadcast_to(_moment_panels(slopes, beta, t_z[:-1], l_z[:-1], _CELL, *_panel_rule(2.0 * c)),
+                               step.shape)
+        # g = G_k / t^(k+1) K at the lattice nodes, 0 at the anchor, the node where t^(k+1) K is least:
+        # above it g_(j+1) = (g_j + cell_j) step_j, below it -g_j = -g_(j+1) / step_j + cell_j
+        g, step, cell = np.zeros((m, len(z))), step.astype(np.longdouble), cell.astype(np.longdouble)
+        for i, anchor in enumerate(np.argmin(slopes[:, None] * z + beta * log_l, axis=1).tolist()):
+            if anchor < len(z) - 1:
+                g[i, anchor + 1:] = _affine_scan(step[i, anchor:], cell[i, anchor:] * step[i, anchor:])
+            if anchor:
+                g[i, :anchor] = -_affine_scan(1.0 / step[i, anchor - 1::-1], cell[i, anchor - 1::-1])[::-1]
+        # the scan's bound on the relative rounding of each g before it is rounded to a float, in eps
+        scan = (2.0 * len(z) + 3.0) * _EPS_LONG / _EPS
+        # by column (log D, then log d): G_k over t^(k+1) K at the nearest lattice node, and the panel
+        # from there
+        j = (k - j0).astype(np.int64)
+        span = x - z[j]
+        lattice, read = g[:, j], _moment_panels(slopes, beta, t_z[j], l_z[j], span, *_panel_rule(c))
+        # the terms over the top moment's t^(k+1) K at the lattice node of log D: the d side's log offset
+        # from it is formed from lattice steps, and G_k(d) takes a minus sign
+        jD, jd = j[:n], j[n:]
+        if N == 3:
+            scale, sign = np.zeros((1, 2 * n)), 1.0
+        else:
+            # the coefficients -d^2 D^2, d^2 + D^2 and -1 of dG_1, dG_3 and dG_5, times t^(k-5) at the node
+            lq_d, lq_D = np.concatenate((x_d, x_d)) - z[j], np.concatenate((x_D, x_D)) - z[j]
+            scale = np.stack((2.0 * (lq_d + lq_D), np.logaddexp(2.0 * lq_d, 2.0 * lq_D), np.zeros(2 * n)))
+            sign = np.array([[-1.0], [1.0], [-1.0]])
+        scale[:, n:] += top * _CELL * (jd - jD) + beta * np.log(l_z[jd] / l_z[jD])
+        size = np.exp(scale)
+        diff = ((lattice + read) * size * sign).sum(axis=0)
+        roundings = (np.abs(lattice) + np.abs(read)) * (np.abs(scale) + 1.0) + scan * np.abs(lattice)
+        rounding = (roundings * size).sum(axis=0)
+        diff, rounding = diff[:n] - diff[n:], rounding[:n] + rounding[n:]
+        # that reference over (r s)^(N-2) 4^((N-3)/2), with top x_D - (N-2) log(r s) = (N-2) log(D^2 / (r s))
+        # - alpha x_D formed from small numbers
+        exponent = (beta * log_l[jD] - top * span[:n] - alpha * x_D + (N - 2.0) * np.log(D / r * (D / s))
+                    - (N - 3) * math.log(2.0))
+        error = _EPS * (rounding / diff + np.abs(exponent) + np.abs(x_d) + np.abs(x_D))
     ok = (diff > 0.0) & (error <= _TABLE_ERR)
     served[np.flatnonzero(candidate)[ok]] = True
-    return served, np.exp(top[ok] + np.log(diff[ok]) - np.log(r[ok]) - np.log(s[ok]))
+    return served, np.exp(exponent[ok] + np.log(diff[ok]))
+
+
+def _moment_panels(slopes: np.ndarray, beta: float, t0: np.ndarray, l0: np.ndarray, span: np.ndarray | float,
+                   u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per moment and column, int t^(k+1) K dx over [log t0, log t0 + span] over t^(k+1) K at t0, for
+    the slopes k + 1 - alpha and l0 = log(1 + t0), on the rule (u, w): one kernel node per point and
+    column, which every moment shares."""
+    h = span * u[:, None]
+    v = slopes[:, None, None] * h
+    if beta:
+        v = v + beta * np.log(np.log1p(t0 * np.exp(h)) / l0)
+    return span * (w @ np.exp(v))
+
+
+def _panel_rule(c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule for a panel over which the log of its integrand spans at most c e-folds:
+    4 points integrate e^(c u) over [0, 1] to 1.6e-15 up to c = 0.2, 8 to roundoff up to c = 3 (and
+    to 1.6e-11 at 6, the most a table cell spans), 16 beyond."""
+    return (_GL4_U, _GL4_W) if c <= 0.2 else (_GL8_U, _GL8_W) if c <= 3.0 else (_GL_U, _GL_W)
+
+
+def _affine_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y_1 .. y_n of y_(j+1) = a_j y_j + b_j from y_0 = 0, for 1-d a, b >= 0: each within
+    (2 n + 3) eps_long relative of its value to first order, then rounded to a float once.
+
+    By blocks of 100, y = P (y_in + cumsum(b / P)) with P the running product of a over the block
+    and y_in the last block's end; 100 cells of at most _LOG_SPREAD / 2 e-folds each keep P within
+    1e+-261.  The ratio of two running products P_j / P_i is j - i roundings from the product it
+    stands for, and b_i / P_i meets as many additions in the cumsum, so b_i reaches y_j with at most
+    2 (j - i) + 3 roundings, in np.longdouble (eps_long = 1.1e-19 on x86, where 2 n + 3 of them
+    stay below eps up to n = 1000; eps where it is a double)."""
+    a, b = np.asarray(a, dtype=np.longdouble), np.asarray(b, dtype=np.longdouble)
+    y, block = np.empty_like(b), 100
+    for i in range(0, len(a), block):
+        product = np.cumprod(a[i:i + block])
+        y[i:i + block] = product * (np.cumsum(b[i:i + block] / product) + (y[i - 1] if i else 0.0))
+    return y.astype(float)
 
 
 def _angular_origin_panel(N: int, r: float, alpha: float, beta: float) -> float:
@@ -441,18 +534,27 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
     """int_R^inf (A+s)^(-sigma) log(A+s)^kappa s^(N-1) K(s) ds for R > 1, and its error bound,
     shaped like R (a scalar or an array).
 
-    One sweep in t = log R / x on (0, 1], x = log s, one group per R, that never forms
-    s: log(A+s) = x + log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the
-    integrand behaves like t^-(2+beta+kappa) at t = 0, and the segment there is graded
-    with m = -1/(1+beta+kappa), which makes it a constant in u.  The octave marks
-    2^-10..1 keep the A e^-x correction, which lives near t = 1, out of that graded
-    segment, and the marks 1/t - 1 = 4^j / L, j = 0, 1, 2, resolve it: it falls by e
-    per 1/L of 1/t - 1, which one panel over the octave [1/2, 1] steps over at large L
-    (it missed 1.6e-13 of the potential of (A + s)^-2 log(A + s)^-1.5 at A = 1e200, three
-    times its error estimate).  Off the line, gap < 0, the integrand lives within a few
-    1/(|gap| L) below t = 1; the marks follow that scale, and the segment
-    [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest."""
-    L, gap, beta = np.array([math.log(x) for x in np.ravel(R)]), kernel.N - kernel.alpha - sigma, kernel.beta
+    One sweep in t = log R / x on (0, 1], x = log s, that never forms s: log(A+s) = x +
+    log1p(A e^-x).  On the critical line gap = N - alpha - sigma = 0 the integrand behaves
+    like t^-(2+beta+kappa) at t = 0, and the segment there is graded with m = -1/(1+beta+kappa),
+    which makes it a constant in u.  The octave marks 2^-10..1 keep the A e^-x correction,
+    which lives near t = 1, out of that graded segment, and the marks 1/t - 1 = 4^j / L,
+    j = 0, 1, 2, resolve it: it falls by e per 1/L of 1/t - 1, which one panel over the octave
+    [1/2, 1] steps over at large L (it missed 1.6e-13 of the potential of (A + s)^-2
+    log(A + s)^-1.5 at A = 1e200, three times its error estimate).  Off the line, gap < 0, the
+    integrand lives within a few 1/(|gap| L) below t = 1; the marks follow that scale, and the
+    segment [0, 1/(1 + 32/(|gap| L))] holds the e^-32 rest.
+
+    Several R form one sweep of suffix sums: with R_1 < ... < R_n those of distinct log R, group
+    j < n holds the piece [R_j, R_(j+1)] alone, in its own t = log R_j / x on [log R_j / log R_(j+1),
+    1] with R_j's marks in the half of it next to t = 1 (one nearer R_(j+1) would only cut a sliver
+    off) and t = 1 always, so a piece an ulp of log R wide keeps its segment,
+    group n the whole tail of R_n, and the tail of R_i and its error are the sums over the groups
+    j >= i.  A single R is the one group of the whole tail."""
+    # the groups are the distinct log R: R a few ulps apart may share one
+    L = np.array([math.log(x) for x in np.ravel(R)])
+    L, back = (L, [0]) if L.size == 1 else np.unique(L, return_inverse=True)
+    gap, beta = kernel.N - kernel.alpha - sigma, kernel.beta
 
     def integrand(t: np.ndarray, _, group: np.ndarray) -> np.ndarray:
         x = (log_r := L[group]) / t
@@ -462,22 +564,28 @@ def _tail_integral_1d(kernel: KernelParams, sigma: float, kappa: float, A: float
 
     if gap == 0.0:
         grading = -1.0 / (1.0 + beta + kappa)
-        marks = [[0.0, *np.union1d(2.0 ** np.arange(-10.0, 1.0), 1.0 / (1.0 + 4.0 ** np.arange(3.0) / l))] for l in L]
+        marks = [[0.0, *sorted({*(2.0 ** k for k in range(-10, 1)), *(1.0 / (1.0 + 4.0 ** j / l) for j in range(3))})]
+                 for l in L.tolist()]
     else:
         # in y = 1/t - 1 the integrand decays like e^(-y/d), d = 1/(|gap| L): marks at
         # y = d 2^j up to 32 d and the octaves y = 2^k - 1 below that take one round
-        grading, marks, octaves = 1.0, [], 2.0 ** np.arange(1.0, 11.0) - 1.0
-        for d in -1.0 / (gap * L):
-            y = np.union1d(d * 2.0 ** np.arange(6.0), octaves[octaves < 32.0 * d])
-            marks.append([0.0, *1.0 / (1.0 + y[::-1]), 1.0])
+        grading, marks = 1.0, []
+        for d in (-1.0 / (gap * L)).tolist():
+            y = {*(d * 2.0 ** j for j in range(6)), *(o for k in range(1, 11) if (o := 2.0 ** k - 1.0) < 32.0 * d)}
+            marks.append([0.0, *(1.0 / (1.0 + v) for v in sorted(y, reverse=True)), 1.0])
+    for i, end in enumerate((L[:-1] / L[1:]).tolist()):
+        marks[i] = [end, *(m for m in marks[i][1:-1] if m > 0.5 * (1.0 + end)), 1.0]
     values, errors, _ = _integrate_marks(integrand, marks, grading=grading)
-    return tuple(_group_sums(v, marks).reshape(np.shape(R))[()] for v in (values, errors))
+    sums = [np.cumsum(_group_sums(v, marks)[::-1])[::-1][back] for v in (values, errors)]
+    return tuple(v.reshape(np.shape(R))[()] for v in sums)
 
 
 def _group_sums(v: np.ndarray, marks: Sequence[Sequence[float]]) -> np.ndarray:
-    """Each group's total over its segments, the columns of v from _integrate_marks."""
-    ends = list(itertools.accumulate(len(m) - 1 for m in marks))
-    return np.array([v[:, i:j].sum() for i, j in zip([0, *ends], ends)])
+    """Each group's total over its segments, the columns of v from _integrate_marks, in one reduceat;
+    a single group, that of a single-radius call, keeps numpy's pairwise sum."""
+    if len(marks) == 1:
+        return np.array([v.sum()])
+    return np.add.reduceat(v.sum(axis=0), [0, *itertools.accumulate(len(m) - 1 for m in marks[:-1])])
 
 
 def _marks(end: float, start: float, points: Iterable[float] = (), ratio: float = 10.0) -> list[float]:
@@ -502,6 +610,7 @@ _KW = np.concatenate((_WGK, [0.20948214108472783], _WGK[::-1]))
 _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate((_WG, [0.41795918367346939], _WG[::-1]))
 _KG, _EPS, _FLOAT_MAX = _KW - _GW, np.finfo(float).eps, np.finfo(float).max
+_EPS_LONG = float(np.finfo(np.longdouble).eps)
 
 
 # Graded offsets stop at _CUSP_FLOOR |h|: below it the integrand in u is its
@@ -697,9 +806,7 @@ def _tail_addon(kernel: KernelParams, f: RadialProfile, r: np.ndarray, s_max: np
     tail, tail_err = np.zeros(len(r)), np.zeros(len(r))
     if (live := c > 0.0).any():
         scale = unit_sphere_area(kernel.N) * c[live]
-        index: dict[float, int] = {}  # one tail per distinct s_max (np.unique costs a single radius 10 us, this 2)
-        back = [index.setdefault(x, len(index)) for x in s_max[live].tolist()]
-        tail_1d, q_err = (v[back] for v in _tail_integral_1d(kernel, -spec.power, spec.logpower, A, np.array(list(index))))
+        tail_1d, q_err = _tail_integral_1d(kernel, -spec.power, spec.logpower, A, s_max[live])
         tail[live] = scale * tail_1d
         # calibration spread, far-field angular error O((r/s)^2), and 1-d quadrature error
         spread = (ratios[live].max(axis=1) - ratios[live].min(axis=1)) / c[live]
@@ -723,8 +830,11 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
     newton = KernelParams(N, N - 2.0, 0.0)
     if not compact and detect_divergence(newton, f):
         raise DivergentIntegral("tail mass int s f ds diverges: declared decay too slow")
-    anchor, r_top = max(f.scale, 1.0), radii.max(initial=0.0)
+    anchor, r_top = max(f.scale, 1.0), float(radii.max(initial=0.0))
     s_end = float(f.support_radius) if compact else max(TRUNCATION_FACTOR * r_top, POTENTIAL_REACH * anchor)
+    if not (compact or 2.0 * s_end <= _FLOAT_MAX):
+        raise NonpositiveRadius(f"radius {r_top!r} at scale {f.scale!r} puts the tail probe 2 s_end past the "
+                                "float range")
     marks = _marks(s_end, anchor / 100.0, radii.ravel().tolist(), ratio=2.0)
 
     def integrand(s: np.ndarray, *_) -> np.ndarray:
@@ -752,7 +862,8 @@ def _layer_cake(N: int, f: RadialProfile, r) -> tuple[np.ndarray, np.ndarray, np
 
 def newtonian_potential_radial(N: int, f: RadialProfile, r):
     """Decaying solution u of -Laplace(u) = f for radial f, N >= 3, at a radius r or at
-    every radius of an array r: (N-2) u = r^(2-N) M + T from one _layer_cake sweep.
+    every radius of an array r: (N-2) u = r^(2-N) M + T from one _layer_cake sweep.  Radii
+    that put its tail probe 2 s_end past the float range are refused (NonpositiveRadius).
 
     Returns a float for a scalar r, and for an array r a ConvolutionResult whose value
     and error_estimate (propagated from the segment errors and the tail's) are arrays of

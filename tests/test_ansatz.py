@@ -887,3 +887,65 @@ def test_certificate_runs_one_convolution_sweep(monkeypatch):
     assert len(calls) == 1
     assert len(sweeps) <= 4, sweeps
     assert sum(calls) == 13_050
+
+
+@pytest.mark.parametrize("case_id, N, alpha, beta, p, q", [
+    ("2", 3, 1.0, -1.5, 2.0, 4.0), ("1a", 5, 1.0, 1.0, 1.5, 2.0), ("T4-2", 3, 3.0, 1.0, 4.0, 1.0),
+])
+def test_certificate_reaction_tails_are_suffix_sums_of_one_sweep(monkeypatch, case_id, N, alpha, beta, p, q):
+    """The reaction's tails past the grid's distinct s_max come from one sweep of the pieces between
+    them: at most 1,500 evaluations (930, 855 and 825), where a sweep per distinct s_max took 10,290, 7,140
+    and 5,145."""
+    tails, radii = [], []
+    tail, sweep = convolution._tail_integral_1d, convolution._integrate_marks
+
+    def counted_tail(*args):
+        radii.append(np.size(args[-1]))
+        try:
+            return tail(*args)
+        finally:
+            radii.pop()
+
+    def counted_sweep(*args, **kwargs):
+        out = sweep(*args, **kwargs)
+        if radii and radii[-1] > 1:
+            tails.append(out[2])
+        return out
+
+    monkeypatch.setattr(convolution, "_tail_integral_1d", counted_tail)
+    monkeypatch.setattr(convolution, "_integrate_marks", counted_sweep)
+    case = choose_case_params(case_id, N, alpha, beta, p, q)
+    assert verify_supersolution(case, KernelParams(N, alpha, beta), p, q).passed
+    assert len(tails) == 1 and tails[0] <= 1_500, tails
+
+
+def test_n5_certificate_serves_its_near_nodes_from_the_angular_table(monkeypatch):
+    """Case 1a, N = 5: the 4,098 outer nodes the far-field panel leaves cost at most 20 kernel
+    evaluations each, counted as the points of every table panel times its columns (8 per lattice
+    cell, and two 8-point reads per node) and every node of the chain, where the chain alone took
+    about 40 (10,226 panels of 16 nodes)."""
+    count = dict(nodes=0, far=0, evaluations=0)
+    log_kernel, moment_panels, angular = convolution._log_kernel, convolution._moment_panels, convolution.angular_factor
+
+    def counted_log_kernel(t, a, b):
+        # a 2-d t is a panel of nodes: the far field's takes alpha = 1, the chain's alpha - 1
+        if np.ndim(t) == 2:
+            count["far" if a == 1.0 else "evaluations"] += t.shape[1] if a == 1.0 else t.size
+        return log_kernel(t, a, b)
+
+    def counted_moment_panels(slopes, beta, t0, l0, span, u, w):
+        count["evaluations"] += len(u) * np.size(t0)
+        return moment_panels(slopes, beta, t0, l0, span, u, w)
+
+    def counted_angular(N, r, s, kernel):
+        count["nodes"] += len(s.s)
+        return angular(N, r, s, kernel)
+
+    monkeypatch.setattr(convolution, "_log_kernel", counted_log_kernel)
+    monkeypatch.setattr(convolution, "_moment_panels", counted_moment_panels)
+    monkeypatch.setattr(convolution, "angular_factor", counted_angular)
+    case = choose_case_params("1a", 5, 1.0, 1.0, 1.5, 2.0)
+    assert verify_supersolution(case, KernelParams(5, 1.0, 1.0), 1.5, 2.0).passed
+    near = count["nodes"] - count["far"]
+    assert near == 4_098, count
+    assert count["evaluations"] <= 20 * near, count["evaluations"] / near

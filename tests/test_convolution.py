@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -269,12 +271,15 @@ def test_far_field_panel_admits_only_kernels_it_resolves(N, alpha, beta, M, rho)
 TABLE_ROWS = [(1e-3, 1e-33), (1e-3, -5e-4), (30.0, -3e-29), (30.0, 3e-5), (1e6, -1.0), (1e6, 5e5)]
 
 
-def _table_call(k, rows):
-    """angular_factor at N = 3 on all rows in one _Offsets call, as from convolve_radial, with
-    the mask of the rows _angular_table serves."""
+def _table_call(k, rows, N=3):
+    """angular_factor at N on all rows in one _Offsets call, as from convolve_radial, with the
+    table's own values on the rows _angular_table serves (whichever rule _angular picks for these few
+    rows), and their mask."""
     r, delta = (np.array(v) for v in zip(*rows))
-    served, _ = convolution._angular_table(r, r + delta, delta, k.alpha, k.beta)
-    return angular_factor(3, r, _Offsets(r + delta, delta), k), served
+    served, values = convolution._angular_table(N, r, r + delta, delta, k.alpha, k.beta)
+    got = angular_factor(N, r, _Offsets(r + delta, delta), k)
+    got[served] = values
+    return got, served
 
 
 @pytest.mark.parametrize("alpha,beta,served", [
@@ -319,8 +324,119 @@ def test_angular_table_matches_power_closed_form(alpha):
 def test_angular_table_leaves_the_ends_of_the_float_range_to_the_chain():
     """Logs of t near 1e+-200 round by more than _TABLE_ERR allows (see test_angular_factor_scales_homogeneously)."""
     r = np.array([1e-200, 1e200, 1.0])
-    served, _ = convolution._angular_table(r, 2.0 * r, r, 1.0, 0.0)
+    served, _ = convolution._angular_table(3, r, 2.0 * r, r, 1.0, 0.0)
     assert served.tolist() == [False, False, True]
+
+
+def _exact_angular(N, alpha, beta, r, delta):
+    return angular_closed_form(N, alpha, r, delta) if beta == 0.0 else angular_mpmath(N, alpha, beta, r, delta / r)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    # case 1a
+    (1.0, 1.0),
+    # t^2 K and t^4 K fall, t^6 K rises: the moments anchor at opposite ends of the lattice
+    (4.3, -0.5),
+    (0.5, 2.0),
+    (2.5, 0.0),
+])
+def test_angular_table_at_n5_matches_its_oracles(alpha, beta):
+    """At N = 5 angular = [-dG_5 + (d^2 + D^2) dG_3 - d^2 D^2 dG_1] / (4 r^3 s^3) from three moments of
+    one lattice; the twelve terms cancel by about 1.4 digits, and the table serves every row."""
+    k = KernelParams(5, alpha, beta)
+    got, table = _table_call(k, TABLE_ROWS, N=5)
+    assert table.all(), table
+    for (r, delta), value in zip(TABLE_ROWS, got):
+        exact = _exact_angular(5, alpha, beta, r, delta)
+        assert math.isclose(value, exact, rel_tol=1e-12), (r, delta, value / exact - 1.0)
+
+
+@pytest.mark.parametrize("N,alpha,beta,points", [
+    # a read spans at most c = max(|k+1-alpha|, |k+1-alpha+beta|) log(2)/4 e-folds: 4 points up to c = 0.2
+    (3, 1.0, -1.5, 4), (3, 3.0, 1.0, 4), (3, 0.9, 0.0, 4),
+    # c = 0.208 and 0.208, just past it, and N = 5, where c >= 0.35
+    (3, 0.8, 0.0, 8), (3, 1.0, 0.2, 8), (5, 1.0, 1.0, 8),
+])
+def test_angular_table_reads_with_the_order_the_kernel_slope_needs(N, alpha, beta, points):
+    """The table's reads take the rule for c e-folds and its cells the one for 2 c; on either side
+    of c = 0.2 the table serves every row at 1e-12 from the oracles."""
+    slopes = [k + 1.0 - alpha for k in ((1,) if N == 3 else (1, 3, 5))]
+    c = max(max(abs(a), abs(a + beta)) for a in slopes) * convolution._CELL / 2.0
+    assert len(convolution._panel_rule(c)[0]) == points
+    got, table = _table_call(KernelParams(N, alpha, beta), TABLE_ROWS, N=N)
+    assert table.all(), table
+    for (r, delta), value in zip(TABLE_ROWS, got):
+        exact = _exact_angular(N, alpha, beta, r, delta)
+        assert math.isclose(value, exact, rel_tol=1e-12), (r, delta, value / exact - 1.0)
+
+
+def test_panel_rule_takes_the_fewest_points_that_reach_roundoff():
+    """4, 8 or 16 Gauss-Legendre points for a panel spanning c e-folds, cut at c = 0.2 and 3, where
+    each still integrates e^(c u) over [0, 1] to 2e-15."""
+    assert [len(convolution._panel_rule(c)[0]) for c in (0.0, 0.2, 0.2001, 3.0, 3.0001, 6.0)] == [4, 4, 8, 8, 16, 16]
+    for c in (0.2, 3.0, 6.0):
+        u, w = convolution._panel_rule(c)
+        assert math.isclose(w @ np.exp(c * u), math.expm1(c) / c, rel_tol=2e-15), c
+
+
+def test_only_n3_and_n5_reach_the_table(monkeypatch):
+    """Odd N >= 7 and every even N keep the chain; N = 5 is served by the table."""
+    calls = []
+    table = convolution._angular_table
+
+    def spy(N, *args):
+        calls.append(N)
+        return table(N, *args)
+
+    monkeypatch.setattr(convolution, "_angular_table", spy)
+    s = np.linspace(12.0, 110.0, 2 * convolution._TABLE_NODES)
+    for N in (4, 5, 7):
+        got = angular_factor(N, 30.0, s, KernelParams(N, 1.5, 0.5))
+        assert np.all(np.isfinite(got) & (got > 0.0))
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("low, high", [(-6.0, 6.0), (-1e-3, 1e-3)], ids=["steep", "flat"])
+def test_affine_scan_matches_the_recurrence_over_several_blocks(low, high):
+    """y_(j+1) = a_j y_j + b_j over 250 steps, three blocks of the running-product form, against the
+    exact recurrence of the same floats: within its bound (2 n + 3) eps_long and the one rounding to
+    a float.  Where a stays near 1 every sum carries all the terms before it."""
+    rng = np.random.default_rng(3)
+    a, b = np.exp(rng.uniform(low, high, 250)), rng.uniform(0.5, 1.0, 250)
+    want, value = [], Fraction(0)
+    for j in range(250):
+        value = Fraction(a[j]) * value + Fraction(b[j])
+        want.append(value)
+    y = convolution._affine_scan(a, b)
+    error = np.array([float(abs(Fraction(v) - w) / w) for v, w in zip(y, want)])
+    bound = (2.0 * 250 + 3.0) * float(np.finfo(np.longdouble).eps) + np.finfo(float).eps / 2.0
+    assert np.all(error <= bound), (error / bound).max()
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_slice_goes_to_the_table_only_where_it_pays(monkeypatch, N):
+    """A slice takes the table only with at least _TABLE_NODES near nodes and no more lattice cells
+    than nodes: one node 1e-150 r off the diagonal would stretch the lattice of 400 others over 1,000
+    cells, and 100 nodes are too few; the chain serves those, to the same values."""
+    built = []
+    table = convolution._angular_table
+
+    def spy(N, r, s, *args):
+        served, values = table(N, r, s, *args)
+        built.append((len(s), served.sum()))
+        return served, values
+
+    monkeypatch.setattr(convolution, "_angular_table", spy)
+    k, s = KernelParams(N, 1.5, 0.5), np.geomspace(0.3, 3.0, 400)
+    near = angular_factor(N, 1.0, s, k)
+    assert built == [(400, 400)]
+    built.clear()
+    delta = np.append(s - 1.0, 1e-150)
+    stretched = angular_factor(N, 1.0, _Offsets(1.0 + delta, delta), k)
+    few = angular_factor(N, 1.0, s[::4], k)
+    assert built == []
+    np.testing.assert_allclose(stretched[:-1], near, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(few, near[::4], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.0, 0.0), (1.0, 1.0), (198.5, 198.5), (3.2, 0.0)])
@@ -768,6 +884,47 @@ def test_tail_integral_matches_mpmath(N, alpha, beta, sigma, kappa, A, R):
     assert error * value <= estimate + 1e-13 * value, (error, estimate / value)
 
 
+@pytest.mark.parametrize("N, alpha, beta, sigma, kappa, A", [
+    # on the critical line and off it
+    (3, 1.0, 0.0, 2.0, -1.005, 10.0),
+    (3, 1.0, 0.5, 2.01, -1.2, 10.0),
+    (5, 1.5, 1.5, 3.51, 2.0, 20.0),
+])
+def test_tail_integral_of_many_radii_is_a_suffix_sum(N, alpha, beta, sigma, kappa, A):
+    """One call over five unsorted radii from 1e3 to 1e9 (one twice) sums the pieces between them from
+    the top down: each tail agrees with its scalar call within their estimates and with the oracle."""
+    kernel, R = KernelParams(N, alpha, beta), np.array([1e6, 1e3, 1e9, 3.2e4, 1e6, 3.2e7])
+    value, estimate = convolution._tail_integral_1d(kernel, sigma, kappa, A, R)
+    assert value.shape == estimate.shape == R.shape
+    for i, radius in enumerate(R):
+        one, one_estimate = convolution._tail_integral_1d(kernel, sigma, kappa, A, radius)
+        assert abs(value[i] - one) <= estimate[i] + one_estimate, (radius, value[i] / one - 1.0)
+        exact = tail_oracle(N, alpha, beta, sigma, kappa, A, radius)
+        assert abs(float((value[i] - exact) / exact)) <= 1e-12, radius
+
+
+@pytest.mark.parametrize("N, alpha, beta, sigma, kappa, A", [
+    (3, 1.0, 0.0, 2.0, -1.005, 10.0),
+    (3, 1.0, 0.5, 2.01, -1.2, 10.0),
+])
+def test_tail_integral_of_radii_a_few_ulps_apart(N, alpha, beta, sigma, kappa, A):
+    """Radii a few ulps apart: the next float above 1e6 has the same log, and the first with a larger
+    log is one ulp of log above it.  Neither may turn the piece between them into an empty group, whose
+    reduceat would read the next group's first segment in its place: below the largest R that is the
+    graded segment at t = 0, which on the critical line holds most of the tail."""
+    same = np.nextafter(1e6, 2e6)
+    above = same
+    while math.log(above) == math.log(1e6):
+        above = np.nextafter(above, 2e6)
+    assert math.log(same) == math.log(1e6) and math.log(above) == np.nextafter(math.log(1e6), 20.0)
+    kernel = KernelParams(N, alpha, beta)
+    for R in (np.array([1e6, same, above, 3.2e7]), np.array([3.2e4, same, 1e6])):
+        value, estimate = convolution._tail_integral_1d(kernel, sigma, kappa, A, R)
+        for i, radius in enumerate(R):
+            one, one_estimate = convolution._tail_integral_1d(kernel, sigma, kappa, A, radius)
+            assert abs(value[i] - one) <= estimate[i] + one_estimate, (radius, value[i] / one - 1.0)
+
+
 @pytest.mark.parametrize("N", [20, 50, 200])
 def test_angular_factor_of_constant_kernel_in_high_dimension(N):
     """With K = 1 the colatitude integral is B_N at every s: the panels have to
@@ -950,6 +1107,17 @@ def test_newtonian_potential_past_the_float_range_is_refused():
     that names the radius, not the NaN of inf * 0."""
     with pytest.raises(ParameterError, match=r"float range at r = 0\.001 for N = 130"):
         newtonian_potential_radial(130, ball_profile(1.0), 1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_potential_whose_tail_probe_leaves_the_float_range_is_refused():
+    """The layer cake's tail probe sits at 2 s_end = 2e3 r: from r = 1e305 on a NonpositiveRadius
+    that names the radius, before any overflow; r = 1e300 keeps its far field 1 / (30 r)."""
+    f = power_profile(4.0, 0.0)
+    for r in (1e305, 1e306, 1.7e308):
+        with pytest.raises(NonpositiveRadius, match=re.escape(repr(r))):
+            newtonian_potential_radial(3, f, r)
+    assert math.isclose(newtonian_potential_radial(3, f, 1e300), 1.0 / (30.0 * 1e300), rel_tol=1e-10)
 
 
 def test_tail_ratio_past_the_float_range_is_refused():
